@@ -20,7 +20,7 @@ import numpy as np
 from . import asymfit, invariant, qdilog, saddle
 from .knots import KnotId
 
-__all__ = ["main", "run", "CSV_HEADER"]
+__all__ = ["main", "CSV_HEADER"]
 
 CSV_HEADER = [
     "knot",
@@ -388,8 +388,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-
-run = main
 
 if __name__ == "__main__":
     raise SystemExit(main())

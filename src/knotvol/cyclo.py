@@ -2,10 +2,11 @@
 
 Elements are polynomials in omega with rational coefficients, reduced modulo
 the N-th cyclotomic polynomial Phi_N.  Phi_N is irreducible over Q, so the
-quotient is a field and every nonzero element has an inverse; that is what
-makes the divisions appearing in the 5_2 and 6_1 state sums total.  This
-module is the slow exact oracle; the floating-point engine lives in
-`invariant` and is checked against it at small N.
+quotient is a field and every nonzero element has an inverse.  The state
+sums need none: (omega)_{N-1} = N makes every reciprocal of a partial
+product another partial product over N, so `exact_invariant` only adds and
+multiplies.  This module is the slow exact oracle; the floating-point
+engine lives in `invariant` and is checked against it at small N.
 """
 
 from __future__ import annotations
@@ -255,25 +256,27 @@ def _pochhammer_elements(order: int) -> tuple[list[CycElement], list[CycElement]
 
 
 def exact_term_count(knot: KnotId, order: int) -> int:
-    """Number of summands in the state sum, counted from the index ranges."""
+    """Size of the state sum's index set: N, N(N+1)/2 or N(N+1)(N+2)/6."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     if knot is KnotId.FOUR_ONE:
         return order
     if knot is KnotId.FIVE_TWO:
-        return sum(order - k for k in range(order))
+        return order * (order + 1) // 2
     # 6_1: triples k, l >= 0 with k + l <= m <= order - 1
-    return sum(
-        order - k - l for k in range(order) for l in range(order - k)
-    )
+    return order * (order + 1) * (order + 2) // 6
 
 
 def exact_invariant(knot: KnotId, order: int) -> CycElement:
     """State sum over residues mod `order`, exactly, as a field element.
 
-    4_1 sums |(omega)_k|^2; 5_2 and 6_1 involve divisions by conjugated
-    partial products, grouped here by their residual omega exponent so the
-    expensive field multiplications happen once per index pair.
+    (omega)_{N-1} = N turns every reciprocal into a partial product:
+    1/(omega)_k^* = (omega)_{N-1-k}/N and 1/(omega)_k = (omega)_{N-1-k}^*/N,
+    so no field inverse is taken.  5_2 is a sum over pairs k <= l; 6_1,
+    with s = m - k, is a sum over pairs l <= s weighted by the row sums
+    C(s) = sum_{k<=N-1-s} |(omega)_{k+s}|^2 (omega)_{N-1-k}^*.  Products
+    are grouped by their residual omega exponent, so the omega powers are
+    multiplied in once per exponent, and the powers of 1/N once at the end.
     """
     count = exact_term_count(knot, order)
     if count > EXACT_TERM_BUDGET:
@@ -293,25 +296,28 @@ def exact_invariant(knot: KnotId, order: int) -> CycElement:
 
     buckets = [CycElement.zero(n) for _ in range(n)]
     if knot is KnotId.FIVE_TWO:
-        conj_inv = [c.inverse() for c in conj]
         sq = [p * p for p in poch]
         for k in range(n):
             for l in range(k, n):
                 e = (-k * (l + 1)) % n
-                buckets[e] = buckets[e] + sq[l] * conj_inv[k]
+                buckets[e] = buckets[e] + sq[l] * poch[n - 1 - k]
+        scale = Fraction(1, n)
     else:
-        inv = [p.inverse() for p in poch]
-        conj_inv = [c.inverse() for c in conj]
         absq = [p * c for p, c in zip(poch, conj)]
-        for k in range(n):
-            for l in range(n - k):
-                pair = inv[k] * conj_inv[l]
-                for m in range(k + l, n):
-                    e = ((m - k - l) * (m - k + 1)) % n
-                    buckets[e] = buckets[e] + absq[m] * pair
+        row = []
+        for s in range(n):
+            c_s = CycElement.zero(n)
+            for k in range(n - s):
+                c_s = c_s + absq[k + s] * conj[n - 1 - k]
+            row.append(c_s)
+        for l in range(n):
+            for s in range(l, n):
+                e = ((s - l) * (s + 1)) % n
+                buckets[e] = buckets[e] + row[s] * poch[n - 1 - l]
+        scale = Fraction(1, n * n)
 
     total = CycElement.zero(n)
     for e in range(n):
         if not buckets[e].is_zero():
             total = total + buckets[e] * om[e]
-    return total
+    return total * CycElement.rational(n, scale)

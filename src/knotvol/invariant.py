@@ -8,6 +8,18 @@ products (omega)_k = prod_{j<=k} (1 - omega^j), omega = exp(2*pi*i/N):
     <6_1> = sum_{k+l<=m} |(omega)_m|^2 / ((omega)_k (omega)_l^*)
                                        * omega^((m-k-l)(m-k+1))
 
+With s = m - k the 6_1 phase omega^((s-l)(s+1)) does not depend on k, so
+the triple sum is a pair sum weighted by row sums:
+
+    <6_1> = sum_{l<=s} C(s) / (omega)_l^* * omega^((s-l)(s+1)),
+    C(s)  = sum_{m=s}^{N-1} |(omega)_m|^2 / (omega)_{m-s},
+
+O(N^2) work for an index set of N(N+1)(N+2)/6 triples.  Every summand is
+a product of table entries and their reciprocals, which the float modes
+take once per order (logscale by negating the log table).  The exact mode
+needs no field inverse: (omega)_{N-1} = N gives 1/(omega)_k^* =
+(omega)_{N-1-k}/N.
+
 The moduli |(omega)_k| swing like exp(+-0.16 N), so besides the plain
 "direct" complex evaluation there is a "logscale" mode that keeps every
 term as (log magnitude, argument) and sums with a running rescale, and an
@@ -113,7 +125,9 @@ class PochhammerTable:
 
     values[k] is the straight complex product; log_mag[k] and arg[k] carry
     the same numbers in log form, usable long after values[k] overflows.
-    omega_pow[j] caches omega^j for exponent lookups.
+    Past that point values[k] holds inf or nan; only direct mode reads
+    values, and it refuses such orders.  omega_pow[j] caches omega^j for
+    exponent lookups.
     """
 
     order: int
@@ -130,7 +144,9 @@ def pochhammer_table(order: int) -> PochhammerTable:
     angles = 2.0 * math.pi * np.arange(n) / n
     omega_pow = np.exp(1j * angles)
     factors = 1.0 - omega_pow  # factors[0] is never used
-    with np.errstate(over="ignore"):
+    # once the product overflows, inf * finite turns into nan: both are
+    # past the table log limit, where direct mode refuses the order
+    with np.errstate(over="ignore", invalid="ignore"):
         values = np.concatenate(([1.0 + 0j], np.cumprod(factors[1:])))
     log_f = np.concatenate(([0.0], np.log(np.abs(factors[1:]))))
     arg_f = np.concatenate(([0.0], np.angle(factors[1:])))
@@ -139,98 +155,188 @@ def pochhammer_table(order: int) -> PochhammerTable:
     return PochhammerTable(n, omega_pow, values, log_mag, arg)
 
 
-class _SumSpace:
-    """Flat enumeration of one knot's index set at one order.
+def _triangle_offsets(n: int) -> np.ndarray:
+    """Start of each row r of the triangle {(r, c): r <= c < n}, row by row."""
+    r = np.arange(n + 1, dtype=np.int64)
+    return r * n - r * (r - 1) // 2
 
-    Index blocks are laid out lexicographically: (k) for 4_1, (k, l) with
-    k <= l for 5_2, (k, l, m) with k + l <= m for 6_1.  Chunks address the
-    flat range [lo, hi) and are decoded back with searchsorted, so chunk
-    contents depend only on (knot, order, chunk bounds).
+
+def _segment_error_factors(counts: np.ndarray) -> np.ndarray:
+    # np.add.reduceat adds a segment's first element to a pairwise sum of
+    # the rest: one rounding more than _sum_error_factor
+    return _EPS * (np.ceil(np.log2(counts)) + 2.0)
+
+
+class _SumSpace:
+    """One knot's state sum at one order, laid out for chunked summation.
+
+    4_1 runs over k < N.  5_2 and 6_1 run over the pairs of the triangle
+    r <= c < N, laid out row by row,
+
+        sum_{r<=c} X(c) / (omega)_r^* * omega^e(r, c),
+
+    with X(c) = (omega)_c^2, e = -r(c+1) for 5_2 and X(c) = C(c),
+    e = (c-r)(c+1) for 6_1 (see the module docstring).  Chunks address the
+    flat range [lo, hi) and are decoded with searchsorted on the row
+    offsets, so chunk contents depend only on (knot, order, chunk bounds).
+    The row sums C(c) are built over the same triangle, in chunks of the
+    same size, before any pair is summed.
+
+    Direct mode carries plain complex factors, each reciprocal applied per
+    factor: every C(c) and every pair term is then a partial sum of the
+    triple sum's own terms and obeys its magnitude bound.  Logscale
+    carries a factor as exp(log) * val with val of moderate size.  col_err
+    bounds the absolute rounding error already in X(c), on the scale of
+    col_val.
     """
 
-    def __init__(self, knot: KnotId, table: PochhammerTable):
+    def __init__(
+        self,
+        knot: KnotId,
+        table: PochhammerTable,
+        direct: bool,
+        chunk_size: int,
+        threads: int,
+    ):
         self.knot = knot
         self.table = table
+        self.direct = direct
         n = table.order
         if knot is KnotId.FOUR_ONE:
             self.total = n
-        elif knot is KnotId.FIVE_TWO:
-            sizes = n - np.arange(n)  # l runs k .. n-1
-            self._offsets = np.concatenate(([0], np.cumsum(sizes)))
-            self.total = int(self._offsets[-1])
+            return
+        self.offsets = _triangle_offsets(n)
+        self.total = int(self.offsets[-1])
+        # row_val[r] is 1/(omega)_r^*, so its conjugate is 1/(omega)_r.
+        # N divisions here are more accurate than (omega)_{N-1-r}/N, whose
+        # table entry carries up to N-1 roundings where (omega)_r has r.
+        if direct:
+            self.row_val = 1.0 / np.conj(table.values)
         else:
-            counts = n - np.arange(n)  # l runs 0 .. n-1-k
-            starts = np.concatenate(([0], np.cumsum(counts)))
-            self._pair_k = np.repeat(np.arange(n), counts)
-            self._pair_l = np.arange(starts[-1]) - np.repeat(starts[:-1], counts)
-            blocks = n - self._pair_k - self._pair_l  # m runs k+l .. n-1
-            self._pair_offsets = np.concatenate(([0], np.cumsum(blocks)))
-            self.total = int(self._pair_offsets[-1])
+            self.row_log = -table.log_mag
+            self.row_val = np.exp(1j * table.arg)
+        if knot is KnotId.FIVE_TWO:
+            if direct:
+                self.col_val = table.values**2
+            else:
+                self.col_log = 2.0 * table.log_mag
+                self.col_val = np.exp(2j * table.arg)
+            self.col_err = None
+        else:
+            self._build_row_sums(chunk_size, threads)
+        if not direct:
+            self.col_abs = np.abs(self.col_val)
 
     def _indices(self, lo: int, hi: int):
-        n = self.table.order
         idx = np.arange(lo, hi)
         if self.knot is KnotId.FOUR_ONE:
             return (idx,)
-        if self.knot is KnotId.FIVE_TWO:
-            k = np.searchsorted(self._offsets, idx, side="right") - 1
-            l = k + (idx - self._offsets[k])
-            return k, l
-        pair = np.searchsorted(self._pair_offsets, idx, side="right") - 1
-        k = self._pair_k[pair]
-        l = self._pair_l[pair]
-        m = k + l + (idx - self._pair_offsets[pair])
-        return k, l, m
+        r = np.searchsorted(self.offsets, idx, side="right") - 1
+        return r, r + (idx - self.offsets[r])
 
-    def _omega_exponents(self, indices):
-        n = self.table.order
-        if self.knot is KnotId.FOUR_ONE:
-            return np.zeros(len(indices[0]), dtype=np.int64)
+    def _omega_exponents(self, r, c):
         if self.knot is KnotId.FIVE_TWO:
-            k, l = indices
-            return (-(k * (l + 1))) % n
-        k, l, m = indices
-        return ((m - k - l) * (m - k + 1)) % n
+            return (-(r * (c + 1))) % self.table.order
+        return ((c - r) * (c + 1)) % self.table.order
 
-    def log_terms(self, lo: int, hi: int):
+    def _row_sum_pieces(self, lo: int, hi: int):
+        """Partial row sums C(s) over flat positions [lo, hi).
+
+        Row s of the triangle holds the terms |(omega)_m|^2 / (omega)_{m-s}
+        for m = s .. N-1.  Returns, per row touched: the row, its shift, the
+        shifted sum, the shifted sum of moduli and the error bound.
+        """
+        t = self.table
+        s, m = self._indices(lo, hi)
+        k = m - s
+        rows = np.arange(s[0], s[-1] + 1)
+        starts = np.maximum(self.offsets[rows], lo) - lo
+        counts = np.diff(np.append(starts, hi - lo))
+        recip = np.conj(self.row_val[k])
+        if self.direct:
+            terms = np.abs(t.values[m]) ** 2 * recip
+            shift = np.zeros(len(rows))
+            mods = np.abs(terms)
+        else:
+            lt = 2.0 * t.log_mag[m] - t.log_mag[k]
+            shift = np.maximum.reduceat(lt, starts)
+            mods = np.exp(lt - np.repeat(shift, counts))
+            terms = mods * recip
+        total = np.add.reduceat(terms, starts)
+        mod_sum = np.add.reduceat(mods, starts)
+        return rows, shift, total, mod_sum, _segment_error_factors(counts) * mod_sum
+
+    def _build_row_sums(self, chunk_size: int, threads: int) -> None:
+        pieces = _map_chunks(self._row_sum_pieces, self.total, chunk_size, threads)
+        _, shift, self.col_val, _, self.col_err = (
+            pieces[0] if len(pieces) == 1 else _merge_row_pieces(pieces)
+        )
+        if not self.direct:
+            self.col_log = shift
+
+    def direct_chunk(self, lo: int, hi: int):
         t = self.table
         indices = self._indices(lo, hi)
-        e = self._omega_exponents(indices)
-        phase = (2.0 * math.pi / t.order) * e
+        carried = 0.0
         if self.knot is KnotId.FOUR_ONE:
-            (k,) = indices
-            return 2.0 * t.log_mag[k], np.zeros(len(k))
-        if self.knot is KnotId.FIVE_TWO:
-            k, l = indices
-            return (
-                2.0 * t.log_mag[l] - t.log_mag[k],
-                2.0 * t.arg[l] + t.arg[k] + phase,
+            v = t.values[indices[0]]
+            terms = v * np.conj(v)
+        else:
+            r, c = indices
+            terms = (
+                self.row_val[r]
+                * self.col_val[c]
+                * t.omega_pow[self._omega_exponents(r, c)]
             )
-        k, l, m = indices
-        return (
-            2.0 * t.log_mag[m] - t.log_mag[k] - t.log_mag[l],
-            t.arg[l] - t.arg[k] + phase,
-        )
+            if self.col_err is not None:
+                carried = float(np.sum(np.abs(self.row_val[r]) * self.col_err[c]))
+        s = complex(np.sum(terms))
+        a = float(np.sum(np.abs(terms)))
+        return s, a, _sum_error_factor(hi - lo) * a + carried
 
-    def direct_terms(self, lo: int, hi: int) -> np.ndarray:
+    def logscale_chunk(self, lo: int, hi: int):
         t = self.table
         indices = self._indices(lo, hi)
-        e = self._omega_exponents(indices)
         if self.knot is KnotId.FOUR_ONE:
-            (k,) = indices
-            v = t.values[k]
-            return v * np.conj(v)
-        if self.knot is KnotId.FIVE_TWO:
-            k, l = indices
-            return t.values[l] ** 2 / np.conj(t.values[k]) * t.omega_pow[e]
-        k, l, m = indices
-        vm = t.values[m]
-        return (
-            vm
-            * np.conj(vm)
-            / (t.values[k] * np.conj(t.values[l]))
-            * t.omega_pow[e]
+            lt = 2.0 * t.log_mag[indices[0]]
+            m = float(np.max(lt))
+            w = np.exp(lt - m)
+            a = float(np.sum(w))
+            return m, complex(a), a, _sum_error_factor(hi - lo) * a
+        r, c = indices
+        lt = self.row_log[r] + self.col_log[c]
+        m = float(np.max(lt))
+        w = np.exp(lt - m)
+        terms = (
+            w
+            * self.row_val[r]
+            * self.col_val[c]
+            * t.omega_pow[self._omega_exponents(r, c)]
         )
+        s = complex(np.sum(terms))
+        a = float(np.sum(w * self.col_abs[c]))
+        err = _sum_error_factor(hi - lo) * a
+        if self.col_err is not None:
+            err += float(np.sum(w * self.col_err[c]))
+        return m, s, a, err
+
+
+def _merge_row_pieces(pieces: list):
+    """Merge the pieces of rows cut by chunk boundaries, in chunk order."""
+    rows, shift, total, mod_sum, err = (np.concatenate(p) for p in zip(*pieces))
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    counts = np.diff(np.append(starts, len(rows)))
+    row_shift = np.maximum.reduceat(shift, starts)
+    w = np.exp(shift - np.repeat(row_shift, counts))
+    mod_sum = np.add.reduceat(mod_sum * w, starts)
+    return (
+        rows[starts],
+        row_shift,
+        np.add.reduceat(total * w, starts),
+        mod_sum,
+        np.add.reduceat(err * w, starts) + _EPS * counts * mod_sum,
+    )
+
 
 def _direct_term_log_bound(knot: KnotId, table: PochhammerTable) -> float:
     lm = table.log_mag
@@ -247,9 +353,10 @@ class InvariantValue:
     """One evaluated invariant <knot> at order N.
 
     value_log always holds the result; value_complex is its plain image
-    when that fits in a double, else None.  term_count is the number of
-    summands actually enumerated.  accum_error_estimate bounds the
-    relative error contributed by summation (not by the term values).
+    when that fits in a double, else None.  term_count is the size of the
+    state sum's index set (N, N(N+1)/2 or N(N+1)(N+2)/6), not the number
+    of summands enumerated.  accum_error_estimate bounds the relative
+    error contributed by summation (not by the term values).
     """
 
     knot: KnotId
@@ -265,15 +372,6 @@ def _sum_error_factor(count: int) -> float:
     return _EPS * (math.ceil(math.log2(count)) + 1 if count > 1 else 1)
 
 
-def _chunk_logscale(space: _SumSpace, lo: int, hi: int):
-    lm, ar = space.log_terms(lo, hi)
-    m = float(np.max(lm))
-    scaled = np.exp((lm - m) + 1j * ar)
-    s = complex(np.sum(scaled))
-    a = float(np.sum(np.exp(lm - m)))
-    return m, s, a, _sum_error_factor(hi - lo) * a
-
-
 def _merge_logscale(p, q):
     m1, s1, a1, e1 = p
     m2, s2, a2, e2 = q
@@ -282,13 +380,6 @@ def _merge_logscale(p, q):
     w2 = math.exp(m2 - m)
     a = a1 * w1 + a2 * w2
     return m, s1 * w1 + s2 * w2, a, e1 * w1 + e2 * w2 + _EPS * a
-
-
-def _chunk_direct(space: _SumSpace, lo: int, hi: int):
-    t = space.direct_terms(lo, hi)
-    s = complex(np.sum(t))
-    a = float(np.sum(np.abs(t)))
-    return s, a, _sum_error_factor(hi - lo) * a
 
 
 def _merge_direct(p, q):
@@ -348,9 +439,11 @@ def quantum_invariant(
 
     mode "direct" sums plain complex terms and refuses orders whose table
     or term magnitudes could overflow; "logscale" carries log magnitudes
-    and has no practical order ceiling; "exact" works in the cyclotomic
-    field and is meant for small N oracle checks.  For fixed (knot, order,
-    mode, chunk_size) the result is bit-identical for every thread count.
+    and never overflows, though cancellation in the 5_2 and 6_1 sums
+    costs digits as N grows (see accum_error_estimate); "exact" works in
+    the cyclotomic field and is meant for small N oracle checks.  For
+    fixed (knot, order, mode, chunk_size) the result is bit-identical for
+    every thread count.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
@@ -381,30 +474,21 @@ def quantum_invariant(
                 f"use logscale"
             )
 
-    space = _SumSpace(knot, table)
+    space = _SumSpace(knot, table, mode == "direct", chunk_size, threads)
+    count = cyclo.exact_term_count(knot, order)
 
     if mode == "direct":
-        partials = _map_chunks(
-            lambda lo, hi: _chunk_direct(space, lo, hi),
-            space.total,
-            chunk_size,
-            threads,
-        )
+        partials = _map_chunks(space.direct_chunk, space.total, chunk_size, threads)
         s, _, err = _tree_reduce(partials, _merge_direct)
         log = LogComplex.from_complex(s)
         rel = err / abs(s) if s != 0 else 0.0
-        return InvariantValue(knot, order, mode, log, s, space.total, rel)
+        return InvariantValue(knot, order, mode, log, s, count, rel)
 
-    partials = _map_chunks(
-        lambda lo, hi: _chunk_logscale(space, lo, hi),
-        space.total,
-        chunk_size,
-        threads,
-    )
+    partials = _map_chunks(space.logscale_chunk, space.total, chunk_size, threads)
     m, s, _, err = _tree_reduce(partials, _merge_logscale)
     if s == 0:
         log = LogComplex(float("-inf"), 0.0, True)
-        return InvariantValue(knot, order, mode, log, 0j, space.total, 0.0)
+        return InvariantValue(knot, order, mode, log, 0j, count, 0.0)
     log = LogComplex(
         m + math.log(abs(s)),
         float(_wrap_angle(math.atan2(s.imag, s.real))),
@@ -413,7 +497,7 @@ def quantum_invariant(
     if log.log_mag <= _EXP_OVERFLOW_LOG:
         image = log.to_complex()
     rel = err / abs(s)
-    return InvariantValue(knot, order, mode, log, image, space.total, rel)
+    return InvariantValue(knot, order, mode, log, image, count, rel)
 
 
 def growth_point(knot: KnotId, order: int, threads: int = 1) -> tuple[int, float]:

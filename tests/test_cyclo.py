@@ -212,6 +212,40 @@ def test_invariant_values_are_self_conjugate_for_four_one():
         assert v.conjugate() == v
 
 
+def _defining_sum(knot, order):
+    # the state sum as written, one field division per summand
+    n = order
+    om = [CycElement.omega_power(n, j) for j in range(n)]
+    one = CycElement.one(n)
+    poch = [one]
+    for j in range(1, n):
+        poch.append(poch[-1] * (one - om[j]))
+    conj = [p.conjugate() for p in poch]
+    total = CycElement.zero(n)
+    if knot is KnotId.FOUR_ONE:
+        for k in range(n):
+            total = total + poch[k] * conj[k]
+    elif knot is KnotId.FIVE_TWO:
+        for k in range(n):
+            for l in range(k, n):
+                total = total + poch[l] * poch[l] * om[(-k * (l + 1)) % n] / conj[k]
+    else:
+        for k in range(n):
+            for l in range(n - k):
+                for m in range(k + l, n):
+                    e = ((m - k - l) * (m - k + 1)) % n
+                    term = poch[m] * conj[m] * om[e] / (poch[k] * conj[l])
+                    total = total + term
+    return total
+
+
+def test_invariant_matches_defining_sum_with_divisions():
+    for knot in KnotId:
+        for order in range(1, 13):
+            want = _defining_sum(knot, order)
+            assert exact_invariant(knot, order) == want, (knot, order)
+
+
 def test_budget_refusal():
     assert exact_term_count(KnotId.SIX_ONE, 200) > EXACT_TERM_BUDGET
     with pytest.raises(ExactBudgetError):

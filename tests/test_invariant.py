@@ -6,6 +6,7 @@ written as naive Python loops over fresh root-of-unity powers.
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -122,20 +123,35 @@ def test_table_log_fields_consistent():
 def test_sum_space_decode_matches_nested_loops():
     n = 7
     table = pochhammer_table(n)
+    # 5_2 pairs (k, l) and 6_1 pairs (l, s) both run over r <= c, row by row
+    want = [(r, c) for r in range(n) for c in range(r, n)]
+    for knot in (KnotId.FIVE_TWO, KnotId.SIX_ONE):
+        space = _SumSpace(knot, table, False, 4096, 1)
+        got = list(zip(*(a.tolist() for a in space._indices(0, space.total))))
+        assert got == want
 
-    space = _SumSpace(KnotId.FIVE_TWO, table)
-    got = list(zip(*(a.tolist() for a in space._indices(0, space.total))))
-    want = [(k, l) for k in range(n) for l in range(k, n)]
-    assert got == want
+        # decoding a sub-range must agree with slicing the full decode
+        sub = list(zip(*(a.tolist() for a in space._indices(5, 17))))
+        assert sub == want[5:17]
 
-    space = _SumSpace(KnotId.SIX_ONE, table)
-    got = list(zip(*(a.tolist() for a in space._indices(0, space.total))))
-    want = [(k, l, m) for k in range(n) for l in range(n - k) for m in range(k + l, n)]
-    assert got == want
 
-    # decoding a sub-range must agree with slicing the full decode
-    sub = list(zip(*(a.tolist() for a in space._indices(5, 17))))
-    assert sub == want[5:17]
+def test_six_one_row_sums_match_loops():
+    # C(s) = sum_{m>=s} |(w)_m|^2 / (w)_{m-s}, for chunks that cut rows
+    # into pieces and for chunks that hold several rows
+    n = 11
+    table = pochhammer_table(n)
+    poch = _fresh_pochhammer(n)
+    want = [
+        sum(abs(poch[m]) ** 2 / poch[m - s] for m in range(s, n)) for s in range(n)
+    ]
+    for chunk_size in (1, 3, 4, 50):
+        for direct in (True, False):
+            space = _SumSpace(KnotId.SIX_ONE, table, direct, chunk_size, 1)
+            got = space.col_val if direct else np.exp(space.col_log) * space.col_val
+            for s in range(n):
+                case = (chunk_size, direct, s)
+                assert abs(got[s] - want[s]) <= 1e-13 * abs(want[s]), case
+                assert 0.0 < space.col_err[s] <= 1e-13 * np.abs(space.col_val[s])
 
 
 # --- values ---
@@ -217,6 +233,50 @@ def test_direct_mode_overflow_refusals():
         quantum_invariant(KnotId.FIVE_TWO, 2000, "direct")
     with pytest.raises(OverflowError):
         quantum_invariant(KnotId.SIX_ONE, 2000, "direct")
+    # 6_1 is first refused at N = 1068; every intermediate of the pair sum
+    # obeys the term bound, so the last accepted order must not overflow
+    with pytest.raises(OverflowError, match="term log magnitude bound 690.1"):
+        quantum_invariant(KnotId.SIX_ONE, 1068, "direct")
+    v = quantum_invariant(KnotId.SIX_ONE, 1067, "direct")
+    assert math.isfinite(abs(v.value_complex))
+    assert math.isfinite(v.accum_error_estimate)
+
+
+def test_logscale_table_overflow_is_silent():
+    # the plain table overflows near N = 4300; logscale never reads it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = quantum_invariant(KnotId.FOUR_ONE, 5000, "logscale")
+    assert v.value_complex is None and math.isfinite(v.value_log.log_mag)
+
+
+def _mp_six_one(order, dps):
+    # <6_1> with s = m-k, at dps digits; reciprocals by division
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        n = order
+        w = [mp.expjpi(mp.mpf(2 * j) / n) for j in range(n)]
+        poch = [mp.mpc(1)]
+        for k in range(1, n):
+            poch.append(poch[-1] * (1 - w[k]))
+        inv = [1 / p for p in poch]
+        absq = [abs(p) ** 2 for p in poch]
+        row = [mp.fdot((absq[m], inv[m - s]) for m in range(s, n)) for s in range(n)]
+        total = mp.fsum(
+            row[s] / mp.conj(poch[l]) * w[((s - l) * (s + 1)) % n]
+            for l in range(n)
+            for s in range(l, n)
+        )
+        return complex(total)
+
+
+@pytest.mark.parametrize("order", [149, 171])
+def test_six_one_logscale_against_high_precision(order):
+    ref = _mp_six_one(order, 45)
+    v = quantum_invariant(KnotId.SIX_ONE, order, "logscale")
+    err = abs(v.value_complex - ref) / abs(ref)
+    assert err <= 1e-6
+    assert err <= v.accum_error_estimate
 
 
 def test_exact_mode_budget_refusal():
