@@ -119,7 +119,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fad.add_argument("--p", type=_complex_arg, required=True, metavar="RE,IM")
     fad.add_argument("--step", type=float, default=0.05)
     fad.add_argument("--truncation", type=float, default=120.0)
-    fad.add_argument("--dip-radius", type=float, default=0.5)
 
     sub.add_parser("verify", help="run the identity suite and report pass/fail")
     return parser
@@ -263,10 +262,7 @@ def _cmd_lobachevsky(args) -> int:
 
 def _cmd_faddeev(args) -> int:
     params = qdilog.QdParams(
-        gamma=args.gamma,
-        step=args.step,
-        truncation=args.truncation,
-        dip_radius=args.dip_radius,
+        gamma=args.gamma, step=args.step, truncation=args.truncation
     )
     log_s = qdilog.faddeev_log_s(params, args.p)
     print(f"gamma: {args.gamma!r}")
@@ -365,18 +361,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 0
-    try:
         if args.command == "invariant":
             return _cmd_invariant(args)
         if args.command == "volume":
             return _cmd_volume(args)
         if args.command == "fit":
-            try:
-                return _cmd_fit(args, parser)
-            except SystemExit as exc:  # parser.error inside fit validation
-                return int(exc.code) if exc.code is not None else 0
+            return _cmd_fit(args, parser)
         if args.command == "dilog":
             return _cmd_dilog(args)
         if args.command == "lobachevsky":
@@ -384,6 +374,8 @@ def main(argv=None) -> int:
         if args.command == "faddeev":
             return _cmd_faddeev(args)
         return _cmd_verify()
+    except SystemExit as exc:  # argparse usage errors, also from fit's checks
+        return int(exc.code) if exc.code is not None else 0
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

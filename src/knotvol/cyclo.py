@@ -1,12 +1,19 @@
 """Exact arithmetic in the cyclotomic field Q(omega), omega = exp(2*pi*i/N).
 
-Elements are polynomials in omega with rational coefficients, reduced modulo
-the N-th cyclotomic polynomial Phi_N.  Phi_N is irreducible over Q, so the
-quotient is a field and every nonzero element has an inverse.  The state
-sums need none: (omega)_{N-1} = N makes every reciprocal of a partial
-product another partial product over N, so `exact_invariant` only adds and
-multiplies.  This module is the slow exact oracle; the floating-point
-engine lives in `invariant` and is checked against it at small N.
+`CycElement` holds a polynomial in omega with rational coefficients,
+reduced modulo the N-th cyclotomic polynomial Phi_N.  Phi_N is irreducible
+over Q, so the quotient is a field and every nonzero element has an
+inverse.
+
+The state sums need no inverse: (omega)_{N-1} = N makes every reciprocal
+of a partial product another partial product over N.  So `exact_invariant`
+works in the ring Z[x]/(x^N - 1), with integer coefficient lists of length
+N: a partial product is a shift and a subtraction, a power of omega a
+rotation, conjugation the index map i -> -i mod N, and a product one
+integer multiplication (Kronecker substitution).  Phi_N divides x^N - 1, so
+reducing mod Phi_N is a ring homomorphism onto Z[omega]; it is done once,
+at the end.  This module is the exact oracle; the floating-point engine
+lives in `invariant` and is checked against it.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .knots import KnotId
+from .knots import SUMMAND_FACTORS, KnotId
 
 __all__ = [
     "EXACT_TERM_BUDGET",
@@ -245,16 +252,6 @@ class CycElement:
         return acc
 
 
-def _pochhammer_elements(order: int) -> tuple[list[CycElement], list[CycElement]]:
-    """omega powers and the partial products prod_{j<=k} (1 - omega^j)."""
-    om = [CycElement.omega_power(order, j) for j in range(order)]
-    one = CycElement.one(order)
-    poch = [one]
-    for k in range(1, order):
-        poch.append(poch[-1] * (one - om[k]))
-    return om, poch
-
-
 def exact_term_count(knot: KnotId, order: int) -> int:
     """Size of the state sum's index set: N, N(N+1)/2 or N(N+1)(N+2)/6."""
     if order < 1:
@@ -267,16 +264,87 @@ def exact_term_count(knot: KnotId, order: int) -> int:
     return order * (order + 1) * (order + 2) // 6
 
 
+def _pochhammer_rows(order: int) -> list[list[int]]:
+    """(omega)_k for k < N as coefficient lists of length N in Z[x]/(x^N - 1).
+
+    Multiplying by 1 - x^k subtracts the list rotated by k places.
+    """
+    row = [1] + [0] * (order - 1)
+    rows = [row]
+    for k in range(1, order):
+        row = [a - b for a, b in zip(row, row[-k:] + row[:-k])]
+        rows.append(row)
+    return rows
+
+
+class _PackedRing:
+    """Z[x]/(x^N - 1) evaluated at x = 2^b: the integers mod M = 2^(bN) - 1.
+
+    x^N = 2^(bN) = 1 mod M, so the evaluation is a ring homomorphism: a
+    sum or product of elements is one integer sum or product reduced mod
+    M (Kronecker substitution), and multiplying by x^e rotates the bN-bit
+    word by be bits.  An element whose coefficients all stay below
+    2^(b-1) in magnitude is read back from its image as signed b-bit
+    digits; b is chosen from `coeff_bound` for that.
+    """
+
+    def __init__(self, order: int, coeff_bound: int):
+        self.order = order
+        self.width = (coeff_bound.bit_length() + 8) // 8  # bytes, sign bit included
+        self.bits = 8 * self.width
+        self.total_bits = self.bits * order
+        self.mod = (1 << self.total_bits) - 1
+
+    def reduce(self, z: int) -> int:
+        """The residue of z >= 0 in [0, M), by folding at bN bits."""
+        while z > self.mod:
+            z = (z & self.mod) + (z >> self.total_bits)
+        return 0 if z == self.mod else z
+
+    def pack(self, coeffs: list[int]) -> int:
+        w = self.width
+        pos = b"".join(max(c, 0).to_bytes(w, "little") for c in coeffs)
+        neg = b"".join(max(-c, 0).to_bytes(w, "little") for c in coeffs)
+        z = int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+        return z + self.mod if z < 0 else z
+
+    def rotate(self, z: int, exponent: int) -> int:
+        """x^exponent * z for a reduced z."""
+        shift = self.bits * (exponent % self.order)
+        if not shift:
+            return z
+        return ((z << shift) & self.mod) | (z >> (self.total_bits - shift))
+
+    def unpack(self, z: int) -> list[int]:
+        """Coefficients of the element with small coefficients whose image is z."""
+        if z > self.mod >> 1:
+            z -= self.mod  # the image of a signed digit vector lies in (-M/2, M/2)
+        w, bias = self.width, 1 << (self.bits - 1)
+        offset = int.from_bytes((bytes(w - 1) + b"\x80") * self.order, "little")
+        data = (z + offset).to_bytes(self.order * w, "little")
+        return [
+            int.from_bytes(data[i : i + w], "little") - bias
+            for i in range(0, len(data), w)
+        ]
+
+
 def exact_invariant(knot: KnotId, order: int) -> CycElement:
     """State sum over residues mod `order`, exactly, as a field element.
 
     (omega)_{N-1} = N turns every reciprocal into a partial product:
     1/(omega)_k^* = (omega)_{N-1-k}/N and 1/(omega)_k = (omega)_{N-1-k}^*/N,
-    so no field inverse is taken.  5_2 is a sum over pairs k <= l; 6_1,
-    with s = m - k, is a sum over pairs l <= s weighted by the row sums
-    C(s) = sum_{k<=N-1-s} |(omega)_{k+s}|^2 (omega)_{N-1-k}^*.  Products
-    are grouped by their residual omega exponent, so the omega powers are
-    multiplied in once per exponent, and the powers of 1/N once at the end.
+    so N^d <knot> (d = 0, 1, 2) is a sum of products of partial products
+    and omega powers.  It is computed in Z[x]/(x^N - 1), which maps into
+    Q(omega) by reduction mod Phi_N: the partial products by shifts and
+    subtractions, omega powers as rotations, each product as one integer
+    product (see `_PackedRing`).  Rotations are summed before the one
+    product of each row:
+
+        N <5_2>   = sum_k (omega)_{N-1-k} sum_{l>=k} (omega)_l^2 x^(-k(l+1)),
+        N^2 <6_1> = sum_l (omega)_{N-1-l} sum_{s>=l} C(s) x^((s-l)(s+1)),
+        C(s)      = sum_{k<=N-1-s} |(omega)_{k+s}|^2 (omega)_{N-1-k}^*.
+
+    The integer result is reduced mod Phi_N once, and scaled by 1/N^d.
     """
     count = exact_term_count(knot, order)
     if count > EXACT_TERM_BUDGET:
@@ -284,40 +352,44 @@ def exact_invariant(knot: KnotId, order: int) -> CycElement:
             f"{knot} at N={order} needs {count} exact terms; "
             f"budget is {EXACT_TERM_BUDGET}"
         )
-    om, poch = _pochhammer_elements(order)
-    conj = [p.conjugate() for p in poch]
     n = order
+    rows = _pochhammer_rows(n)
+    l1 = max(sum(map(abs, row)) for row in rows)
+    # no coefficient of the result exceeds the summands' l1 norms added up:
+    # the l1 norm is submultiplicative in Z[x]/(x^N - 1), and rotations and
+    # conjugation keep it
+    ring = _PackedRing(n, count * l1 ** SUMMAND_FACTORS[knot])
+    poch = [ring.pack(row) for row in rows]
+    # conjugation, x -> x^-1, moves coefficient i to -i mod N
+    conj = [ring.pack(row[:1] + row[:0:-1]) for row in rows]
 
     if knot is KnotId.FOUR_ONE:
-        total = CycElement.zero(n)
+        total = sum(p * c for p, c in zip(poch, conj))
+        scale = 1
+    elif knot is KnotId.FIVE_TWO:
+        sq = [ring.reduce(p * p) for p in poch]
+        total = 0
         for k in range(n):
-            total = total + poch[k] * conj[k]
-        return total
-
-    buckets = [CycElement.zero(n) for _ in range(n)]
-    if knot is KnotId.FIVE_TWO:
-        sq = [p * p for p in poch]
-        for k in range(n):
-            for l in range(k, n):
-                e = (-k * (l + 1)) % n
-                buckets[e] = buckets[e] + sq[l] * poch[n - 1 - k]
-        scale = Fraction(1, n)
+            acc = sum(ring.rotate(sq[l], -k * (l + 1)) for l in range(k, n))
+            total += ring.reduce(acc) * poch[n - 1 - k]
+        scale = n
     else:
-        absq = [p * c for p, c in zip(poch, conj)]
-        row = []
-        for s in range(n):
-            c_s = CycElement.zero(n)
-            for k in range(n - s):
-                c_s = c_s + absq[k + s] * conj[n - 1 - k]
-            row.append(c_s)
+        absq = [ring.reduce(p * c) for p, c in zip(poch, conj)]
+        row_sums = [
+            ring.reduce(sum(absq[k + s] * conj[n - 1 - k] for k in range(n - s)))
+            for s in range(n)
+        ]
+        total = 0
         for l in range(n):
-            for s in range(l, n):
-                e = ((s - l) * (s + 1)) % n
-                buckets[e] = buckets[e] + row[s] * poch[n - 1 - l]
-        scale = Fraction(1, n * n)
+            acc = sum(
+                ring.rotate(row_sums[s], (s - l) * (s + 1)) for s in range(l, n)
+            )
+            total += ring.reduce(acc) * poch[n - 1 - l]
+        scale = n * n
 
-    total = CycElement.zero(n)
-    for e in range(n):
-        if not buckets[e].is_zero():
-            total = total + buckets[e] * om[e]
-    return total * CycElement.rational(n, scale)
+    lifted = ring.unpack(ring.reduce(total))
+    phi = list(cyclotomic_polynomial(n))
+    _, rem = _int_poly_divmod(lifted, phi)
+    deg = len(phi) - 1
+    coeffs = [Fraction(c, scale) for c in rem]
+    return CycElement(n, tuple(coeffs) + (Fraction(0),) * (deg - len(coeffs)))

@@ -32,6 +32,7 @@ count.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -40,7 +41,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import cyclo
-from .knots import KnotId
+from .knots import SUMMAND_FACTORS, KnotId
 
 __all__ = [
     "MODES",
@@ -123,36 +124,72 @@ class LogComplex:
 class PochhammerTable:
     """All N partial products (omega)_k at order N, plain and in log form.
 
-    values[k] is the straight complex product; log_mag[k] and arg[k] carry
-    the same numbers in log form, usable long after values[k] overflows.
-    Past that point values[k] holds inf or nan; only direct mode reads
-    values, and it refuses such orders.  omega_pow[j] caches omega^j for
-    exponent lookups.
+    log_mag[k] and arg[k] hold (omega)_k in log form, usable far past the
+    double range; values[k] is the plain complex number, computed on first
+    use and inf past that range, where direct mode (its only reader)
+    refuses the order.  omega_pow[j] caches omega^j for exponent
+    lookups.  err bounds, to first order, the absolute error of every
+    log_mag[k] and arg[k], the relative error of every values[k], and each
+    entry's share of the rounding when a summand is formed from entries.
     """
 
     order: int
     omega_pow: np.ndarray
-    values: np.ndarray
     log_mag: np.ndarray
     arg: np.ndarray
+    err: float
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        values = np.full(self.order, np.inf, dtype=complex)
+        fits = self.log_mag < _EXP_OVERFLOW_LOG
+        values[fits] = np.exp(self.log_mag[fits]) * _unit(self.arg[fits])
+        return values
+
+
+# the log factors are split at this grid: running sums of the grid parts
+# are exact in a double (for N * log N far below 2^33)
+_LOG_GRID = 2.0**-20
+
+
+def _unit(angles: np.ndarray) -> np.ndarray:
+    """exp(i * angles), from a cosine and a sine (faster than complex exp)."""
+    out = np.empty(len(angles), dtype=complex)
+    out.real = np.cos(angles)
+    out.imag = np.sin(angles)
+    return out
 
 
 def pochhammer_table(order: int) -> PochhammerTable:
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     n = order
-    angles = 2.0 * math.pi * np.arange(n) / n
-    omega_pow = np.exp(1j * angles)
-    factors = 1.0 - omega_pow  # factors[0] is never used
-    # once the product overflows, inf * finite turns into nan: both are
-    # past the table log limit, where direct mode refuses the order
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = np.concatenate(([1.0 + 0j], np.cumprod(factors[1:])))
-    log_f = np.concatenate(([0.0], np.log(np.abs(factors[1:]))))
-    arg_f = np.concatenate(([0.0], np.angle(factors[1:])))
-    log_mag = np.cumsum(log_f)
-    arg = _wrap_angle(np.cumsum(arg_f))
-    return PochhammerTable(n, omega_pow, values, log_mag, arg)
+    omega_pow = _unit(2.0 * math.pi * np.arange(n) / n)
+    # |1 - omega^j| = 2 sin(pi j/N), with the sine taken at min(j, N - j)
+    # so that its argument is accurate to a few ulps for every j
+    j = np.arange(1, n)
+    log_f = np.log(2.0 * np.sin(np.minimum(j, n - j) * (math.pi / n)))
+    grid = np.round(log_f / _LOG_GRID) * _LOG_GRID
+    log_mag = np.zeros(n)
+    np.cumsum(grid, out=log_mag[1:])
+    log_mag[1:] += np.cumsum(log_f - grid)
+    # arg(1 - omega^j) = pi j/N - pi/2, so arg (omega)_k = pi k(k+1-N)/(2N):
+    # the multiple of pi/(2N) is reduced exactly, in integers, into (-2N, 2N]
+    k = np.arange(n, dtype=np.int64)
+    quarter = k * (k - (n - 1)) % (4 * n)
+    arg = np.where(quarter > 2 * n, quarter - 4 * n, quarter) * (math.pi / (2 * n))
+    # in units of _EPS: per factor, 5 for the sine (its argument rounds
+    # three times) and 2|log| for the log; the fine running sums, each below
+    # k * grid/2; per entry, 4|log_mag| + 16 for adding the two sums, for the
+    # exponential and phase in `values`, and for forming a summand
+    err = _EPS * float(
+        5.0 * (n - 1)
+        + 2.0 * np.abs(log_f).sum()
+        + n * n * _LOG_GRID / 4.0
+        + 4.0 * np.abs(log_mag).max()
+        + 16.0
+    )
+    return PochhammerTable(n, omega_pow, log_mag, arg, err)
 
 
 def _triangle_offsets(n: int) -> np.ndarray:
@@ -207,9 +244,7 @@ class _SumSpace:
             return
         self.offsets = _triangle_offsets(n)
         self.total = int(self.offsets[-1])
-        # row_val[r] is 1/(omega)_r^*, so its conjugate is 1/(omega)_r.
-        # N divisions here are more accurate than (omega)_{N-1-r}/N, whose
-        # table entry carries up to N-1 roundings where (omega)_r has r.
+        # row_val[r] is 1/(omega)_r^*, so its conjugate is 1/(omega)_r
         if direct:
             self.row_val = 1.0 / np.conj(table.values)
         else:
@@ -355,8 +390,13 @@ class InvariantValue:
     value_log always holds the result; value_complex is its plain image
     when that fits in a double, else None.  term_count is the size of the
     state sum's index set (N, N(N+1)/2 or N(N+1)(N+2)/6), not the number
-    of summands enumerated.  accum_error_estimate bounds the relative
-    error contributed by summation (not by the term values).
+    of summands enumerated.  accum_error_estimate bounds, to first order,
+    the relative error from summation and from the rounding in the
+    Pochhammer table: each summand is a product of 2 (4_1), 3 (5_2) or 4
+    (6_1) table entries, so the table adds that many PochhammerTable.err
+    per unit of sum |summand|.  For 6_1 the summands are the pair terms
+    C(s)/(omega)_l^*, so cancellation inside a row sum C(s) weighs in its
+    summation rounding but not its share of the table rounding.
     """
 
     knot: KnotId
@@ -414,9 +454,12 @@ def _exact_value(knot: KnotId, order: int) -> InvariantValue:
     element = cyclo.exact_invariant(knot, order)
     z = element.evaluate_numeric()
     log = LogComplex.from_complex(z)
-    # the field element is exact; only its float image rounds
+    # the field element is exact; only its float image rounds: Horner's
+    # rule takes a complex product and an addition per coefficient, each
+    # step's error carried by the powers of omega that follow
     spread = sum(abs(float(c)) for c in element.coeffs)
-    err = 4.0 * _EPS * spread / abs(z) if z != 0 else 0.0
+    steps = 6.0 * len(element.coeffs) + 1.0
+    err = steps * _EPS * spread / abs(z) if z != 0 else 0.0
     return InvariantValue(
         knot,
         order,
@@ -479,13 +522,15 @@ def quantum_invariant(
 
     if mode == "direct":
         partials = _map_chunks(space.direct_chunk, space.total, chunk_size, threads)
-        s, _, err = _tree_reduce(partials, _merge_direct)
+        s, a, err = _tree_reduce(partials, _merge_direct)
+        err += SUMMAND_FACTORS[knot] * table.err * a
         log = LogComplex.from_complex(s)
         rel = err / abs(s) if s != 0 else 0.0
         return InvariantValue(knot, order, mode, log, s, count, rel)
 
     partials = _map_chunks(space.logscale_chunk, space.total, chunk_size, threads)
-    m, s, _, err = _tree_reduce(partials, _merge_logscale)
+    m, s, a, err = _tree_reduce(partials, _merge_logscale)
+    err += SUMMAND_FACTORS[knot] * table.err * a
     if s == 0:
         log = LogComplex(float("-inf"), 0.0, True)
         return InvariantValue(knot, order, mode, log, 0j, count, 0.0)

@@ -22,3 +22,9 @@ class KnotId(enum.Enum):
 
     def __str__(self) -> str:
         return self.value
+
+
+# partial products (omega)_k, or their reciprocals, in one summand of each
+# knot's state sum: |(omega)_k|^2, (omega)_l^2/(omega)_k^*, and for 6_1
+# |(omega)_m|^2/((omega)_k (omega)_l^*)
+SUMMAND_FACTORS = {KnotId.FOUR_ONE: 2, KnotId.FIVE_TWO: 3, KnotId.SIX_ONE: 4}

@@ -29,7 +29,6 @@ __all__ = [
     "PoleError",
     "li2",
     "lobachevsky",
-    "lobachevsky_fourier",
     "phi_angle",
     "im_li2_polar",
     "faddeev_log_s",
@@ -153,18 +152,6 @@ def lobachevsky(theta: float) -> float:
     return sign * (t - t * math.log(2.0 * t) + acc * t2 * t)
 
 
-def lobachevsky_fourier(theta: float, terms: int) -> float:
-    """Partial Fourier sum (1/2) sum_{n<=terms} sin(2 n theta)/n^2.
-
-    Converges to Lambda(theta) but only at an O(1/terms^2) rate; kept as an
-    independent slow route for tests, not used in production paths.
-    """
-    if terms < 1:
-        raise ValueError("need at least one Fourier term")
-    n = np.arange(1, terms + 1, dtype=float)
-    return 0.5 * float(np.sum(np.sin(2.0 * n * theta) / (n * n)))
-
-
 @dataclass(frozen=True)
 class PolarPoint:
     """Point r*exp(i*theta) on the closed unit disc, excluding the origin."""
@@ -218,16 +205,14 @@ class QdParams:
 
     gamma is the deformation parameter (pi/N in the root-of-unity
     application); step and truncation discretize the real line to the
-    uniform grid [-truncation, truncation]; dip_radius is the radius of
-    the detour the contour takes around the origin, which the integrator
-    accounts for analytically, so it must merely stay below the first
-    poles of the integrand at i and i*pi/gamma.
+    uniform grid [-truncation, truncation].  The contour's dip around the
+    origin is accounted for analytically (see `_quadrature_log_s`), so it
+    takes no parameter.
     """
 
     gamma: float
     step: float = 0.05
     truncation: float = 120.0
-    dip_radius: float = 0.5
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.gamma) and self.gamma > 0.0):
@@ -236,11 +221,6 @@ class QdParams:
             raise ValueError(f"step must be positive, got {self.step}")
         if not (math.isfinite(self.truncation) and self.truncation > self.step):
             raise ValueError("truncation must exceed the step size")
-        if not 0.0 < self.dip_radius < min(1.0, _PI / self.gamma):
-            raise ValueError(
-                "dip_radius must lie in (0, min(1, pi/gamma)) to stay "
-                "below the first integrand poles"
-            )
 
     @classmethod
     def for_order(cls, order: int, **overrides) -> "QdParams":

@@ -9,6 +9,7 @@ from knotvol.cyclo import (
     EXACT_TERM_BUDGET,
     CycElement,
     ExactBudgetError,
+    _PackedRing,
     cyclotomic_polynomial,
     exact_invariant,
     exact_term_count,
@@ -161,6 +162,35 @@ def test_rational_embedding():
 def test_mixed_order_arithmetic_rejected():
     with pytest.raises(ValueError):
         CycElement.one(5) + CycElement.one(7)
+
+
+# --- Z[x]/(x^N - 1) packed into integers ---
+
+def test_packed_ring_matches_list_arithmetic():
+    # coefficients at the bound, of either sign, survive the read-back,
+    # also when the bound fills whole bytes
+    for order in (1, 2, 5):
+        for bound in (1, 127, 128, 255, 2**16 - 1, 3**40):
+            ring = _PackedRing(order, bound)
+            for sign in (1, -1):
+                edge = [sign * bound * (-1) ** i for i in range(order)]
+                assert ring.unpack(ring.pack(edge)) == edge
+    rng = random.Random(3)
+    for order in (1, 2, 3, 7, 12, 31):
+        ring = _PackedRing(order, 999 * 999 * order)
+        for _ in range(5):
+            a = [rng.randint(-999, 999) for _ in range(order)]
+            b = [rng.randint(-999, 999) for _ in range(order)]
+            assert ring.unpack(ring.pack(a)) == a
+            cyclic = [
+                sum(a[i] * b[(k - i) % order] for i in range(order))
+                for k in range(order)
+            ]
+            product = ring.reduce(ring.pack(a) * ring.pack(b))
+            assert ring.unpack(product) == cyclic
+            e = rng.randrange(-2 * order, 2 * order)
+            rotated = [a[(i - e) % order] for i in range(order)]
+            assert ring.unpack(ring.rotate(ring.pack(a), e)) == rotated
 
 
 # --- exact state sums ---

@@ -279,6 +279,63 @@ def test_six_one_logscale_against_high_precision(order):
     assert err <= v.accum_error_estimate
 
 
+def _mp_four_one(order, dps):
+    # <4_1> = sum_k prod_{j<=k} 4 sin^2(pi j/N), at dps digits
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        term, total = mp.mpf(1), mp.mpf(1)
+        for j in range(1, order):
+            term *= 4 * mp.sin(mp.pi * j / order) ** 2
+            total += term
+        return total
+
+
+def _mp_five_two(order, dps):
+    # <5_2> row by row, at dps digits; reciprocals by division
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        n = order
+        w = [mp.expjpi(mp.mpf(2 * j) / n) for j in range(n)]
+        poch = [mp.mpc(1)]
+        for k in range(1, n):
+            poch.append(poch[-1] * (1 - w[k]))
+        inv_conj = [1 / mp.conj(p) for p in poch]
+        total = mp.fsum(
+            poch[l] ** 2
+            * mp.fdot((inv_conj[k], w[(-k * (l + 1)) % n]) for k in range(l + 1))
+            for l in range(n)
+        )
+        return total
+
+
+@pytest.mark.parametrize(
+    "knot, order, reference",
+    [(KnotId.FOUR_ONE, 20_000, _mp_four_one), (KnotId.FIVE_TWO, 640, _mp_five_two)],
+)
+def test_error_estimate_covers_table_rounding(knot, order, reference):
+    # at these orders the rounding in the Pochhammer table outweighs the
+    # summation rounding; the estimate must still cover the true error
+    v = quantum_invariant(knot, order, "logscale")
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        ref = reference(order, 40)
+        got = mp.exp(mp.mpf(v.value_log.log_mag)) * mp.expj(mp.mpf(v.value_log.arg))
+        err = float(abs(got - ref) / abs(ref))
+    assert err <= v.accum_error_estimate
+
+
+@pytest.mark.parametrize(
+    "knot, order",
+    [(KnotId.FIVE_TWO, 60), (KnotId.SIX_ONE, 60), (KnotId.FOUR_ONE, 100)],
+)
+def test_logscale_matches_exact_past_twenty(knot, order):
+    exact = quantum_invariant(knot, order, "exact")
+    logscale = quantum_invariant(knot, order, "logscale")
+    err = abs(logscale.value_complex - exact.value_complex) / abs(exact.value_complex)
+    assert err <= 1e-9
+    assert err <= logscale.accum_error_estimate + exact.accum_error_estimate
+
+
 def test_exact_mode_budget_refusal():
     with pytest.raises(ExactBudgetError):
         quantum_invariant(KnotId.SIX_ONE, 200, "exact")
@@ -342,3 +399,4 @@ def test_alexander_check():
     }
     for knot, det in report.numeric.items():
         assert abs(det - report.expected[knot]) <= 1e-12
+

@@ -26,7 +26,6 @@ from knotvol.qdilog import (
     im_li2_polar,
     li2,
     lobachevsky,
-    lobachevsky_fourier,
     phi_angle,
 )
 
@@ -134,6 +133,15 @@ def test_lobachevsky_matches_quadrature():
         assert abs(lobachevsky(t) - ref) <= 1e-12
 
 
+def lobachevsky_fourier(theta, terms):
+    # partial Fourier sum (1/2) sum_{n<=terms} sin(2 n theta)/n^2: converges
+    # to Lambda(theta) at an O(1/terms^2) rate, an independent slow route
+    if terms < 1:
+        raise ValueError("need at least one Fourier term")
+    n = np.arange(1, terms + 1, dtype=float)
+    return 0.5 * float(np.sum(np.sin(2.0 * n * theta) / (n * n)))
+
+
 def test_lobachevsky_matches_fourier_partial_sums():
     # sine series 0.5 * sum sin(2 n t) / n^2, truncated; tail is O(1/M)
     for t in (0.3, 1.0, 1.5, 2.2):
@@ -198,14 +206,6 @@ def test_params_validation():
         QdParams(gamma=PI / 5, step=0.0)
     with pytest.raises(ValueError):
         QdParams(gamma=PI / 5, truncation=0.01)
-    with pytest.raises(ValueError):
-        QdParams(gamma=PI / 5, dip_radius=0.0)
-    with pytest.raises(ValueError):
-        QdParams(gamma=PI / 5, dip_radius=1.0)
-    # above gamma = pi the pole at i*pi/gamma drops below radius 1
-    with pytest.raises(ValueError):
-        QdParams(gamma=2 * PI, dip_radius=0.6)
-    QdParams(gamma=2 * PI, dip_radius=0.4)
 
 
 def test_params_for_order():
