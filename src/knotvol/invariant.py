@@ -23,10 +23,10 @@ needs no field inverse: (omega)_{N-1} = N gives 1/(omega)_k^* =
 The moduli |(omega)_k| swing like exp(+-0.16 N), so besides the plain
 "direct" complex evaluation there is a "logscale" mode that keeps every
 term as (log magnitude, argument) and sums with a running rescale, and an
-"exact" mode that delegates to cyclotomic field arithmetic.  Summation is
-chunked, each chunk reduced by numpy's pairwise sum and the chunks merged
-along a fixed binary tree, so results are bit-identical for any worker
-count.
+"exact" mode that delegates to cyclotomic field arithmetic.  The 5_2 and
+6_1 sums are chunked, each chunk reduced by numpy's pairwise sum and the
+chunks merged along a fixed binary tree, so results are bit-identical for
+any worker count.  The 4_1 sum, N positive terms, is one pairwise sum.
 """
 
 from __future__ import annotations
@@ -124,20 +124,37 @@ class LogComplex:
 class PochhammerTable:
     """All N partial products (omega)_k at order N, plain and in log form.
 
-    log_mag[k] and arg[k] hold (omega)_k in log form, usable far past the
-    double range; values[k] is the plain complex number, computed on first
-    use and inf past that range, where direct mode (its only reader)
-    refuses the order.  omega_pow[j] caches omega^j for exponent
-    lookups.  err bounds, to first order, the absolute error of every
-    log_mag[k] and arg[k], the relative error of every values[k], and each
-    entry's share of the rounding when a summand is formed from entries.
+    log_mag[k] holds log |(omega)_k|, usable far past the double range.
+    Its factors log |1 - omega^j| = log(2 sin(pi j/N)) are symmetric under
+    j -> N - j, so the sine is evaluated for j <= N/2 only and mirrored.
+    err bounds, to first order, the absolute error of every log_mag[k]
+    and arg[k], the relative error of every values[k], and each entry's
+    share of the rounding when a summand is formed from entries.
+
+    The phases are computed on first use, since 4_1 never reads them:
+    arg[k] is arg (omega)_k in (-pi, pi], omega_pow[j] caches omega^j for
+    exponent lookups, and values[k] is the plain complex number, inf past
+    the double range, where direct mode (its only reader) refuses the
+    order.
     """
 
     order: int
-    omega_pow: np.ndarray
     log_mag: np.ndarray
-    arg: np.ndarray
     err: float
+
+    @functools.cached_property
+    def arg(self) -> np.ndarray:
+        # arg(1 - omega^j) = pi j/N - pi/2, so arg (omega)_k = pi k(k+1-N)/(2N):
+        # the multiple of pi/(2N) is reduced exactly, in integers, into (-2N, 2N]
+        n = self.order
+        k = np.arange(n, dtype=np.int64)
+        quarter = k * (k - (n - 1)) % (4 * n)
+        quarter = np.where(quarter > 2 * n, quarter - 4 * n, quarter)
+        return quarter * (math.pi / (2 * n))
+
+    @functools.cached_property
+    def omega_pow(self) -> np.ndarray:
+        return _unit(2.0 * math.pi * np.arange(self.order) / self.order)
 
     @functools.cached_property
     def values(self) -> np.ndarray:
@@ -164,20 +181,16 @@ def pochhammer_table(order: int) -> PochhammerTable:
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     n = order
-    omega_pow = _unit(2.0 * math.pi * np.arange(n) / n)
-    # |1 - omega^j| = 2 sin(pi j/N), with the sine taken at min(j, N - j)
-    # so that its argument is accurate to a few ulps for every j
-    j = np.arange(1, n)
-    log_f = np.log(2.0 * np.sin(np.minimum(j, n - j) * (math.pi / n)))
-    grid = np.round(log_f / _LOG_GRID) * _LOG_GRID
+    # |1 - omega^j| = 2 sin(pi j/N) = |1 - omega^(N-j)|: the sine is taken
+    # for j <= N/2, where its argument is accurate to a few ulps, and the
+    # logs are mirrored onto j > N/2
+    half = np.log(2.0 * np.sin(np.arange(1.0, n // 2 + 1) * (math.pi / n)))
+    log_f = np.concatenate((half, half[: n - 1 - n // 2][::-1]))
+    grid = np.rint(log_f / _LOG_GRID) * _LOG_GRID
     log_mag = np.zeros(n)
     np.cumsum(grid, out=log_mag[1:])
-    log_mag[1:] += np.cumsum(log_f - grid)
-    # arg(1 - omega^j) = pi j/N - pi/2, so arg (omega)_k = pi k(k+1-N)/(2N):
-    # the multiple of pi/(2N) is reduced exactly, in integers, into (-2N, 2N]
-    k = np.arange(n, dtype=np.int64)
-    quarter = k * (k - (n - 1)) % (4 * n)
-    arg = np.where(quarter > 2 * n, quarter - 4 * n, quarter) * (math.pi / (2 * n))
+    fine = log_f - grid
+    log_mag[1:] += np.cumsum(fine, out=fine)
     # in units of _EPS: per factor, 5 for the sine (its argument rounds
     # three times) and 2|log| for the log; the fine running sums, each below
     # k * grid/2; per entry, 4|log_mag| + 16 for adding the two sums, for the
@@ -189,7 +202,7 @@ def pochhammer_table(order: int) -> PochhammerTable:
         + 4.0 * np.abs(log_mag).max()
         + 16.0
     )
-    return PochhammerTable(n, omega_pow, log_mag, arg, err)
+    return PochhammerTable(n, log_mag, err)
 
 
 def _triangle_offsets(n: int) -> np.ndarray:
@@ -198,17 +211,70 @@ def _triangle_offsets(n: int) -> np.ndarray:
     return r * n - r * (r - 1) // 2
 
 
+@functools.lru_cache(maxsize=None)
+def _pairwise_roundings(count: int, width: int) -> int:
+    """Most roundings any item meets in numpy's pairwise sum of `count`
+    items of `width` doubles each (1 real, 2 complex).
+
+    numpy sums the doubles of the array.  Below 8 of them it adds them
+    in turn; up to 128 it adds them into 8 interleaved accumulators (per
+    part of a complex), combines those in a tree and adds the leftovers in
+    turn; above 128 it splits off a multiple of 8 near the middle and adds
+    the two halves.  The sizes on one level of that tree differ by less
+    than 16, so each level holds only a few distinct sizes.
+    """
+    tree = 3 if width == 1 else 2
+    worst, level, sizes = 0, 0, {count * width}
+    while sizes:
+        halves = set()
+        for n in sizes:
+            if n > 128:
+                left = n // 16 * 8
+                halves.update((left, n - left))
+            elif n >= 8:
+                worst = max(worst, level + n // 8 - 1 + tree + n % 8 // width)
+            else:
+                worst = max(worst, level + n // width - 1)
+        sizes, level = halves, level + 1
+    return worst
+
+
+def _sum_error_factor(count: int, width: int = 2) -> float:
+    """Relative rounding bound of np.sum over `count` items, per sum |item|."""
+    return _EPS * _pairwise_roundings(count, width)
+
+
 def _segment_error_factors(counts: np.ndarray) -> np.ndarray:
-    # np.add.reduceat adds a segment's first element to a pairwise sum of
-    # the rest: one rounding more than _sum_error_factor
-    return _EPS * (np.ceil(np.log2(counts)) + 2.0)
+    """Relative rounding bounds of np.add.reduceat over complex segments
+    of `counts` items, per sum |item| of each segment."""
+    return _reduceat_factor_table(int(counts.max()).bit_length())[counts]
+
+
+@functools.lru_cache(maxsize=None)
+def _reduceat_factor_table(bits: int) -> np.ndarray:
+    # reduceat adds a segment's first item to numpy's pairwise sum of the
+    # rest; depth[m] is _pairwise_roundings(m, 2) for m < 2**bits, filled
+    # in ranges whose halves (at most m/2 + 4 items) are already known
+    m = np.arange(2**bits)
+    depth = np.where(m < 4, np.maximum(m - 1, 0), m // 4 + 1 + m % 4)
+    done = 64
+    while done < len(m) - 1:
+        top = min(2 * done - 8, len(m) - 1)
+        rest = m[done + 1 : top + 1]
+        left = rest // 8 * 4
+        depth[done + 1 : top + 1] = 1 + np.maximum(depth[left], depth[rest - left])
+        done = top
+    factors = _EPS * (1.0 + depth[np.maximum(m - 1, 0)])
+    factors[:2] = 0.0
+    factors.flags.writeable = False
+    return factors
 
 
 class _SumSpace:
-    """One knot's state sum at one order, laid out for chunked summation.
+    """The 5_2 or 6_1 state sum at one order, laid out for chunked summation.
 
-    4_1 runs over k < N.  5_2 and 6_1 run over the pairs of the triangle
-    r <= c < N, laid out row by row,
+    Both run over the pairs of the triangle r <= c < N, laid out row by
+    row,
 
         sum_{r<=c} X(c) / (omega)_r^* * omega^e(r, c),
 
@@ -238,10 +304,9 @@ class _SumSpace:
         self.knot = knot
         self.table = table
         self.direct = direct
+        # built here, so that no worker computes it on first use
+        self.omega_pow = table.omega_pow
         n = table.order
-        if knot is KnotId.FOUR_ONE:
-            self.total = n
-            return
         self.offsets = _triangle_offsets(n)
         self.total = int(self.offsets[-1])
         # row_val[r] is 1/(omega)_r^*, so its conjugate is 1/(omega)_r
@@ -264,8 +329,6 @@ class _SumSpace:
 
     def _indices(self, lo: int, hi: int):
         idx = np.arange(lo, hi)
-        if self.knot is KnotId.FOUR_ONE:
-            return (idx,)
         r = np.searchsorted(self.offsets, idx, side="right") - 1
         return r, r + (idx - self.offsets[r])
 
@@ -310,35 +373,21 @@ class _SumSpace:
             self.col_log = shift
 
     def direct_chunk(self, lo: int, hi: int):
-        t = self.table
-        indices = self._indices(lo, hi)
+        r, c = self._indices(lo, hi)
+        terms = (
+            self.row_val[r]
+            * self.col_val[c]
+            * self.omega_pow[self._omega_exponents(r, c)]
+        )
         carried = 0.0
-        if self.knot is KnotId.FOUR_ONE:
-            v = t.values[indices[0]]
-            terms = v * np.conj(v)
-        else:
-            r, c = indices
-            terms = (
-                self.row_val[r]
-                * self.col_val[c]
-                * t.omega_pow[self._omega_exponents(r, c)]
-            )
-            if self.col_err is not None:
-                carried = float(np.sum(np.abs(self.row_val[r]) * self.col_err[c]))
+        if self.col_err is not None:
+            carried = float(np.sum(np.abs(self.row_val[r]) * self.col_err[c]))
         s = complex(np.sum(terms))
         a = float(np.sum(np.abs(terms)))
-        return s, a, _sum_error_factor(hi - lo) * a + carried
+        return 0.0, s, a, _sum_error_factor(hi - lo) * a + carried
 
     def logscale_chunk(self, lo: int, hi: int):
-        t = self.table
-        indices = self._indices(lo, hi)
-        if self.knot is KnotId.FOUR_ONE:
-            lt = 2.0 * t.log_mag[indices[0]]
-            m = float(np.max(lt))
-            w = np.exp(lt - m)
-            a = float(np.sum(w))
-            return m, complex(a), a, _sum_error_factor(hi - lo) * a
-        r, c = indices
+        r, c = self._indices(lo, hi)
         lt = self.row_log[r] + self.col_log[c]
         m = float(np.max(lt))
         w = np.exp(lt - m)
@@ -346,7 +395,7 @@ class _SumSpace:
             w
             * self.row_val[r]
             * self.col_val[c]
-            * t.omega_pow[self._omega_exponents(r, c)]
+            * self.omega_pow[self._omega_exponents(r, c)]
         )
         s = complex(np.sum(terms))
         a = float(np.sum(w * self.col_abs[c]))
@@ -354,6 +403,21 @@ class _SumSpace:
         if self.col_err is not None:
             err += float(np.sum(w * self.col_err[c]))
         return m, s, a, err
+
+
+def _four_one_sum(table: PochhammerTable, direct: bool):
+    """<4_1> = sum_k |(omega)_k|^2 = sum_k exp(2 log_mag[k]), in one pass.
+
+    Returns (m, s, a, err): the sum is exp(m) * s with sum |term| =
+    exp(m) * a, and err bounds its summation rounding on the scale of s.
+    Logscale shifts by the largest term; direct mode, whose refusals keep
+    every term finite, does not.
+    """
+    terms = 2.0 * table.log_mag
+    m = 0.0 if direct else float(terms.max())
+    terms -= m
+    a = float(np.exp(terms, out=terms).sum())
+    return m, complex(a), a, _sum_error_factor(table.order, width=1) * a
 
 
 def _merge_row_pieces(pieces: list):
@@ -408,11 +472,8 @@ class InvariantValue:
     accum_error_estimate: float
 
 
-def _sum_error_factor(count: int) -> float:
-    return _EPS * (math.ceil(math.log2(count)) + 1 if count > 1 else 1)
-
-
-def _merge_logscale(p, q):
+def _merge_partials(p, q):
+    """Merge partial sums (m, s, a, err) of exp(m) * s (see _four_one_sum)."""
     m1, s1, a1, e1 = p
     m2, s2, a2, e2 = q
     m = m1 if m1 >= m2 else m2
@@ -420,13 +481,6 @@ def _merge_logscale(p, q):
     w2 = math.exp(m2 - m)
     a = a1 * w1 + a2 * w2
     return m, s1 * w1 + s2 * w2, a, e1 * w1 + e2 * w2 + _EPS * a
-
-
-def _merge_direct(p, q):
-    s1, a1, e1 = p
-    s2, a2, e2 = q
-    a = a1 + a2
-    return s1 + s2, a, e1 + e2 + _EPS * a
 
 
 def _tree_reduce(items: list, merge):
@@ -486,7 +540,8 @@ def quantum_invariant(
     costs digits as N grows (see accum_error_estimate); "exact" works in
     the cyclotomic field and is meant for small N oracle checks.  For
     fixed (knot, order, mode, chunk_size) the result is bit-identical for
-    every thread count.
+    every thread count.  4_1 is summed in one pass over the table and
+    ignores chunk_size and threads.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
@@ -517,20 +572,18 @@ def quantum_invariant(
                 f"use logscale"
             )
 
-    space = _SumSpace(knot, table, mode == "direct", chunk_size, threads)
-    count = cyclo.exact_term_count(knot, order)
-
-    if mode == "direct":
-        partials = _map_chunks(space.direct_chunk, space.total, chunk_size, threads)
-        s, a, err = _tree_reduce(partials, _merge_direct)
-        err += SUMMAND_FACTORS[knot] * table.err * a
-        log = LogComplex.from_complex(s)
-        rel = err / abs(s) if s != 0 else 0.0
-        return InvariantValue(knot, order, mode, log, s, count, rel)
-
-    partials = _map_chunks(space.logscale_chunk, space.total, chunk_size, threads)
-    m, s, a, err = _tree_reduce(partials, _merge_logscale)
+    direct = mode == "direct"
+    # the sum is exp(m) * s, with sum |term| = exp(m) * a; direct mode
+    # keeps m = 0, so merging its partial sums multiplies by exactly 1
+    if knot is KnotId.FOUR_ONE:
+        m, s, a, err = _four_one_sum(table, direct)
+    else:
+        space = _SumSpace(knot, table, direct, chunk_size, threads)
+        chunk = space.direct_chunk if direct else space.logscale_chunk
+        partials = _map_chunks(chunk, space.total, chunk_size, threads)
+        m, s, a, err = _tree_reduce(partials, _merge_partials)
     err += SUMMAND_FACTORS[knot] * table.err * a
+    count = cyclo.exact_term_count(knot, order)
     if s == 0:
         log = LogComplex(float("-inf"), 0.0, True)
         return InvariantValue(knot, order, mode, log, 0j, count, 0.0)
@@ -539,7 +592,9 @@ def quantum_invariant(
         float(_wrap_angle(math.atan2(s.imag, s.real))),
     )
     image = None
-    if log.log_mag <= _EXP_OVERFLOW_LOG:
+    if direct:
+        image = s
+    elif log.log_mag <= _EXP_OVERFLOW_LOG:
         image = log.to_complex()
     rel = err / abs(s)
     return InvariantValue(knot, order, mode, log, image, count, rel)

@@ -7,6 +7,7 @@ written as naive Python loops over fresh root-of-unity powers.
 import cmath
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from knotvol.invariant import (
     InvariantValue,
     LogComplex,
     _SumSpace,
+    _segment_error_factors,
+    _sum_error_factor,
     alexander_check,
     growth_point,
     pochhammer_table,
@@ -116,6 +119,69 @@ def test_table_log_fields_consistent():
     circ = np.abs(np.exp(1j * (table.arg - np.angle(table.values))) - 1.0)
     assert np.max(circ) <= 1e-10
     assert abs(complex(table.omega_pow[1]) - cmath.exp(2j * PI / 60)) <= 1e-15
+
+
+def _unmirrored_log_mag(order):
+    # the running log sum with the sine taken at min(j, N - j) for every j
+    n = order
+    j = np.arange(1, n)
+    log_f = np.log(2.0 * np.sin(np.minimum(j, n - j) * (PI / n)))
+    grid = np.round(log_f / 2.0**-20) * 2.0**-20
+    log_mag = np.zeros(n)
+    np.cumsum(grid, out=log_mag[1:])
+    log_mag[1:] += np.cumsum(log_f - grid)
+    return log_mag
+
+
+@pytest.mark.parametrize("order", [1, 2, 7, 8, 1001, 1002])
+def test_mirrored_sines_keep_log_mag_bits(order):
+    table = pochhammer_table(order)
+    assert table.log_mag.tobytes() == _unmirrored_log_mag(order).tobytes()
+
+
+# --- summation rounding bounds ---
+
+def _half_ulp_run(count, unit):
+    # unit, then count - 1 halves of its ulp: every addition into the
+    # accumulator that holds `unit` is a tie and rounds the half ulp away
+    return np.array([unit] + [unit * 2.0**-53] * (count - 1))
+
+
+def _abs_error(got, items):
+    re = Fraction(got.real) - sum(Fraction(float(x.real)) for x in items)
+    im = Fraction(got.imag) - sum(Fraction(float(x.imag)) for x in items)
+    return abs(complex(float(re), float(im)))
+
+
+_SUM_COUNTS = list(range(1, 300)) + [1000, 4096, 5001]
+
+
+def test_sum_error_factor_bounds_numpy_sum():
+    # numpy adds up to 16 items into one of 8 interleaved accumulators
+    # before any pairwise step: 1 + 127 half ulps loses 15 of them
+    for count in _SUM_COUNTS:
+        for unit, width in ((1.0, 1), (1.0 + 1.0j, 2)):
+            items = _half_ulp_run(count, unit)
+            bound = _sum_error_factor(count, width) * float(np.sum(np.abs(items)))
+            assert _abs_error(np.sum(items), items) <= bound, (count, width)
+
+
+def test_segment_error_factors_bound_numpy_reduceat():
+    # reduceat adds a segment's first item to the pairwise sum of the
+    # rest, so the run of half ulps starts at the second item
+    counts = np.array(_SUM_COUNTS)
+    segments = [
+        np.concatenate(([0j], _half_ulp_run(c - 1, 1.0 + 1.0j)))
+        if c > 1
+        else np.array([1.0 + 1.0j])
+        for c in counts
+    ]
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    sums = np.add.reduceat(np.concatenate(segments), starts)
+    factors = _segment_error_factors(counts)
+    for count, items, got, factor in zip(counts, segments, sums, factors):
+        bound = factor * float(np.sum(np.abs(items)))
+        assert _abs_error(got, items) <= bound, count
 
 
 # --- enumeration order ---
@@ -310,7 +376,11 @@ def _mp_five_two(order, dps):
 
 @pytest.mark.parametrize(
     "knot, order, reference",
-    [(KnotId.FOUR_ONE, 20_000, _mp_four_one), (KnotId.FIVE_TWO, 640, _mp_five_two)],
+    [
+        (KnotId.FOUR_ONE, 20_000, _mp_four_one),
+        (KnotId.FOUR_ONE, 20_001, _mp_four_one),
+        (KnotId.FIVE_TWO, 640, _mp_five_two),
+    ],
 )
 def test_error_estimate_covers_table_rounding(knot, order, reference):
     # at these orders the rounding in the Pochhammer table outweighs the
@@ -353,8 +423,14 @@ def test_input_validation():
 
 
 def test_thread_count_never_changes_bits():
-    for knot, order in ((KnotId.SIX_ONE, 60), (KnotId.FIVE_TWO, 113)):
-        for mode in ("direct", "logscale"):
+    # direct mode refuses 4_1 at N = 50 000
+    cases = (
+        (KnotId.SIX_ONE, 60, ("direct", "logscale")),
+        (KnotId.FIVE_TWO, 113, ("direct", "logscale")),
+        (KnotId.FOUR_ONE, 50_000, ("logscale",)),
+    )
+    for knot, order, modes in cases:
+        for mode in modes:
             one = quantum_invariant(knot, order, mode, threads=1)
             two = quantum_invariant(knot, order, mode, threads=2)
             eight = quantum_invariant(knot, order, mode, threads=8)
