@@ -24,9 +24,10 @@ The moduli |(omega)_k| swing like exp(+-0.16 N), so besides the plain
 "direct" complex evaluation there is a "logscale" mode that keeps every
 term as (log magnitude, argument) and sums with a running rescale, and an
 "exact" mode that delegates to cyclotomic field arithmetic.  The 5_2 and
-6_1 sums are chunked, each chunk reduced by numpy's pairwise sum and the
-chunks merged along a fixed binary tree, so results are bit-identical for
-any worker count.  The 4_1 sum, N positive terms, is one pairwise sum.
+6_1 sums run over bands of whole rows of their index triangle; each band
+is one dense block reduced by numpy's pairwise sum, and the band sums are
+merged along a fixed binary tree, so results are bit-identical for any
+worker count.  The 4_1 sum, N positive terms, is one pairwise sum.
 """
 
 from __future__ import annotations
@@ -205,10 +206,18 @@ def pochhammer_table(order: int) -> PochhammerTable:
     return PochhammerTable(n, log_mag, err)
 
 
-def _triangle_offsets(n: int) -> np.ndarray:
-    """Start of each row r of the triangle {(r, c): r <= c < n}, row by row."""
-    r = np.arange(n + 1, dtype=np.int64)
-    return r * n - r * (r - 1) // 2
+def _bands(order: int, chunk_size: int) -> list[tuple[int, int]]:
+    """Cut the rows of the triangle r <= c < N into bands [r0, r1).
+
+    Band [r0, r1) is the dense block r0 <= r < r1, r0 <= c < N: at most
+    chunk_size entries, or one whole row where a row alone is longer.
+    """
+    bands, r0 = [], 0
+    while r0 < order:
+        r1 = min(order, r0 + max(1, chunk_size // (order - r0)))
+        bands.append((r0, r1))
+        r0 = r1
+    return bands
 
 
 @functools.lru_cache(maxsize=None)
@@ -221,7 +230,9 @@ def _pairwise_roundings(count: int, width: int) -> int:
     part of a complex), combines those in a tree and adds the leftovers in
     turn; above 128 it splits off a multiple of 8 near the middle and adds
     the two halves.  The sizes on one level of that tree differ by less
-    than 16, so each level holds only a few distinct sizes.
+    than 16, so each level holds only a few distinct sizes.  A contiguous
+    2-D block is summed the same way: each row by .sum(axis=1), the whole
+    block by .sum().
     """
     tree = 3 if width == 1 else 2
     worst, level, sizes = 0, 0, {count * width}
@@ -244,53 +255,27 @@ def _sum_error_factor(count: int, width: int = 2) -> float:
     return _EPS * _pairwise_roundings(count, width)
 
 
-def _segment_error_factors(counts: np.ndarray) -> np.ndarray:
-    """Relative rounding bounds of np.add.reduceat over complex segments
-    of `counts` items, per sum |item| of each segment."""
-    return _reduceat_factor_table(int(counts.max()).bit_length())[counts]
-
-
-@functools.lru_cache(maxsize=None)
-def _reduceat_factor_table(bits: int) -> np.ndarray:
-    # reduceat adds a segment's first item to numpy's pairwise sum of the
-    # rest; depth[m] is _pairwise_roundings(m, 2) for m < 2**bits, filled
-    # in ranges whose halves (at most m/2 + 4 items) are already known
-    m = np.arange(2**bits)
-    depth = np.where(m < 4, np.maximum(m - 1, 0), m // 4 + 1 + m % 4)
-    done = 64
-    while done < len(m) - 1:
-        top = min(2 * done - 8, len(m) - 1)
-        rest = m[done + 1 : top + 1]
-        left = rest // 8 * 4
-        depth[done + 1 : top + 1] = 1 + np.maximum(depth[left], depth[rest - left])
-        done = top
-    factors = _EPS * (1.0 + depth[np.maximum(m - 1, 0)])
-    factors[:2] = 0.0
-    factors.flags.writeable = False
-    return factors
-
-
 class _SumSpace:
-    """The 5_2 or 6_1 state sum at one order, laid out for chunked summation.
+    """The 5_2 or 6_1 state sum at one order, laid out in bands of rows.
 
-    Both run over the pairs of the triangle r <= c < N, laid out row by
-    row,
+    Both run over the pairs of the triangle r <= c < N,
 
         sum_{r<=c} X(c) / (omega)_r^* * omega^e(r, c),
 
     with X(c) = (omega)_c^2, e = -r(c+1) for 5_2 and X(c) = C(c),
-    e = (c-r)(c+1) for 6_1 (see the module docstring).  Chunks address the
-    flat range [lo, hi) and are decoded with searchsorted on the row
-    offsets, so chunk contents depend only on (knot, order, chunk bounds).
-    The row sums C(c) are built over the same triangle, in chunks of the
-    same size, before any pair is summed.
+    e = (c-r)(c+1) for 6_1 (see the module docstring).  Each band (see
+    _bands) is summed as one dense block whose entries with c < r get
+    weight exactly 0, so its sum depends only on (knot, order, mode, band).
+    The row sums C(s) are built over the same bands, with k = m - s as the
+    column, before any pair is summed; no row is ever split.
 
-    Direct mode carries plain complex factors, each reciprocal applied per
-    factor: every C(c) and every pair term is then a partial sum of the
-    triple sum's own terms and obeys its magnitude bound.  Logscale
-    carries a factor as exp(log) * val with val of moderate size.  col_err
-    bounds the absolute rounding error already in X(c), on the scale of
-    col_val.
+    Every factor is split as exp(log) * val, and the mode only chooses the
+    split.  Direct takes log 0 and the plain complex factor: every weight
+    is exactly 1, and each reciprocal is applied per factor, so every C(s)
+    and every pair term is a partial sum of the triple sum's own terms and
+    obeys its magnitude bound.  Logscale takes the table's log and a unit
+    phase.  col_err bounds the absolute rounding error already in X(c), on
+    the scale of col_val.
     """
 
     def __init__(
@@ -298,111 +283,75 @@ class _SumSpace:
         knot: KnotId,
         table: PochhammerTable,
         direct: bool,
-        chunk_size: int,
+        bands: list,
         threads: int,
     ):
-        self.knot = knot
-        self.table = table
-        self.direct = direct
+        n = self.order = table.order
+        self.five_two = knot is KnotId.FIVE_TWO
         # built here, so that no worker computes it on first use
         self.omega_pow = table.omega_pow
-        n = table.order
-        self.offsets = _triangle_offsets(n)
-        self.total = int(self.offsets[-1])
-        # row_val[r] is 1/(omega)_r^*, so its conjugate is 1/(omega)_r
+        # row factor 1/(omega)_r^*, so its conjugate is 1/(omega)_r; the
+        # column factor (omega)_c^2 of 5_2, or |(omega)_m|^2 inside C(s)
         if direct:
-            self.row_val = 1.0 / np.conj(table.values)
+            zero = np.zeros(n)
+            self.row_log, self.row_val = zero, 1.0 / np.conj(table.values)
+            sq_log, sq_val = zero, table.values**2
+            abs2_val = np.abs(table.values) ** 2
         else:
-            self.row_log = -table.log_mag
-            self.row_val = np.exp(1j * table.arg)
-        if knot is KnotId.FIVE_TWO:
-            if direct:
-                self.col_val = table.values**2
-            else:
-                self.col_log = 2.0 * table.log_mag
-                self.col_val = np.exp(2j * table.arg)
-            self.col_err = None
+            self.row_log, self.row_val = -table.log_mag, _unit(table.arg)
+            sq_log, sq_val = 2.0 * table.log_mag, _unit(2.0 * table.arg)
+            abs2_val = np.ones(n)
+        self.row_abs = np.abs(self.row_val)
+        if self.five_two:
+            self.col_log, self.col_val, self.col_err = sq_log, sq_val, None
         else:
-            self._build_row_sums(chunk_size, threads)
-        if not direct:
-            self.col_abs = np.abs(self.col_val)
+            rows = functools.partial(self._row_sums, sq_log, abs2_val)
+            pieces = _map_bands(rows, bands, threads)
+            self.col_log, self.col_val, self.col_err = (
+                np.concatenate(p) for p in zip(*pieces)
+            )
+        self.col_abs = np.abs(self.col_val)
 
-    def _indices(self, lo: int, hi: int):
-        idx = np.arange(lo, hi)
-        r = np.searchsorted(self.offsets, idx, side="right") - 1
-        return r, r + (idx - self.offsets[r])
+    def _row_sums(self, abs2_log, abs2_val, r0: int, r1: int):
+        """C(s) = sum_{m>=s} |(omega)_m|^2 / (omega)_{m-s} for s in [r0, r1).
 
-    def _omega_exponents(self, r, c):
-        if self.knot is KnotId.FIVE_TWO:
-            return (-(r * (c + 1))) % self.table.order
-        return ((c - r) * (c + 1)) % self.table.order
-
-    def _row_sum_pieces(self, lo: int, hi: int):
-        """Partial row sums C(s) over flat positions [lo, hi).
-
-        Row s of the triangle holds the terms |(omega)_m|^2 / (omega)_{m-s}
-        for m = s .. N-1.  Returns, per row touched: the row, its shift, the
-        shifted sum, the shifted sum of moduli and the error bound.
+        Returns each row's shift, its sum on that scale and its error
+        bound.  Zeros add exactly, so a row of v terms meets at most v - 1
+        roundings, however long the block.
         """
-        t = self.table
-        s, m = self._indices(lo, hi)
-        k = m - s
-        rows = np.arange(s[0], s[-1] + 1)
-        starts = np.maximum(self.offsets[rows], lo) - lo
-        counts = np.diff(np.append(starts, hi - lo))
-        recip = np.conj(self.row_val[k])
-        if self.direct:
-            terms = np.abs(t.values[m]) ** 2 * recip
-            shift = np.zeros(len(rows))
-            mods = np.abs(terms)
-        else:
-            lt = 2.0 * t.log_mag[m] - t.log_mag[k]
-            shift = np.maximum.reduceat(lt, starts)
-            mods = np.exp(lt - np.repeat(shift, counts))
-            terms = mods * recip
-        total = np.add.reduceat(terms, starts)
-        mod_sum = np.add.reduceat(mods, starts)
-        return rows, shift, total, mod_sum, _segment_error_factors(counts) * mod_sum
+        n = self.order
+        s = np.arange(r0, r1)[:, None]
+        k = np.arange(n - r0)
+        # column k holds m = s + k, in the order the row is summed; past
+        # m = N - 1 it reads a wrapped entry at weight 0
+        m = (s + k) % n
+        lt = abs2_log[m] + self.row_log[k]
+        lt[s + k >= n] = -np.inf
+        shift = lt.max(axis=1)
+        w = np.exp(lt - shift[:, None])
+        w *= abs2_val[m]
+        total = (w * np.conj(self.row_val[k])).sum(axis=1)
+        mods = (w * self.row_abs[k]).sum(axis=1)
+        roundings = np.minimum(_pairwise_roundings(n - r0, 2), n - 1 - s[:, 0])
+        return shift, total, _EPS * roundings * mods
 
-    def _build_row_sums(self, chunk_size: int, threads: int) -> None:
-        pieces = _map_chunks(self._row_sum_pieces, self.total, chunk_size, threads)
-        _, shift, self.col_val, _, self.col_err = (
-            pieces[0] if len(pieces) == 1 else _merge_row_pieces(pieces)
-        )
-        if not self.direct:
-            self.col_log = shift
-
-    def direct_chunk(self, lo: int, hi: int):
-        r, c = self._indices(lo, hi)
-        terms = (
-            self.row_val[r]
-            * self.col_val[c]
-            * self.omega_pow[self._omega_exponents(r, c)]
-        )
-        carried = 0.0
-        if self.col_err is not None:
-            carried = float(np.sum(np.abs(self.row_val[r]) * self.col_err[c]))
-        s = complex(np.sum(terms))
-        a = float(np.sum(np.abs(terms)))
-        return 0.0, s, a, _sum_error_factor(hi - lo) * a + carried
-
-    def logscale_chunk(self, lo: int, hi: int):
-        r, c = self._indices(lo, hi)
+    def band(self, r0: int, r1: int):
+        """The pairs of band [r0, r1) as (m, s, a, err) (see _four_one_sum)."""
+        n = self.order
+        r = np.arange(r0, r1)[:, None]
+        c = np.arange(r0, n)
         lt = self.row_log[r] + self.col_log[c]
-        m = float(np.max(lt))
+        lt[c < r] = -np.inf
+        m = float(lt.max())
         w = np.exp(lt - m)
-        terms = (
-            w
-            * self.row_val[r]
-            * self.col_val[c]
-            * self.omega_pow[self._omega_exponents(r, c)]
-        )
-        s = complex(np.sum(terms))
-        a = float(np.sum(w * self.col_abs[c]))
-        err = _sum_error_factor(hi - lo) * a
+        e = -r * (c + 1) if self.five_two else (c - r) * (c + 1)
+        terms = w * self.row_val[r] * self.col_val[c] * self.omega_pow[e % n]
+        w *= self.row_abs[r]
+        a = float((w * self.col_abs[c]).sum())
+        err = _sum_error_factor(w.size) * a
         if self.col_err is not None:
-            err += float(np.sum(w * self.col_err[c]))
-        return m, s, a, err
+            err += float((w * self.col_err[c]).sum())
+        return m, complex(terms.sum()), a, err
 
 
 def _four_one_sum(table: PochhammerTable, direct: bool):
@@ -418,23 +367,6 @@ def _four_one_sum(table: PochhammerTable, direct: bool):
     terms -= m
     a = float(np.exp(terms, out=terms).sum())
     return m, complex(a), a, _sum_error_factor(table.order, width=1) * a
-
-
-def _merge_row_pieces(pieces: list):
-    """Merge the pieces of rows cut by chunk boundaries, in chunk order."""
-    rows, shift, total, mod_sum, err = (np.concatenate(p) for p in zip(*pieces))
-    starts = np.flatnonzero(np.diff(rows, prepend=-1))
-    counts = np.diff(np.append(starts, len(rows)))
-    row_shift = np.maximum.reduceat(shift, starts)
-    w = np.exp(shift - np.repeat(row_shift, counts))
-    mod_sum = np.add.reduceat(mod_sum * w, starts)
-    return (
-        rows[starts],
-        row_shift,
-        np.add.reduceat(total * w, starts),
-        mod_sum,
-        np.add.reduceat(err * w, starts) + _EPS * counts * mod_sum,
-    )
 
 
 def _direct_term_log_bound(knot: KnotId, table: PochhammerTable) -> float:
@@ -494,14 +426,11 @@ def _tree_reduce(items: list, merge):
     return items[0]
 
 
-def _map_chunks(compute, total: int, chunk_size: int, threads: int) -> list:
-    bounds = [
-        (lo, min(lo + chunk_size, total)) for lo in range(0, total, chunk_size)
-    ]
+def _map_bands(compute, bands: list, threads: int) -> list:
     if threads == 1:
-        return [compute(lo, hi) for lo, hi in bounds]
+        return [compute(*band) for band in bands]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda b: compute(*b), bounds))
+        return list(pool.map(lambda band: compute(*band), bands))
 
 
 def _exact_value(knot: KnotId, order: int) -> InvariantValue:
@@ -538,10 +467,13 @@ def quantum_invariant(
     or term magnitudes could overflow; "logscale" carries log magnitudes
     and never overflows, though cancellation in the 5_2 and 6_1 sums
     costs digits as N grows (see accum_error_estimate); "exact" works in
-    the cyclotomic field and is meant for small N oracle checks.  For
-    fixed (knot, order, mode, chunk_size) the result is bit-identical for
-    every thread count.  4_1 is summed in one pass over the table and
-    ignores chunk_size and threads.
+    the cyclotomic field and is meant for small N oracle checks.  The 5_2
+    and 6_1 sums are cut into bands of whole rows of at most
+    max(chunk_size, one row) entries each, which caps the memory of a
+    call; threads sum the bands in parallel.  For fixed (knot, order,
+    mode, chunk_size) the result is bit-identical for every thread count.
+    4_1 is summed in one pass over the table and ignores chunk_size and
+    threads.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
@@ -578,9 +510,9 @@ def quantum_invariant(
     if knot is KnotId.FOUR_ONE:
         m, s, a, err = _four_one_sum(table, direct)
     else:
-        space = _SumSpace(knot, table, direct, chunk_size, threads)
-        chunk = space.direct_chunk if direct else space.logscale_chunk
-        partials = _map_chunks(chunk, space.total, chunk_size, threads)
+        bands = _bands(order, chunk_size)
+        space = _SumSpace(knot, table, direct, bands, threads)
+        partials = _map_bands(space.band, bands, threads)
         m, s, a, err = _tree_reduce(partials, _merge_partials)
     err += SUMMAND_FACTORS[knot] * table.err * a
     count = cyclo.exact_term_count(knot, order)
@@ -600,9 +532,9 @@ def quantum_invariant(
     return InvariantValue(knot, order, mode, log, image, count, rel)
 
 
-def growth_point(knot: KnotId, order: int, threads: int = 1) -> tuple[int, float]:
+def growth_point(knot: KnotId, order: int) -> tuple[int, float]:
     """(N, log |<knot>|) for the growth-rate fit, always via logscale."""
-    value = quantum_invariant(knot, order, "logscale", threads=threads)
+    value = quantum_invariant(knot, order, "logscale")
     return order, value.value_log.log_mag
 
 

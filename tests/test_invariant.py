@@ -18,7 +18,7 @@ from knotvol.invariant import (
     InvariantValue,
     LogComplex,
     _SumSpace,
-    _segment_error_factors,
+    _bands,
     _sum_error_factor,
     alexander_check,
     growth_point,
@@ -154,6 +154,7 @@ def _abs_error(got, items):
 
 
 _SUM_COUNTS = list(range(1, 300)) + [1000, 4096, 5001]
+_BLOCKS = [(1, 7), (4, 16), (3, 129), (5, 300), (2, 4096), (2, 5001)]
 
 
 def test_sum_error_factor_bounds_numpy_sum():
@@ -166,44 +167,52 @@ def test_sum_error_factor_bounds_numpy_sum():
             assert _abs_error(np.sum(items), items) <= bound, (count, width)
 
 
-def test_segment_error_factors_bound_numpy_reduceat():
-    # reduceat adds a segment's first item to the pairwise sum of the
-    # rest, so the run of half ulps starts at the second item
-    counts = np.array(_SUM_COUNTS)
-    segments = [
-        np.concatenate(([0j], _half_ulp_run(c - 1, 1.0 + 1.0j)))
-        if c > 1
-        else np.array([1.0 + 1.0j])
-        for c in counts
-    ]
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    sums = np.add.reduceat(np.concatenate(segments), starts)
-    factors = _segment_error_factors(counts)
-    for count, items, got, factor in zip(counts, segments, sums, factors):
-        bound = factor * float(np.sum(np.abs(items)))
-        assert _abs_error(got, items) <= bound, count
+def test_sum_error_factor_bounds_numpy_block_sums():
+    # a contiguous block sums each row (.sum(axis=1)) and the whole block
+    # (.sum()) as a 1-D sum of that many items, zeros included
+    for rows, cols in _BLOCKS:
+        for unit, width in ((1.0, 1), (1.0 + 1.0j, 2)):
+            block = _half_ulp_run(rows * cols, unit).reshape(rows, cols)
+            bound = _sum_error_factor(rows * cols, width) * float(np.abs(block).sum())
+            assert _abs_error(block.sum(), block.ravel()) <= bound, (rows, cols)
+            # row i: i zeros, then a run, as below the diagonal of a band
+            block = np.array(
+                [np.append([0.0] * i, _half_ulp_run(cols - i, unit)) for i in range(rows)]
+            )
+            for items, got in zip(block, block.sum(axis=1)):
+                bound = _sum_error_factor(cols, width) * float(np.sum(np.abs(items)))
+                assert _abs_error(got, items) <= bound, (rows, cols)
 
 
-# --- enumeration order ---
+# --- bands ---
 
-def test_sum_space_decode_matches_nested_loops():
-    n = 7
-    table = pochhammer_table(n)
-    # 5_2 pairs (k, l) and 6_1 pairs (l, s) both run over r <= c, row by row
-    want = [(r, c) for r in range(n) for c in range(r, n)]
+def test_bands_tile_whole_rows():
+    for order in (1, 2, 7, 113):
+        for chunk_size in (1, 3, 50, 4096):
+            bands = _bands(order, chunk_size)
+            case = (order, chunk_size)
+            assert bands[0][0] == 0 and bands[-1][1] == order, case
+            assert all(a[1] == b[0] for a, b in zip(bands, bands[1:])), case
+            for r0, r1 in bands:
+                assert r0 < r1, case
+                assert (r1 - r0) * (order - r0) <= max(chunk_size, order - r0), case
+
+
+def test_banded_sums_match_brute_sums():
+    # bands of one row, of a few rows, and one band of every row
     for knot in (KnotId.FIVE_TWO, KnotId.SIX_ONE):
-        space = _SumSpace(knot, table, False, 4096, 1)
-        got = list(zip(*(a.tolist() for a in space._indices(0, space.total))))
-        assert got == want
-
-        # decoding a sub-range must agree with slicing the full decode
-        sub = list(zip(*(a.tolist() for a in space._indices(5, 17))))
-        assert sub == want[5:17]
+        for order in (11, 17):
+            ref = _brute_sum(knot, order)
+            for chunk_size in (1, 3, 50):
+                for mode in ("direct", "logscale"):
+                    v = quantum_invariant(knot, order, mode, chunk_size=chunk_size)
+                    case = (knot, order, chunk_size, mode)
+                    assert abs(v.value_complex - ref) <= 1e-13 * abs(ref), case
 
 
 def test_six_one_row_sums_match_loops():
-    # C(s) = sum_{m>=s} |(w)_m|^2 / (w)_{m-s}, for chunks that cut rows
-    # into pieces and for chunks that hold several rows
+    # C(s) = sum_{m>=s} |(w)_m|^2 / (w)_{m-s}, for bands of one row and
+    # for bands that hold several rows
     n = 11
     table = pochhammer_table(n)
     poch = _fresh_pochhammer(n)
@@ -212,12 +221,17 @@ def test_six_one_row_sums_match_loops():
     ]
     for chunk_size in (1, 3, 4, 50):
         for direct in (True, False):
-            space = _SumSpace(KnotId.SIX_ONE, table, direct, chunk_size, 1)
+            space = _SumSpace(KnotId.SIX_ONE, table, direct, _bands(n, chunk_size), 1)
             got = space.col_val if direct else np.exp(space.col_log) * space.col_val
             for s in range(n):
                 case = (chunk_size, direct, s)
                 assert abs(got[s] - want[s]) <= 1e-13 * abs(want[s]), case
-                assert 0.0 < space.col_err[s] <= 1e-13 * np.abs(space.col_val[s])
+                assert space.col_err[s] <= 1e-13 * np.abs(space.col_val[s]), case
+                # the row s = N-1 holds one term and is summed exactly
+                if s == n - 1:
+                    assert space.col_err[s] == 0.0, case
+                else:
+                    assert space.col_err[s] > 0.0, case
 
 
 # --- values ---
@@ -423,17 +437,20 @@ def test_input_validation():
 
 
 def test_thread_count_never_changes_bits():
-    # direct mode refuses 4_1 at N = 50 000
+    # direct mode refuses 4_1 at N = 50 000; 6_1 at N = 60 is one band at
+    # the default chunk size and 9 bands at 256
     cases = (
-        (KnotId.SIX_ONE, 60, ("direct", "logscale")),
-        (KnotId.FIVE_TWO, 113, ("direct", "logscale")),
-        (KnotId.FOUR_ONE, 50_000, ("logscale",)),
+        (KnotId.SIX_ONE, 60, 4096, ("direct", "logscale")),
+        (KnotId.SIX_ONE, 60, 256, ("direct", "logscale")),
+        (KnotId.FIVE_TWO, 113, 4096, ("direct", "logscale")),
+        (KnotId.FOUR_ONE, 50_000, 4096, ("logscale",)),
     )
-    for knot, order, modes in cases:
+    for knot, order, chunk_size, modes in cases:
         for mode in modes:
-            one = quantum_invariant(knot, order, mode, threads=1)
-            two = quantum_invariant(knot, order, mode, threads=2)
-            eight = quantum_invariant(knot, order, mode, threads=8)
+            one, two, eight = (
+                quantum_invariant(knot, order, mode, threads=t, chunk_size=chunk_size)
+                for t in (1, 2, 8)
+            )
             assert one == two == eight
 
 
