@@ -328,6 +328,34 @@ class _PackedRing:
         ]
 
 
+def _coefficient_bound(knot: KnotId, rows: list[list[int]]) -> int:
+    """A bound on every coefficient of the sum `exact_invariant` forms.
+
+    The l1 norm is submultiplicative in Z[x]/(x^N - 1), and rotations and
+    conjugation keep it, so each product and each rotated sum is bounded
+    by the l1 norms of the rows it is formed from: suffix sums of
+    ||(omega)_l||^2 for the 5_2 row sums, bounds on ||C(s)|| and their
+    suffix sums for 6_1.
+    """
+    norms = [sum(map(abs, row)) for row in rows]
+    n = len(norms)
+    if knot is KnotId.FOUR_ONE:
+        return sum(x * x for x in norms)
+    if knot is KnotId.FIVE_TWO:
+        inner = [x * x for x in norms]
+    else:
+        squares = [x * x for x in norms]
+        inner = [
+            sum(squares[k + s] * norms[n - 1 - k] for k in range(n - s))
+            for s in range(n)
+        ]
+    bound, suffix = 0, 0
+    for k in range(n - 1, -1, -1):
+        suffix += inner[k]
+        bound += norms[n - 1 - k] * suffix
+    return bound
+
+
 def exact_invariant(knot: KnotId, order: int) -> CycElement:
     """State sum over residues mod `order`, exactly, as a field element.
 
@@ -354,25 +382,33 @@ def exact_invariant(knot: KnotId, order: int) -> CycElement:
         )
     n = order
     rows = _pochhammer_rows(n)
-    l1 = max(sum(map(abs, row)) for row in rows)
-    # no coefficient of the result exceeds the summands' l1 norms added up:
-    # the l1 norm is submultiplicative in Z[x]/(x^N - 1), and rotations and
-    # conjugation keep it
-    ring = _PackedRing(n, count * l1 ** SUMMAND_FACTORS[knot])
+    ring = _PackedRing(n, _coefficient_bound(knot, rows))
+    lifted = ring.unpack(_ring_sum(knot, rows, ring))
+    phi = list(cyclotomic_polynomial(n))
+    _, rem = _int_poly_divmod(lifted, phi)
+    deg = len(phi) - 1
+    # each reciprocal in a summand became a partial product over N
+    scale = n ** (SUMMAND_FACTORS[knot] - 2)
+    coeffs = [Fraction(c, scale) for c in rem]
+    return CycElement(n, tuple(coeffs) + (Fraction(0),) * (deg - len(coeffs)))
+
+
+def _ring_sum(knot: KnotId, rows: list[list[int]], ring: _PackedRing) -> int:
+    """N^d <knot> in Z[x]/(x^N - 1) (see `exact_invariant`), as its image in
+    `ring`, reduced."""
+    n = len(rows)
     poch = [ring.pack(row) for row in rows]
     # conjugation, x -> x^-1, moves coefficient i to -i mod N
     conj = [ring.pack(row[:1] + row[:0:-1]) for row in rows]
 
     if knot is KnotId.FOUR_ONE:
         total = sum(p * c for p, c in zip(poch, conj))
-        scale = 1
     elif knot is KnotId.FIVE_TWO:
         sq = [ring.reduce(p * p) for p in poch]
         total = 0
         for k in range(n):
             acc = sum(ring.rotate(sq[l], -k * (l + 1)) for l in range(k, n))
             total += ring.reduce(acc) * poch[n - 1 - k]
-        scale = n
     else:
         absq = [ring.reduce(p * c) for p, c in zip(poch, conj)]
         row_sums = [
@@ -385,11 +421,4 @@ def exact_invariant(knot: KnotId, order: int) -> CycElement:
                 ring.rotate(row_sums[s], (s - l) * (s + 1)) for s in range(l, n)
             )
             total += ring.reduce(acc) * poch[n - 1 - l]
-        scale = n * n
-
-    lifted = ring.unpack(ring.reduce(total))
-    phi = list(cyclotomic_polynomial(n))
-    _, rem = _int_poly_divmod(lifted, phi)
-    deg = len(phi) - 1
-    coeffs = [Fraction(c, scale) for c in rem]
-    return CycElement(n, tuple(coeffs) + (Fraction(0),) * (deg - len(coeffs)))
+    return ring.reduce(total)

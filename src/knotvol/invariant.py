@@ -28,6 +28,18 @@ term as (log magnitude, argument) and sums with a running rescale, and an
 is one dense block reduced by numpy's pairwise sum, and the band sums are
 merged along a fixed binary tree, so results are bit-identical for any
 worker count.  The 4_1 sum, N positive terms, is one pairwise sum.
+
+No pair reads its phase by index.  With zeta = exp(i pi/N), so that
+omega = zeta^2, and -2rc = (c-r)^2 - r^2 - c^2,
+
+    omega^(-r(c+1))     = zeta^(-r^2-2r) * zeta^(-c^2)     * zeta^((c-r)^2),
+    omega^((c-r)(c+1))  = zeta^(-r^2-2r) * zeta^(c^2+2c)   * zeta^((c-r)^2),
+
+so a band of pairs is a row vector times a masked Toeplitz block of the
+chirp zeta^(d^2) times a column vector, and a band of 6_1 row sums C(s)
+a Hankel block of |(omega)_m|^2 times a vector: both blocks are zero-copy
+strided views of one padded vector, and each pair costs one complex
+product and one addition (see _SumSpace).
 """
 
 from __future__ import annotations
@@ -65,6 +77,8 @@ _DIRECT_TABLE_LOG_LIMIT = 600.0
 # ... or when a term magnitude bound would approach the double-float ceiling
 _DIRECT_TERM_LOG_LIMIT = 690.0
 _EXP_OVERFLOW_LOG = 709.0
+# exp(x) rounds to 0 for every x below this (log 2^-1075 = -745.13)
+_EXP_ZERO_LOG = -745.2
 
 
 def _wrap_angle(a):
@@ -133,10 +147,9 @@ class PochhammerTable:
     share of the rounding when a summand is formed from entries.
 
     The phases are computed on first use, since 4_1 never reads them:
-    arg[k] is arg (omega)_k in (-pi, pi], omega_pow[j] caches omega^j for
-    exponent lookups, and values[k] is the plain complex number, inf past
-    the double range, where direct mode (its only reader) refuses the
-    order.
+    arg[k] is arg (omega)_k in (-pi, pi], and values[k] is the plain
+    complex number, inf past the double range, where direct mode (its
+    only reader) refuses the order.
     """
 
     order: int
@@ -152,10 +165,6 @@ class PochhammerTable:
         quarter = k * (k - (n - 1)) % (4 * n)
         quarter = np.where(quarter > 2 * n, quarter - 4 * n, quarter)
         return quarter * (math.pi / (2 * n))
-
-    @functools.cached_property
-    def omega_pow(self) -> np.ndarray:
-        return _unit(2.0 * math.pi * np.arange(self.order) / self.order)
 
     @functools.cached_property
     def values(self) -> np.ndarray:
@@ -189,9 +198,10 @@ def pochhammer_table(order: int) -> PochhammerTable:
     log_f = np.concatenate((half, half[: n - 1 - n // 2][::-1]))
     grid = np.rint(log_f / _LOG_GRID) * _LOG_GRID
     log_mag = np.zeros(n)
-    np.cumsum(grid, out=log_mag[1:])
+    # np.add.accumulate, not np.cumsum, which keeps a little memory per call
+    np.add.accumulate(grid, out=log_mag[1:])
     fine = log_f - grid
-    log_mag[1:] += np.cumsum(fine, out=fine)
+    log_mag[1:] += np.add.accumulate(fine, out=fine)
     # in units of _EPS: per factor, 5 for the sine (its argument rounds
     # three times) and 2|log| for the log; the fine running sums, each below
     # k * grid/2; per entry, 4|log_mag| + 16 for adding the two sums, for the
@@ -255,6 +265,61 @@ def _sum_error_factor(count: int, width: int = 2) -> float:
     return _EPS * _pairwise_roundings(count, width)
 
 
+def _phase_exponents(knot: KnotId, order: int):
+    """Exponents mod 2N of zeta = exp(i pi/N) that split the pair phase.
+
+    For r <= c, omega^e(r, c) = zeta^(2e) = rho(r) * kappa(c) * zeta^((c-r)^2),
+    because -2rc = (c-r)^2 - r^2 - c^2:
+
+        5_2: 2e = -2r(c+1)    = (c-r)^2 + (1 - (r+1)^2) - c^2
+        6_1: 2e = 2(c-r)(c+1) = (c-r)^2 + (1 - (r+1)^2) + ((c+1)^2 - 1)
+
+    Returns the int64 exponents of rho(r), kappa(c) and the chirp
+    zeta^(d^2), d < N, each reduced exactly into [0, 2N).  kappa is the
+    conjugate of the chirp (5_2) or of rho (6_1).
+    """
+    n2 = 2 * order
+    j = np.arange(order + 1, dtype=np.int64)
+    sq = j * j % n2
+    row = (1 - sq[1:]) % n2
+    col = (sq[1:] - 1) % n2 if knot is KnotId.SIX_ONE else -sq[:-1] % n2
+    return row, col, sq[:-1]
+
+
+def _zeta_powers(order: int) -> np.ndarray:
+    """zeta^j = exp(i pi j/N) for j < 2N, from angles of at most pi/4.
+
+    zeta^j is i^k exp(i pi f/(2N)) for the quarter turn k with f = 2j - kN
+    in [0, N).  exp(i pi f/(2N)) is computed for f <= N/2, and above as
+    i times the conjugate at N - f.
+    """
+    n = order
+    h = n // 2 + 1
+    low = np.exp(1j * (np.arange(h) * (math.pi / (2 * n))))
+    quarter = np.concatenate((low, 1j * low[n - h : 0 : -1].conj()))
+    # f runs over every other value of a quarter turn, from 0 when kN is
+    # even, else from 1; multiplying by a power of i is exact
+    even, odd = quarter[::2], quarter[n % 2 :: 2]
+    return np.concatenate((even, 1j * odd, -even, -1j * odd))
+
+
+# in units of _EPS, the rounding of one pair term V(r) T U(c) beyond its
+# exp arguments and its table entries: 4 for each of the three phases (an
+# angle of at most pi/4 is off by 2.35 pi/4, its cosine and sine by 1.5
+# together), 9 for four complex products (sqrt 5 each), 2 for scaling by
+# the two weights and 4 for the two exps
+_PAIR_ROUNDINGS = 3 * 4 + 9 + 2 + 4
+# shifted logs below this leave exp subnormal: such a factor is only known
+# to within 2^-1074, and a product of factors of at most 1 to within 2^-1073
+_NORMAL_LOG = -708.0
+_SUBNORMAL_ERR = 2.0**-1073
+# pair weights are split on levels that are multiples of this: V(r) <=
+# e^_LEVEL_STEP, and a factor U(c) leaves the normal range only for pairs
+# whose weight under an exact per-pair shift is below e^(-745 + 36),
+# already subnormal
+_LEVEL_STEP = 36.0
+
+
 class _SumSpace:
     """The 5_2 or 6_1 state sum at one order, laid out in bands of rows.
 
@@ -263,11 +328,29 @@ class _SumSpace:
         sum_{r<=c} X(c) / (omega)_r^* * omega^e(r, c),
 
     with X(c) = (omega)_c^2, e = -r(c+1) for 5_2 and X(c) = C(c),
-    e = (c-r)(c+1) for 6_1 (see the module docstring).  Each band (see
-    _bands) is summed as one dense block whose entries with c < r get
-    weight exactly 0, so its sum depends only on (knot, order, mode, band).
+    e = (c-r)(c+1) for 6_1 (see the module docstring).  With zeta =
+    exp(i pi/N) the phase splits as rho(r) kappa(c) zeta^((c-r)^2) (see
+    _phase_exponents), and the weight exp(row_log[r] + col_log[c] - m) as
+    V(r) U(c), so that a band is
+
+        sum_r V(r) sum_{c>=r} zeta^((c-r)^2) U(c),
+        V(r) = exp(row_log[r] + lam - m) rho(r) / (omega)_r^*,
+        U(c) = exp(col_log[c] - lam) kappa(c) X(c):
+
+    one complex product and one pairwise addition per pair.  The chirp
+    block T[i, j] = zeta^((j-i)^2) for j >= i, else 0, is a zero-copy view
+    with strides (-16, 16) into g = [0] * N ++ [zeta^(d^2)]_{d<N}.  m is
+    the band's largest pair weight, max_r row_log[r] + SM(r) with SM the
+    suffix maxima of col_log.  lam is the level of row r, SM(r) rounded up
+    to a multiple of _LEVEL_STEP; U and the suffix sums of |U| that give
+    sum |t| and the error bound are built once per level.
+
     The row sums C(s) are built over the same bands, with k = m - s as the
-    column, before any pair is summed; no row is ever split.
+    column, before any pair is summed; no row is ever split.  A band of
+    them is a Hankel view H[i, k] = A(s + k) into the zero-padded vector
+    A(m) = |(omega)_m|^2, times B(k) = 1/(omega)_k.  Both kinds of view are
+    made by np.ndarray over the padded vector: a Hankel view from
+    sliding_window_view keeps memory from one call to the next (numpy 2.4).
 
     Every factor is split as exp(log) * val, and the mode only chooses the
     split.  Direct takes log 0 and the plain complex factor: every weight
@@ -287,71 +370,145 @@ class _SumSpace:
         threads: int,
     ):
         n = self.order = table.order
-        self.five_two = knot is KnotId.FIVE_TWO
-        # built here, so that no worker computes it on first use
-        self.omega_pow = table.omega_pow
         # row factor 1/(omega)_r^*, so its conjugate is 1/(omega)_r; the
         # column factor (omega)_c^2 of 5_2, or |(omega)_m|^2 inside C(s)
         if direct:
             zero = np.zeros(n)
-            self.row_log, self.row_val = zero, 1.0 / np.conj(table.values)
+            self.row_log, row_val = zero, 1.0 / np.conj(table.values)
             sq_log, sq_val = zero, table.values**2
             abs2_val = np.abs(table.values) ** 2
         else:
-            self.row_log, self.row_val = -table.log_mag, _unit(table.arg)
+            self.row_log, row_val = -table.log_mag, _unit(table.arg)
             sq_log, sq_val = 2.0 * table.log_mag, _unit(2.0 * table.arg)
             abs2_val = np.ones(n)
-        self.row_abs = np.abs(self.row_val)
-        if self.five_two:
+        self.row_abs = np.abs(row_val)
+        if knot is KnotId.FIVE_TWO:
             self.col_log, self.col_val, self.col_err = sq_log, sq_val, None
         else:
+            # B(k) = 1/(omega)_k, shifted by the largest row_log
+            xb = self.row_log - self.row_log.max()
+            b = np.exp(xb)
+            self.inv_val, self.inv_abs = b * np.conj(row_val), b * self.row_abs
+            self.inv_low = np.minimum.accumulate(xb)
             rows = functools.partial(self._row_sums, sq_log, abs2_val)
             pieces = _map_bands(rows, bands, threads)
             self.col_log, self.col_val, self.col_err = (
                 np.concatenate(p) for p in zip(*pieces)
             )
-        self.col_abs = np.abs(self.col_val)
+        # the phases, read from zeta^j, j < 2N, at exponents reduced exactly
+        zeta = _zeta_powers(n)
+        row_exp, col_exp, chirp_exp = _phase_exponents(knot, n)
+        self.chirp = np.concatenate((np.zeros(n, complex), zeta[chirp_exp]))
+        col_phased = self.col_val * zeta[col_exp]
+        col_max = np.maximum.accumulate(self.col_log[::-1])[::-1]
+        level = _LEVEL_STEP * np.ceil(col_max / _LEVEL_STEP)
+        # levels fall with the row, so the rows of one level are a run; a
+        # block is the rows of one band at one level
+        starts = [0]
+        if level[0] != level[-1]:
+            starts += (np.flatnonzero(level[1:] != level[:-1]) + 1).tolist()
+        band_starts = [r0 for r0, _ in bands]
+        blocks = sorted(set(starts + band_starts))
+        # per row r: the sums over c >= r of |U(c)| and of its errors
+        u_sum, u_err = np.empty(n), np.empty(n)
+        level_u = {}
+        for g0, g1 in zip(starts, starts[1:] + [n]):
+            u, sums, errs = self._level(g0, float(level[g0]), col_phased)
+            u_sum[g0:g1], u_err[g0:g1] = sums[: g1 - g0], errs[: g1 - g0]
+            level_u[g0] = u
+        # per row: V(r), shifted by its band's largest pair weight m, and
+        # the row's share of sum |t| and of the error bound
+        band_m = np.maximum.reduceat(self.row_log + col_max, band_starts)
+        shift = level - np.repeat(band_m, [r1 - r0 for r0, r1 in bands])
+        xv = self.row_log + shift
+        v = np.exp(xv)
+        row_val = v * (row_val * zeta[row_exp])
+        v_abs = v * self.row_abs
+        rounds = np.abs(shift) + np.abs(xv) + _PAIR_ROUNDINGS
+        for g0, g1 in zip(blocks, blocks[1:] + [n]):
+            rounds[g0:g1] += _pairwise_roundings(n - g0, 2)
+        v_err = _EPS * rounds * v_abs
+        if xv.min() < _NORMAL_LOG:
+            v_err += (xv < _NORMAL_LOG) * _SUBNORMAL_ERR * self.row_abs
+        shares = np.empty((2, n))
+        shares[0] = v_abs * u_sum
+        shares[1] = v_err * u_sum + v_abs * u_err
+        shares = np.add.reduceat(shares, band_starts, axis=1).T.tolist()
+        # per band: m, its blocks (first row, end, U), V(r), sum |t| and the
+        # error bound but for the pairwise sum over the band's rows
+        self.bands = {
+            r0: (m, [], row_val[r0:r1], a, err)
+            for (r0, r1), m, (a, err) in zip(bands, band_m.tolist(), shares)
+        }
+        band, level_start = 0, 0
+        for g0, g1 in zip(blocks, blocks[1:] + [n]):
+            band = g0 if g0 in self.bands else band
+            level_start = g0 if g0 in level_u else level_start
+            u = level_u[level_start][g0 - level_start :]
+            self.bands[band][1].append((g0, g1, u))
+
+    def _level(self, start: int, lam: float, col_phased: np.ndarray):
+        """U(c) = exp(col_log[c] - lam) kappa(c) X(c) for c >= start, and
+        per row r >= start the suffix sums over c >= r of |U(c)| and of the
+        error of U(c): the rounding of its exp argument (col_log and the
+        shift), the error of X(c) and that of a subnormal U(c)."""
+        col_log = self.col_log[start:]
+        xu = col_log - lam
+        u = np.exp(xu)
+        col_abs = np.abs(self.col_val[start:])
+        sums = np.empty((2, len(u)))
+        u_abs = sums[0] = u * col_abs
+        sums[1] = _EPS * u_abs * (np.abs(xu) + np.abs(col_log))
+        if self.col_err is not None:
+            sums[1] += u * self.col_err[start:]
+        if xu.min() < _NORMAL_LOG:
+            sums[1] += (xu < _NORMAL_LOG) * _SUBNORMAL_ERR * (col_abs + 1.0)
+        # row r >= start takes the sums over c >= r
+        u_sum, u_err = np.add.accumulate(sums[:, ::-1], axis=1)[:, ::-1]
+        return u * col_phased[start:], u_sum, u_err
 
     def _row_sums(self, abs2_log, abs2_val, r0: int, r1: int):
         """C(s) = sum_{m>=s} |(omega)_m|^2 / (omega)_{m-s} for s in [r0, r1).
 
         Returns each row's shift, its sum on that scale and its error
         bound.  Zeros add exactly, so a row of v terms meets at most v - 1
-        roundings, however long the block.
+        roundings, however long the block.  A(m) is shifted by its largest
+        value in the band, and B(k) by its largest, so no product exceeds
+        1; when a product can leave the normal range, each row also
+        carries the error of its products that do.  Forming a product (an
+        exp per factor, then one multiplication) rounds like forming a
+        summand from table entries, which PochhammerTable.err allows for.
         """
         n = self.order
-        s = np.arange(r0, r1)[:, None]
-        k = np.arange(n - r0)
-        # column k holds m = s + k, in the order the row is summed; past
-        # m = N - 1 it reads a wrapped entry at weight 0
-        m = (s + k) % n
-        lt = abs2_log[m] + self.row_log[k]
-        lt[s + k >= n] = -np.inf
-        shift = lt.max(axis=1)
-        w = np.exp(lt - shift[:, None])
-        w *= abs2_val[m]
-        total = (w * np.conj(self.row_val[k])).sum(axis=1)
-        mods = (w * self.row_abs[k]).sum(axis=1)
-        roundings = np.minimum(_pairwise_roundings(n - r0, 2), n - 1 - s[:, 0])
-        return shift, total, _EPS * roundings * mods
+        rows, cols = r1 - r0, n - r0
+        top = abs2_log[r0:].max()
+        xa = abs2_log[r0:] - top
+        a = np.zeros(rows + cols - 1)
+        a[:cols] = np.exp(xa) * abs2_val[r0:]
+        h = np.ndarray((rows, cols), a.dtype, a, 0, (a.itemsize, a.itemsize))
+        total = (h * self.inv_val[:cols]).sum(axis=1)
+        mods = (h * self.inv_abs[:cols]).sum(axis=1)
+        s = np.arange(r0, r1)
+        roundings = np.minimum(_pairwise_roundings(cols, 2), n - 1 - s)
+        err = _EPS * roundings * mods
+        if xa.min() + self.inv_low[cols - 1] < _NORMAL_LOG:
+            err += _SUBNORMAL_ERR * (n - s)
+        return np.full(rows, top + self.row_log.max()), total, err
 
     def band(self, r0: int, r1: int):
         """The pairs of band [r0, r1) as (m, s, a, err) (see _four_one_sum)."""
         n = self.order
-        r = np.arange(r0, r1)[:, None]
-        c = np.arange(r0, n)
-        lt = self.row_log[r] + self.col_log[c]
-        lt[c < r] = -np.inf
-        m = float(lt.max())
-        w = np.exp(lt - m)
-        e = -r * (c + 1) if self.five_two else (c - r) * (c + 1)
-        terms = w * self.row_val[r] * self.col_val[c] * self.omega_pow[e % n]
-        w *= self.row_abs[r]
-        a = float((w * self.col_abs[c]).sum())
-        err = _sum_error_factor(w.size) * a
-        if self.col_err is not None:
-            err += float((w * self.col_err[c]).sum())
-        return m, complex(terms.sum()), a, err
+        m, blocks, row_val, a, err = self.bands[r0]
+        sums = np.empty(r1 - r0, complex)
+        for g0, g1, u in blocks:
+            t = np.ndarray(
+                (g1 - g0, n - g0), complex, self.chirp, 16 * n, (-16, 16)
+            )
+            np.sum(t * u, axis=1, out=sums[g0 - r0 : g1 - r0])
+        sums *= row_val
+        # the rows' sums are added pairwise, like a sum of r1 - r0 items
+        err += _EPS * _pairwise_roundings(r1 - r0, 2) * a
+        return m, complex(sums.sum()), a, err
 
 
 def _four_one_sum(table: PochhammerTable, direct: bool):
@@ -365,8 +522,10 @@ def _four_one_sum(table: PochhammerTable, direct: bool):
     terms = 2.0 * table.log_mag
     m = 0.0 if direct else float(terms.max())
     terms -= m
+    # exp is exactly 0 below _EXP_ZERO_LOG, and many times slower there
+    terms = terms[terms >= _EXP_ZERO_LOG]
     a = float(np.exp(terms, out=terms).sum())
-    return m, complex(a), a, _sum_error_factor(table.order, width=1) * a
+    return m, complex(a), a, _sum_error_factor(len(terms), width=1) * a
 
 
 def _direct_term_log_bound(knot: KnotId, table: PochhammerTable) -> float:
@@ -387,8 +546,9 @@ class InvariantValue:
     when that fits in a double, else None.  term_count is the size of the
     state sum's index set (N, N(N+1)/2 or N(N+1)(N+2)/6), not the number
     of summands enumerated.  accum_error_estimate bounds, to first order,
-    the relative error from summation and from the rounding in the
-    Pochhammer table: each summand is a product of 2 (4_1), 3 (5_2) or 4
+    the relative error from summation, from forming the 5_2 and 6_1 pair
+    terms (their phases, weights and products), and from the rounding in
+    the Pochhammer table: each summand is a product of 2 (4_1), 3 (5_2) or 4
     (6_1) table entries, so the table adds that many PochhammerTable.err
     per unit of sum |summand|.  For 6_1 the summands are the pair terms
     C(s)/(omega)_l^*, so cancellation inside a row sum C(s) weighs in its

@@ -10,11 +10,14 @@ from knotvol.cyclo import (
     CycElement,
     ExactBudgetError,
     _PackedRing,
+    _coefficient_bound,
+    _pochhammer_rows,
+    _ring_sum,
     cyclotomic_polynomial,
     exact_invariant,
     exact_term_count,
 )
-from knotvol.knots import KnotId
+from knotvol.knots import SUMMAND_FACTORS, KnotId
 
 
 # --- tiny independent polynomial toolbox (coefficients constant-first) ---
@@ -194,6 +197,22 @@ def test_packed_ring_matches_list_arithmetic():
 
 
 # --- exact state sums ---
+
+def test_coefficient_bound_covers_the_sum():
+    # the digit width comes from this bound: read back with room to spare,
+    # no coefficient of the sum may exceed it, and it is no looser than
+    # count * max ||(w)_k||_1^(factors)
+    for knot in KnotId:
+        for order in range(1, 31):
+            rows = _pochhammer_rows(order)
+            bound = _coefficient_bound(knot, rows)
+            ring = _PackedRing(order, bound << 64)
+            coeffs = ring.unpack(_ring_sum(knot, rows, ring))
+            assert max(map(abs, coeffs)) <= bound, (knot, order)
+            l1 = max(sum(map(abs, row)) for row in rows)
+            old = exact_term_count(knot, order) * l1 ** SUMMAND_FACTORS[knot]
+            assert bound <= old, (knot, order)
+
 
 def _oracle_term_count(knot, order):
     # brute enumeration of the index set

@@ -6,6 +6,7 @@ written as naive Python loops over fresh root-of-unity powers.
 
 import cmath
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from knotvol.invariant import (
     LogComplex,
     _SumSpace,
     _bands,
+    _phase_exponents,
     _sum_error_factor,
     alexander_check,
     growth_point,
@@ -118,7 +120,6 @@ def test_table_log_fields_consistent():
     # wrapped accumulated phases agree with the per-value phases
     circ = np.abs(np.exp(1j * (table.arg - np.angle(table.values))) - 1.0)
     assert np.max(circ) <= 1e-10
-    assert abs(complex(table.omega_pow[1]) - cmath.exp(2j * PI / 60)) <= 1e-15
 
 
 def _unmirrored_log_mag(order):
@@ -232,6 +233,51 @@ def test_six_one_row_sums_match_loops():
                     assert space.col_err[s] == 0.0, case
                 else:
                     assert space.col_err[s] > 0.0, case
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4, 7, 64, 101])
+def test_split_phase_exponents_are_exact(order):
+    # rho(r) kappa(c) zeta^((c-r)^2) = omega^e(r, c): the split exponents add
+    # up to 2 e(r, c) mod 2N, in exact integers, for every pair r <= c
+    n2 = 2 * order
+    phases = {
+        KnotId.FIVE_TWO: lambda r, c: -r * (c + 1),
+        KnotId.SIX_ONE: lambda r, c: (c - r) * (c + 1),
+    }
+    for knot, e in phases.items():
+        row, col, chirp = (v.tolist() for v in _phase_exponents(knot, order))
+        assert all(0 <= x < n2 for x in row + col + chirp), knot
+        for r in range(order):
+            for c in range(r, order):
+                split = row[r] + col[c] + chirp[c - r]
+                assert split % n2 == 2 * e(r, c) % n2, (knot, r, c)
+
+
+def test_repeated_calls_retain_no_memory():
+    # the chirp and Hankel blocks are views into per-call vectors; repeated
+    # calls at fixed orders must not hold on to memory as they go
+    cases = [
+        (KnotId.FIVE_TWO, 150, "logscale", 4096),
+        (KnotId.FIVE_TWO, 60, "direct", 256),
+        (KnotId.SIX_ONE, 60, "logscale", 256),
+        (KnotId.SIX_ONE, 45, "direct", 4096),
+    ]
+
+    def run(rounds):
+        for _ in range(rounds):
+            for knot, order, mode, chunk_size in cases:
+                quantum_invariant(knot, order, mode, chunk_size=chunk_size)
+
+    run(3)
+    tracemalloc.start()
+    try:
+        run(10)
+        before = tracemalloc.get_traced_memory()[0]
+        run(50)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert after - before <= 4096, after - before
 
 
 # --- values ---
