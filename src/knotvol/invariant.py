@@ -140,11 +140,14 @@ class PochhammerTable:
     """All N partial products (omega)_k at order N, plain and in log form.
 
     log_mag[k] holds log |(omega)_k|, usable far past the double range.
-    Its factors log |1 - omega^j| = log(2 sin(pi j/N)) are symmetric under
-    j -> N - j, so the sine is evaluated for j <= N/2 only and mirrored.
+    The first h = ceil(N/2) entries are running sums of the factors
+    log |1 - omega^j| = log(2 sin(pi j/N)), j < h; since (omega)_{N-1} = N,
+    the rest are reflections, log_mag[k] = log N - log_mag[N-1-k].
     err bounds, to first order, the absolute error of every log_mag[k]
-    and arg[k], the relative error of every values[k], and each entry's
-    share of the rounding when a summand is formed from entries.
+    (a reflected entry adds the rounding of log N and of one subtraction
+    to its mirror's) and arg[k], the relative error of every values[k],
+    and each entry's share of the rounding when a summand is formed from
+    entries.
 
     The phases are computed on first use, since 4_1 never reads them:
     arg[k] is arg (omega)_k in (-pi, pi], and values[k] is the plain
@@ -191,26 +194,46 @@ def pochhammer_table(order: int) -> PochhammerTable:
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     n = order
-    # |1 - omega^j| = 2 sin(pi j/N) = |1 - omega^(N-j)|: the sine is taken
-    # for j <= N/2, where its argument is accurate to a few ulps, and the
-    # logs are mirrored onto j > N/2
-    half = np.log(2.0 * np.sin(np.arange(1.0, n // 2 + 1) * (math.pi / n)))
-    log_f = np.concatenate((half, half[: n - 1 - n // 2][::-1]))
-    grid = np.rint(log_f / _LOG_GRID) * _LOG_GRID
-    log_mag = np.zeros(n)
+    h = (n + 1) // 2
+    log_mag = np.empty(n)
+    log_mag[0] = 0.0
+    # the first h entries are running sums of the factors j < h <= N/2,
+    # whose sine arguments pi j/N are accurate to a few ulps; the table is
+    # built in place, in log_mag and one grid buffer of h - 1 doubles
+    log_f = log_mag[1:h]
+    grid = np.arange(1.0, h)
+    np.multiply(grid, math.pi / n, out=grid)
+    np.sin(grid, out=log_f)
+    np.multiply(log_f, 2.0, out=log_f)
+    np.log(log_f, out=log_f)
+    log_f_sum = float(np.abs(log_f, out=grid).sum())
+    # scaling by a power of two is exact: the same bits as log_f / _LOG_GRID
+    np.multiply(log_f, 1.0 / _LOG_GRID, out=grid)
+    np.rint(grid, out=grid)
+    np.multiply(grid, _LOG_GRID, out=grid)
+    np.subtract(log_f, grid, out=log_f)
     # np.add.accumulate, not np.cumsum, which keeps a little memory per call
-    np.add.accumulate(grid, out=log_mag[1:])
-    fine = log_f - grid
-    log_mag[1:] += np.add.accumulate(fine, out=fine)
-    # in units of _EPS: per factor, 5 for the sine (its argument rounds
-    # three times) and 2|log| for the log; the fine running sums, each below
-    # k * grid/2; per entry, 4|log_mag| + 16 for adding the two sums, for the
-    # exponential and phase in `values`, and for forming a summand
-    err = _EPS * float(
-        5.0 * (n - 1)
-        + 2.0 * np.abs(log_f).sum()
-        + n * n * _LOG_GRID / 4.0
-        + 4.0 * np.abs(log_mag).max()
+    np.add.accumulate(grid, out=grid)
+    np.add.accumulate(log_f, out=log_f)
+    np.add(grid, log_f, out=log_f)
+    # (omega)_{N-1} = N, so |(omega)_k| |(omega)_{N-1-k}| = N reflects the
+    # first h entries onto the rest
+    log_n = math.log(n)
+    np.subtract(log_n, log_mag[: n - h][::-1], out=log_mag[h:])
+    # in units of _EPS: per factor j < h, 5 for the sine (its argument
+    # rounds three times) and 2|log| for the log; the fine running sums,
+    # each below h * grid/2; per entry, 5|log_mag| + 2 log N + 16 for adding
+    # the two sums, for the reflection (math.log is within an ulp, 2 log N,
+    # and the subtraction rounds once, |log_mag|, on top of the mirror
+    # entry's error), for the exponential and phase in `values`, and for
+    # forming a summand
+    top = max(float(log_mag.max()), -float(log_mag.min()))
+    err = _EPS * (
+        5.0 * h
+        + 2.0 * log_f_sum
+        + h * h * _LOG_GRID / 4.0
+        + 5.0 * top
+        + 2.0 * log_n
         + 16.0
     )
     return PochhammerTable(n, log_mag, err)
@@ -519,10 +542,13 @@ def _four_one_sum(table: PochhammerTable, direct: bool):
     Logscale shifts by the largest term; direct mode, whose refusals keep
     every term finite, does not.
     """
-    terms = 2.0 * table.log_mag
-    m = 0.0 if direct else float(terms.max())
+    lm = table.log_mag
+    m = 0.0 if direct else 2.0 * float(lm.max())
+    # exp is exactly 0 below _EXP_ZERO_LOG, and many times slower there:
+    # the entries are picked, with a margin, before any term is formed
+    terms = lm[lm >= (m + _EXP_ZERO_LOG) / 2.0 - 1.0]
+    np.multiply(terms, 2.0, out=terms)
     terms -= m
-    # exp is exactly 0 below _EXP_ZERO_LOG, and many times slower there
     terms = terms[terms >= _EXP_ZERO_LOG]
     a = float(np.exp(terms, out=terms).sum())
     return m, complex(a), a, _sum_error_factor(len(terms), width=1) * a

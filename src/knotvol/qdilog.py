@@ -234,6 +234,8 @@ class QdParams:
 # the strip walks back in steps of 2*gamma through the shift relation
 #   (1 + exp(i p)) S(p + gamma) = S(p - gamma).
 _TAIL_TOL = 1e-12
+# the longest walk of shifts faddeev_log_s takes back into the strip
+_MAX_SHIFTS = 100_000
 _STEP_DOUBLING_TOL = 1e-8
 
 
@@ -246,11 +248,12 @@ def _quadrature_log_s(params: QdParams, p: complex) -> complex:
         (1/x^3 + p/x^2 + c1/x) / (pi gamma),
         c1 = p^2/2 - (pi^2 + gamma^2)/6,
     is removed, integrated in closed form over the dipped contour (only the
-    even 1/x^3 tail beyond the truncation window and the half-residue of
-    the odd 1/x term survive), and added back.  The remainder is smooth, so
-    the trapezoid rule on the uniform grid converges geometrically in the
-    step size; a step-doubling comparison guards against a grid too coarse
-    for the given gamma.
+    tails of the even p/x^2 term beyond the grid's end and the
+    half-residue of the odd 1/x term survive), and added back.  The
+    remainder is smooth, so the trapezoid rule on the uniform grid, with
+    the end term of the Laurent part, converges geometrically in the step
+    size; a step-doubling comparison guards against a grid too coarse for
+    the given gamma.
     """
     gamma = params.gamma
     pg = _PI * gamma
@@ -291,9 +294,15 @@ def _quadrature_log_s(params: QdParams, p: complex) -> complex:
         )
 
     # closed-form pieces of the Laurent part over the dipped contour: the
-    # even 1/x^3 term contributes its tails beyond the window, the odd 1/x
-    # term the half-residue picked up by passing above the origin.
-    integral += -2.0 * p / (pg * t) - 1j * _PI * c1 / pg
+    # even p/x^2 term contributes its tails beyond the grid's end X (the
+    # truncation rounded to a whole number of steps), the odd 1/x term the
+    # half-residue picked up by passing above the origin.  Past X the
+    # remainder is minus the Laurent part, so the trapezoid rule also
+    # needs its Euler-Maclaurin end term -h^2/12 [f'(X) - f'(-X)] =
+    # -h^2 p/(3 pi gamma X^3).
+    x_end = half * h
+    tails = 2.0 * p / (pg * x_end) * (1.0 + h * h / (6.0 * x_end * x_end))
+    integral += -tails - 1j * _PI * c1 / pg
     return complex(integral / 4.0)
 
 
@@ -308,7 +317,16 @@ def faddeev_log_s(params: QdParams, p: complex) -> complex:
     representation, not reduced mod 2*pi*i.
     """
     p = complex(p)
+    if not cmath.isfinite(p):
+        raise ValueError(f"argument must be finite, got {p}")
     gamma = params.gamma
+    # each shift moves Re p by 2 gamma, and the walk ends inside the strip
+    walk = max(0.0, abs(p.real) - _PI) / (2.0 * gamma) + 1.0
+    if walk > _MAX_SHIFTS:
+        raise ValueError(
+            f"argument {p} needs about {walk:.3g} shifts of 2 gamma to "
+            f"reach the strip; the walk is limited to {_MAX_SHIFTS}"
+        )
     shift = 0j
     # S(p) = S(p - 2 gamma) / (1 + exp(i (p - gamma)))
     while p.real >= _PI:

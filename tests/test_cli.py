@@ -187,6 +187,12 @@ def test_faddeev_pole_exits_one(capsys):
     assert code == 1 and "error:" in err
 
 
+@pytest.mark.parametrize("p", ["inf,0", "nan,0", "1e300,0"])
+def test_faddeev_unreachable_argument_exits_one(capsys, p):
+    code, out, err = run(capsys, "faddeev", "--gamma", "0.3", "--p", p)
+    assert code == 1 and out == "" and err.startswith("error:")
+
+
 def test_bad_complex_argument_exits_two(capsys):
     assert run(capsys, "dilog", "--z", "banana")[0] == 2
 

@@ -136,8 +136,63 @@ def _unmirrored_log_mag(order):
 
 @pytest.mark.parametrize("order", [1, 2, 7, 8, 1001, 1002])
 def test_mirrored_sines_keep_log_mag_bits(order):
+    # the running sum fills k < h = ceil(N/2); the rest is the reflection
+    # log N - log_mag[N-1-k], from |(omega)_k| |(omega)_{N-1-k}| = N
     table = pochhammer_table(order)
-    assert table.log_mag.tobytes() == _unmirrored_log_mag(order).tobytes()
+    h = (order + 1) // 2
+    assert table.log_mag[:h].tobytes() == _unmirrored_log_mag(order)[:h].tobytes()
+    reflected = [math.log(order) - table.log_mag[order - 1 - k] for k in range(h, order)]
+    assert table.log_mag[h:].tobytes() == np.array(reflected).tobytes()
+
+
+def _mp_log_mag(order, entries, dps=30):
+    # log |(omega)_k| at the given k, from a running product of the sines
+    # 2 sin(pi j/N), taken by the three-term recurrence of sin(j x)
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        x = mp.pi / order
+        twice_cos = 2 * mp.cos(x)
+        prev, sine, product = mp.mpf(0), mp.sin(x), mp.mpf(1)
+        wanted, out = set(entries), {0: 0.0}
+        for j in range(1, order):
+            product *= 2 * sine
+            if j in wanted:
+                out[j] = mp.log(product)
+            prev, sine = sine, twice_cos * sine - prev
+        return out
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 7, 8, 100, 101, 1000, 4097, 100_000])
+def test_table_log_mag_within_err(order):
+    entries = range(order)
+    if order > 4097:
+        # windows at both ends, around the reflection point h and near 5N/6
+        centres = (0, order // 2, 5 * order // 6, order - 1)
+        entries = [k for c in centres for k in range(c - 50, c + 51) if 0 <= k < order]
+    table = pochhammer_table(order)
+    ref = _mp_log_mag(order, entries)
+    worst = max(abs(float(ref[k] - table.log_mag[k])) for k in entries)
+    assert worst <= table.err, (worst, table.err)
+
+
+def test_table_and_four_one_peak_memory():
+    # the table is built in log_mag and one buffer of N/2 doubles, and 4_1
+    # picks the entries it sums before forming any term
+    n = 100_000
+    quantum_invariant(KnotId.FOUR_ONE, n)
+    tracemalloc.start()
+    try:
+        table = pochhammer_table(n)
+        table_peak = tracemalloc.get_traced_memory()[1]
+        nbytes = table.log_mag.nbytes
+        del table
+        tracemalloc.reset_peak()
+        quantum_invariant(KnotId.FOUR_ONE, n, "logscale")
+        call_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table_peak <= 2 * nbytes, table_peak / nbytes
+    assert call_peak <= 2 * 8 * n, call_peak / (8 * n)
 
 
 # --- summation rounding bounds ---

@@ -292,6 +292,27 @@ def test_lattice_values_match_pochhammer_symbols():
         assert abs(f_bar_gamma(params, p) - symbol.conjugate()) <= 1e-6 * abs(symbol)
 
 
+@pytest.mark.parametrize("step", [0.05, 0.07, 0.09])
+def test_steps_that_miss_the_truncation_agree(step):
+    # 120 is no whole number of steps of 0.07 or 0.09: the closed-form tail
+    # term must be taken at the grid's end, not at the truncation; with the
+    # trapezoid rule's end term no step leaves an h^2 error behind
+    params = QdParams(gamma=PI / 5, step=step)
+    fine = QdParams(gamma=PI / 5, step=0.025)
+    for p in (0.3, -1.2 + 0.4j, 2.0, 0.5j, 3.5):
+        assert abs(faddeev_log_s(params, p) - faddeev_log_s(fine, p)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "p", [math.inf, -math.inf, math.nan, complex(0.3, math.inf), 1e300, -1e300]
+)
+def test_unreachable_arguments_raise(p):
+    # non-finite arguments, and walks of about 1e300 shifts, are refused
+    # before the walk starts
+    with pytest.raises(ValueError):
+        faddeev_log_s(QdParams(gamma=0.3), p)
+
+
 def test_truncation_refusal():
     params = QdParams(gamma=PI / 10, truncation=20.0)
     with pytest.raises(QuadratureError):
