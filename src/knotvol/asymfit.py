@@ -79,6 +79,22 @@ class FitResult:
     window: tuple[int, int]
 
 
+def _orders(n_min: int, n_max: int, step: int) -> list[int]:
+    if not 2 <= n_min < n_max:
+        raise ValueError(
+            f"need 2 <= n_min < n_max, got n_min={n_min}, n_max={n_max}"
+        )
+    if step < 1:
+        raise ValueError(f"step must be >= 1, got {step}")
+    return list(range(n_min, n_max + 1, step))
+
+
+def _required_points(model: str) -> int:
+    if model not in MODELS:
+        raise ValueError(f"model must be one of {MODELS}, got {model!r}")
+    return 2 if model == "linear" else 4
+
+
 def collect_series(
     knot: KnotId,
     n_min: int,
@@ -91,13 +107,9 @@ def collect_series(
     Different N values are independent, so with threads > 1 they are
     evaluated concurrently (each inner evaluation stays single-threaded).
     """
-    if not 2 <= n_min < n_max:
-        raise ValueError(
-            f"need 2 <= n_min < n_max, got n_min={n_min}, n_max={n_max}"
-        )
-    if step < 1:
-        raise ValueError(f"step must be >= 1, got {step}")
-    orders = list(range(n_min, n_max + 1, step))
+    orders = _orders(n_min, n_max, step)
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     if threads == 1:
         points = [growth_point(knot, n) for n in orders]
     else:
@@ -113,9 +125,7 @@ def fit_growth(series: GrowthSeries, model: str = "linear_plus_log") -> FitResul
     a rank-deficient design matrix is an error rather than a silent
     pseudo-inverse answer.
     """
-    if model not in MODELS:
-        raise ValueError(f"model must be one of {MODELS}, got {model!r}")
-    required = 2 if model == "linear" else 4
+    required = _required_points(model)
     if len(series.points) < required:
         raise ValueError(
             f"{model} needs >= {required} points, got {len(series.points)}"
@@ -175,8 +185,18 @@ def main_claim_report(
 
     Fits the window, compares 2*pi*a against the saddle volume, then
     refits on the sub-window N >= 2*n_min of the same data to report
-    whether the relative gap shrinks as the window moves out.
+    whether the relative gap shrinks as the window moves out.  The
+    sub-window, and so the window, is checked for enough points before
+    any point is computed.
     """
+    required = _required_points(model)
+    shifted_count = sum(n >= 2 * n_min for n in _orders(n_min, n_max, step))
+    if shifted_count < required:
+        raise ValueError(
+            f"the sub-window N >= {2 * n_min} of {n_min}..{n_max} step "
+            f"{step} holds {shifted_count} points; {model} needs >= "
+            f"{required}"
+        )
     series = collect_series(knot, n_min, n_max, step, threads=threads)
     fit = fit_growth(series, model)
     volume = hyperbolic_volume(knot).volume

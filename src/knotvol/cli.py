@@ -178,17 +178,36 @@ def _cmd_volume(args) -> int:
     return 0
 
 
+def _csv_number(row: dict, column: str, kind, where: str):
+    text = row[column]
+    if text is None:
+        raise ValueError(f"{where}: no {column} value")
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{where}: bad {column} value {text!r}") from None
+
+
 def _series_from_csv(path: str, knot_filter: KnotId | None) -> asymfit.GrowthSeries:
     points: list[tuple[int, float]] = []
     knots_seen: set[str] = set()
     with open(path, newline="") as handle:
         reader = csv.DictReader(handle)
+        header = reader.fieldnames or []
+        missing = [c for c in ("knot", "N", "log_abs") if c not in header]
+        if header and missing:
+            raise ValueError(
+                f"{path} line 1: no column {missing[0]!r}; fit --in reads "
+                f"the CSV of `invariant --format csv`"
+            )
         for row in reader:
-            if row.get("knot") == "knot":
+            if row["knot"] == "knot":
                 continue  # concatenated files repeat the header
             if knot_filter is not None and row["knot"] != str(knot_filter):
                 continue
-            points.append((int(row["N"]), float(row["log_abs"])))
+            where = f"{path} line {reader.line_num}"
+            order = _csv_number(row, "N", int, where)
+            points.append((order, _csv_number(row, "log_abs", float, where)))
             knots_seen.add(row["knot"])
     if not points:
         raise ValueError(f"no usable rows in {path}")

@@ -24,10 +24,13 @@ The moduli |(omega)_k| swing like exp(+-0.16 N), so besides the plain
 "direct" complex evaluation there is a "logscale" mode that keeps every
 term as (log magnitude, argument) and sums with a running rescale, and an
 "exact" mode that delegates to cyclotomic field arithmetic.  The 5_2 and
-6_1 sums run over bands of whole rows of their index triangle; each band
-is one dense block reduced by numpy's pairwise sum, and the band sums are
-merged along a fixed binary tree, so results are bit-identical for any
-worker count.  The 4_1 sum, N positive terms, is one pairwise sum.
+6_1 pair sums take one correlation per level of their weights: each row
+of their index triangle is summed by one BLAS dot, serially.  The rows'
+terms are cut into bands of whole rows, each reduced by numpy's pairwise
+sum, and the band sums are merged along a fixed binary tree, so results
+are bit-identical for any worker count.  The bands bound the memory of
+the 6_1 row sums C(s) alone, one dense block a band.  The 4_1 sum, N
+positive terms, is one pairwise sum.
 
 No pair reads its phase by index.  With zeta = exp(i pi/N), so that
 omega = zeta^2, and -2rc = (c-r)^2 - r^2 - c^2,
@@ -35,11 +38,10 @@ omega = zeta^2, and -2rc = (c-r)^2 - r^2 - c^2,
     omega^(-r(c+1))     = zeta^(-r^2-2r) * zeta^(-c^2)     * zeta^((c-r)^2),
     omega^((c-r)(c+1))  = zeta^(-r^2-2r) * zeta^(c^2+2c)   * zeta^((c-r)^2),
 
-so a band of pairs is a row vector times a masked Toeplitz block of the
-chirp zeta^(d^2) times a column vector, and a band of 6_1 row sums C(s)
-a Hankel block of |(omega)_m|^2 times a vector: both blocks are zero-copy
-strided views of one padded vector, and each pair costs one complex
-product and one addition (see _SumSpace).
+so the pairs of a row are a correlation of a column vector with the chirp
+zeta^(d^2), times a row factor, and a band of 6_1 row sums C(s) is a
+Hankel block of |(omega)_m|^2, a zero-copy strided view of one padded
+vector, times a vector (see _SumSpace).
 """
 
 from __future__ import annotations
@@ -327,11 +329,28 @@ def _zeta_powers(order: int) -> np.ndarray:
 
 
 # in units of _EPS, the rounding of one pair term V(r) T U(c) beyond its
-# exp arguments and its table entries: 4 for each of the three phases (an
-# angle of at most pi/4 is off by 2.35 pi/4, its cosine and sine by 1.5
-# together), 9 for four complex products (sqrt 5 each), 2 for scaling by
-# the two weights and 4 for the two exps
-_PAIR_ROUNDINGS = 3 * 4 + 9 + 2 + 4
+# exp arguments, its table entries and the row's dot: 4 for each of the
+# three phases (an angle of at most pi/4 is off by 2.35 pi/4, its cosine
+# and sine by 1.5 together), 7 for three complex products (sqrt 5 each:
+# rho(r) and kappa(c) into their factors, V(r) into the row's dot), 2 for
+# scaling by the two weights and 4 for the two exps
+_PAIR_ROUNDINGS = 3 * 4 + 7 + 2 + 4
+# A complex dot of L terms x y, x = a + ib, y = c + id, is within
+# sqrt(2) (L + 1) eps sum |x||y| whatever order it adds in, with or
+# without FMA.  Its real part is sum a c - sum b d, formed term by term or
+# kind by kind (numpy's and OpenBLAS's dots do one or the other): each
+# product meets at most L + 1 roundings (its own or its FMA's, at most
+# L - 1 additions and the subtraction), and |a c| + |b d| <= |x||y|; the
+# same holds for the imaginary part.  Zeros add exactly, so a row padded
+# with zeros counts only its own terms.
+_DOT_ROUNDINGS = math.sqrt(2.0)
+# OpenBLAS (0.3.31) splits a complex dot of more than 10 000 terms over its
+# threads, which changes the bits with OPENBLAS_NUM_THREADS and can stall a
+# call; every dot stays at or below this many terms.  A row cut into
+# windows of columns adds the windows' dots in turn, and each window holds
+# at least one of the row's terms, so a product still meets at most L + 1
+# roundings.
+_DOT_TERMS = 8192
 # shifted logs below this leave exp subnormal: such a factor is only known
 # to within 2^-1074, and a product of factors of at most 1 to within 2^-1073
 _NORMAL_LOG = -708.0
@@ -341,6 +360,23 @@ _SUBNORMAL_ERR = 2.0**-1073
 # whose weight under an exact per-pair shift is below e^(-745 + 36),
 # already subnormal
 _LEVEL_STEP = 36.0
+
+
+def _chirp_rows(u: np.ndarray, chirp_conj: np.ndarray, rows: int) -> np.ndarray:
+    """z[i] = sum_{d<L} chirp[d] u[i + d] for i < rows, L = len(chirp_conj).
+
+    u holds L terms and then at least rows - 1 zeros.  Each row is one
+    BLAS dot per window of at most _DOT_TERMS columns (np.correlate
+    conjugates its second argument, hence the conjugate chirp); a window
+    is skipped for the rows whose part of it is all zeros.
+    """
+    width = len(chirp_conj)
+    z = np.zeros(rows, complex)
+    for d0 in range(0, width, _DOT_TERMS):
+        d1 = min(width, d0 + _DOT_TERMS)
+        live = min(rows, width - d0)
+        z[:live] += np.correlate(u[d0 : d1 + live - 1], chirp_conj[d0:d1], "valid")
+    return z
 
 
 class _SumSpace:
@@ -356,24 +392,28 @@ class _SumSpace:
     _phase_exponents), and the weight exp(row_log[r] + col_log[c] - m) as
     V(r) U(c), so that a band is
 
-        sum_r V(r) sum_{c>=r} zeta^((c-r)^2) U(c),
+        sum_r V(r) z(r),    z(r) = sum_{c>=r} zeta^((c-r)^2) U(c),
         V(r) = exp(row_log[r] + lam - m) rho(r) / (omega)_r^*,
-        U(c) = exp(col_log[c] - lam) kappa(c) X(c):
+        U(c) = exp(col_log[c] - lam) kappa(c) X(c).
 
-    one complex product and one pairwise addition per pair.  The chirp
-    block T[i, j] = zeta^((j-i)^2) for j >= i, else 0, is a zero-copy view
-    with strides (-16, 16) into g = [0] * N ++ [zeta^(d^2)]_{d<N}.  m is
-    the band's largest pair weight, max_r row_log[r] + SM(r) with SM the
-    suffix maxima of col_log.  lam is the level of row r, SM(r) rounded up
-    to a multiple of _LEVEL_STEP; U and the suffix sums of |U| that give
-    sum |t| and the error bound are built once per level.
+    m is the band's largest pair weight, max_r row_log[r] + SM(r) with SM
+    the suffix maxima of col_log.  lam is the level of row r, SM(r)
+    rounded up to a multiple of _LEVEL_STEP; U and the suffix sums of |U|
+    that give sum |t| and the error bound are built once per level.  The
+    rows of a level share U, so their z(r) are one correlation of U,
+    zero-padded, with the chirp: np.correlate, one BLAS dot per row of at
+    most _DOT_TERMS terms (see _chirp_rows).  z is computed once, serially;
+    a band keeps only its slice of V(r) z(r) and sums it pairwise.
 
     The row sums C(s) are built over the same bands, with k = m - s as the
     column, before any pair is summed; no row is ever split.  A band of
     them is a Hankel view H[i, k] = A(s + k) into the zero-padded vector
-    A(m) = |(omega)_m|^2, times B(k) = 1/(omega)_k.  Both kinds of view are
-    made by np.ndarray over the padded vector: a Hankel view from
-    sliding_window_view keeps memory from one call to the next (numpy 2.4).
+    A(m) = |(omega)_m|^2, times B(k) = 1/(omega)_k, summed pairwise: the
+    rows of C cancel, and with the order-free count of a dot the 6_1
+    estimate reads 1.3 times higher at N = 100, 2.3 times at N = 149 and
+    8 times at N = 300.  The view is made by np.ndarray over the padded
+    vector: one from sliding_window_view keeps memory from one call to the
+    next (numpy 2.4).
 
     Every factor is split as exp(log) * val, and the mode only chooses the
     split.  Direct takes log 0 and the plain complex factor: every weight
@@ -421,35 +461,34 @@ class _SumSpace:
         # the phases, read from zeta^j, j < 2N, at exponents reduced exactly
         zeta = _zeta_powers(n)
         row_exp, col_exp, chirp_exp = _phase_exponents(knot, n)
-        self.chirp = np.concatenate((np.zeros(n, complex), zeta[chirp_exp]))
+        chirp_conj = np.conj(zeta[chirp_exp])
         col_phased = self.col_val * zeta[col_exp]
         col_max = np.maximum.accumulate(self.col_log[::-1])[::-1]
         level = _LEVEL_STEP * np.ceil(col_max / _LEVEL_STEP)
-        # levels fall with the row, so the rows of one level are a run; a
-        # block is the rows of one band at one level
+        # levels fall with the row, so the rows of one level are a run
         starts = [0]
         if level[0] != level[-1]:
             starts += (np.flatnonzero(level[1:] != level[:-1]) + 1).tolist()
-        band_starts = [r0 for r0, _ in bands]
-        blocks = sorted(set(starts + band_starts))
-        # per row r: the sums over c >= r of |U(c)| and of its errors
+        # per row r: z(r) = sum_{c>=r} zeta^((c-r)^2) U(c), and the sums over
+        # c >= r of |U(c)| and of its errors
+        z = np.empty(n, complex)
         u_sum, u_err = np.empty(n), np.empty(n)
-        level_u = {}
         for g0, g1 in zip(starts, starts[1:] + [n]):
             u, sums, errs = self._level(g0, float(level[g0]), col_phased)
+            z[g0:g1] = _chirp_rows(u, chirp_conj[: n - g0], g1 - g0)
             u_sum[g0:g1], u_err[g0:g1] = sums[: g1 - g0], errs[: g1 - g0]
-            level_u[g0] = u
-        # per row: V(r), shifted by its band's largest pair weight m, and
-        # the row's share of sum |t| and of the error bound
+        # per row: V(r) z(r), with V(r) shifted by its band's largest pair
+        # weight m, and the row's share of sum |t| and of the error bound
+        band_starts = [r0 for r0, _ in bands]
         band_m = np.maximum.reduceat(self.row_log + col_max, band_starts)
         shift = level - np.repeat(band_m, [r1 - r0 for r0, r1 in bands])
         xv = self.row_log + shift
         v = np.exp(xv)
-        row_val = v * (row_val * zeta[row_exp])
+        self.terms = v * (row_val * zeta[row_exp]) * z
         v_abs = v * self.row_abs
-        rounds = np.abs(shift) + np.abs(xv) + _PAIR_ROUNDINGS
-        for g0, g1 in zip(blocks, blocks[1:] + [n]):
-            rounds[g0:g1] += _pairwise_roundings(n - g0, 2)
+        # row r's dot has N - r terms
+        dot = _DOT_ROUNDINGS * np.arange(n + 1, 1, -1)
+        rounds = np.abs(shift) + np.abs(xv) + _PAIR_ROUNDINGS + dot
         v_err = _EPS * rounds * v_abs
         if xv.min() < _NORMAL_LOG:
             v_err += (xv < _NORMAL_LOG) * _SUBNORMAL_ERR * self.row_abs
@@ -457,24 +496,19 @@ class _SumSpace:
         shares[0] = v_abs * u_sum
         shares[1] = v_err * u_sum + v_abs * u_err
         shares = np.add.reduceat(shares, band_starts, axis=1).T.tolist()
-        # per band: m, its blocks (first row, end, U), V(r), sum |t| and the
-        # error bound but for the pairwise sum over the band's rows
+        # per band: m, sum |t| and the error bound but for the pairwise sum
+        # over the band's rows
         self.bands = {
-            r0: (m, [], row_val[r0:r1], a, err)
-            for (r0, r1), m, (a, err) in zip(bands, band_m.tolist(), shares)
+            r0: (m, a, err)
+            for r0, m, (a, err) in zip(band_starts, band_m.tolist(), shares)
         }
-        band, level_start = 0, 0
-        for g0, g1 in zip(blocks, blocks[1:] + [n]):
-            band = g0 if g0 in self.bands else band
-            level_start = g0 if g0 in level_u else level_start
-            u = level_u[level_start][g0 - level_start :]
-            self.bands[band][1].append((g0, g1, u))
 
     def _level(self, start: int, lam: float, col_phased: np.ndarray):
-        """U(c) = exp(col_log[c] - lam) kappa(c) X(c) for c >= start, and
-        per row r >= start the suffix sums over c >= r of |U(c)| and of the
-        error of U(c): the rounding of its exp argument (col_log and the
-        shift), the error of X(c) and that of a subnormal U(c)."""
+        """U(c) = exp(col_log[c] - lam) kappa(c) X(c) for c >= start,
+        zero-padded to twice its length, and per row r >= start the suffix
+        sums over c >= r of |U(c)| and of the error of U(c): the rounding of
+        its exp argument (col_log and the shift), the error of X(c) and
+        that of a subnormal U(c)."""
         col_log = self.col_log[start:]
         xu = col_log - lam
         u = np.exp(xu)
@@ -488,7 +522,9 @@ class _SumSpace:
             sums[1] += (xu < _NORMAL_LOG) * _SUBNORMAL_ERR * (col_abs + 1.0)
         # row r >= start takes the sums over c >= r
         u_sum, u_err = np.add.accumulate(sums[:, ::-1], axis=1)[:, ::-1]
-        return u * col_phased[start:], u_sum, u_err
+        padded = np.zeros(2 * len(u), complex)
+        np.multiply(u, col_phased[start:], out=padded[: len(u)])
+        return padded, u_sum, u_err
 
     def _row_sums(self, abs2_log, abs2_val, r0: int, r1: int):
         """C(s) = sum_{m>=s} |(omega)_m|^2 / (omega)_{m-s} for s in [r0, r1).
@@ -520,18 +556,10 @@ class _SumSpace:
 
     def band(self, r0: int, r1: int):
         """The pairs of band [r0, r1) as (m, s, a, err) (see _four_one_sum)."""
-        n = self.order
-        m, blocks, row_val, a, err = self.bands[r0]
-        sums = np.empty(r1 - r0, complex)
-        for g0, g1, u in blocks:
-            t = np.ndarray(
-                (g1 - g0, n - g0), complex, self.chirp, 16 * n, (-16, 16)
-            )
-            np.sum(t * u, axis=1, out=sums[g0 - r0 : g1 - r0])
-        sums *= row_val
-        # the rows' sums are added pairwise, like a sum of r1 - r0 items
+        m, a, err = self.bands[r0]
+        # the rows' terms are added pairwise, like a sum of r1 - r0 items
         err += _EPS * _pairwise_roundings(r1 - r0, 2) * a
-        return m, complex(sums.sum()), a, err
+        return m, complex(self.terms[r0:r1].sum()), a, err
 
 
 def _four_one_sum(table: PochhammerTable, direct: bool):
@@ -653,11 +681,13 @@ def quantum_invariant(
     or term magnitudes could overflow; "logscale" carries log magnitudes
     and never overflows, though cancellation in the 5_2 and 6_1 sums
     costs digits as N grows (see accum_error_estimate); "exact" works in
-    the cyclotomic field and is meant for small N oracle checks.  The 5_2
-    and 6_1 sums are cut into bands of whole rows of at most
+    the cyclotomic field and is meant for small N oracle checks.  The 6_1
+    row sums C(s) are cut into bands of whole rows of at most
     max(chunk_size, one row) entries each, which caps the memory of a
-    call; threads sum the bands in parallel.  For fixed (knot, order,
-    mode, chunk_size) the result is bit-identical for every thread count.
+    call, and threads sum those bands in parallel.  The 5_2 and 6_1 pair
+    sums take one BLAS dot per row, serially, and then sum the rows' terms
+    over the same bands.  For fixed (knot, order, mode, chunk_size) the
+    result is bit-identical for every thread count, OpenBLAS's included.
     4_1 is summed in one pass over the table and ignores chunk_size and
     threads.
     """

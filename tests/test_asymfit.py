@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from knotvol import asymfit
 from knotvol.asymfit import (
     MODELS,
     FitResult,
@@ -37,6 +38,8 @@ def test_collect_validation():
         collect_series(KnotId.FOUR_ONE, 10, 10, 1)
     with pytest.raises(ValueError):
         collect_series(KnotId.FOUR_ONE, 2, 10, 0)
+    with pytest.raises(ValueError, match="threads must be >= 1, got 0"):
+        collect_series(KnotId.FOUR_ONE, 2, 10, 1, threads=0)
 
 
 def test_collect_is_inclusive_and_strided():
@@ -156,3 +159,20 @@ def test_main_claim_gap_values_track_fit():
     assert report.volume_estimate == report.fit.volume_estimate
     assert report.fit.window == (30, 150)
     assert report.relative_gap == report.absolute_gap / report.saddle_volume
+
+
+def test_main_claim_checks_sub_window_before_computing(monkeypatch):
+    # N = 100..190 has no order N >= 200 to refit on; the report must say
+    # so before it evaluates a single growth point
+    def unexpected(knot, order):
+        raise AssertionError(f"growth point N = {order} computed")
+
+    monkeypatch.setattr(asymfit, "growth_point", unexpected)
+    with pytest.raises(ValueError, match=r"sub-window N >= 200 .* holds 0 points"):
+        main_claim_report(KnotId.FIVE_TWO, 100, 190, 10)
+    with pytest.raises(ValueError, match="holds 1 points; linear needs >= 2"):
+        main_claim_report(KnotId.FIVE_TWO, 100, 200, 10, "linear")
+    with pytest.raises(ValueError, match="model must be one of"):
+        main_claim_report(KnotId.FIVE_TWO, 10, 100, 10, "cubic")
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        main_claim_report(KnotId.FIVE_TWO, 10, 100, 10, threads=0)

@@ -159,6 +159,39 @@ def test_fit_from_csv_skips_repeated_headers(capsys, tmp_path):
     assert _fields(out)["points"] == "4"
 
 
+def test_fit_from_csv_names_a_missing_column(capsys, tmp_path):
+    # the output of `fit --format csv` is not a growth series
+    _, out, _ = run(
+        capsys, "fit", "--knot", "4_1", "--n-min", "10", "--n-max", "40",
+        "--step", "10", "--format", "csv",
+    )
+    path = tmp_path / "fit.csv"
+    path.write_text(out)
+    code, _, err = run(capsys, "fit", "--in", str(path))
+    assert code == 1
+    assert f"{path} line 1: no column 'N'" in err
+
+
+def test_fit_from_csv_names_a_bad_cell(capsys, tmp_path):
+    parts = []
+    for n in (10, 20, 30, 40):
+        _, out, _ = run(capsys, "invariant", "--knot", "4_1", "--n", str(n), "--format", "csv")
+        parts.append(out)
+    rows = list(csv.reader(io.StringIO("".join(parts))))
+    rows[5][cli.CSV_HEADER.index("log_abs")] = ""  # N = 30, on line 6
+    path = tmp_path / "series.csv"
+    path.write_text("\n".join(",".join(row) for row in rows) + "\n")
+    code, _, err = run(capsys, "fit", "--in", str(path))
+    assert code == 1
+    assert f"{path} line 6: bad log_abs value ''" in err
+    path.write_text("knot,N,log_abs\n4_1,10,1.0\n4_1,x,2.0\n4_1,30\n")
+    code, _, err = run(capsys, "fit", "--in", str(path))
+    assert code == 1 and f"{path} line 3: bad N value 'x'" in err
+    path.write_text("knot,N,log_abs\n4_1,10,1.0\n4_1,30\n")
+    code, _, err = run(capsys, "fit", "--in", str(path))
+    assert code == 1 and f"{path} line 3: no log_abs value" in err
+
+
 def test_dilog_command(capsys):
     code, out, _ = run(capsys, "dilog", "--z", "0.5,0")
     assert code == 0

@@ -6,6 +6,9 @@ written as naive Python loops over fresh root-of-unity powers.
 
 import cmath
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -13,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import knotvol
 from knotvol.cyclo import ExactBudgetError
 from knotvol.invariant import (
     MODES,
@@ -20,6 +24,7 @@ from knotvol.invariant import (
     LogComplex,
     _SumSpace,
     _bands,
+    _chirp_rows,
     _phase_exponents,
     _sum_error_factor,
     alexander_check,
@@ -240,6 +245,93 @@ def test_sum_error_factor_bounds_numpy_block_sums():
                 assert _abs_error(got, items) <= bound, (rows, cols)
 
 
+def _exact_dot_error(got, x, y):
+    # |got - sum x y|, the sum taken exactly: every double is a whole
+    # multiple of 2^-1074, so the products are whole multiples of 2^-2148
+    def whole(v):
+        p, q = float(v).as_integer_ratio()
+        return p << (1075 - q.bit_length())
+
+    xr, xi = [whole(v) for v in x.real], [whole(v) for v in x.imag]
+    yr, yi = [whole(v) for v in y.real], [whole(v) for v in y.imag]
+    re = sum(a * c - b * d for a, b, c, d in zip(xr, xi, yr, yi))
+    im = sum(a * d + b * c for a, b, c, d in zip(xr, xi, yr, yi))
+    unit = Fraction(1, 2**2148)
+    return abs(
+        complex(
+            float(Fraction(got.real) - re * unit),
+            float(Fraction(got.imag) - im * unit),
+        )
+    )
+
+
+def _rows_to_check(length, rng):
+    # terms spread over 2^-20..2^20, so the order of additions matters;
+    # the cancelling row's last term undoes the sum of the others
+    def spread(n):
+        scale = np.exp2(rng.integers(-20, 21, n))
+        return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+    y = spread(length)
+    x = spread(length)
+    yield "random", x, y
+    if length > 1:
+        x = x.copy()
+        x[-1] = -np.dot(x[:-1], y[:-1]) / y[-1]
+        yield "cancelling", x, y
+
+
+@pytest.mark.parametrize("length", [1, 2, 7, 8, 9, 127, 128, 129, 1000, 8192, 8193])
+def test_correlate_rows_within_order_free_bound(length):
+    # row i of a dot of L terms, rows padded with zeros, is within
+    # sqrt(2) (L_i + 1) eps sum |x||y| of the exact sum, L_i = L - i its
+    # own terms, whatever order BLAS adds in; past 8192 terms a row is cut
+    # into windows of columns
+    rng = np.random.default_rng(length)
+    rows = min(2, length)
+    for kind, x, y in _rows_to_check(length, rng):
+        u = np.concatenate((x, np.zeros(length)))
+        z = _chirp_rows(u, np.conj(y), rows)
+        for i in range(rows):
+            terms = length - i
+            xi, yi = x[i:], y[:terms]
+            bound = math.sqrt(2.0) * (terms + 1) * 2.0**-53 * float(np.abs(xi) @ np.abs(yi))
+            assert _exact_dot_error(z[i], xi, yi) <= bound, (kind, i)
+
+
+_BLAS_BITS = """
+import numpy as np
+from knotvol.invariant import _chirp_rows, quantum_invariant
+from knotvol.knots import KnotId
+v = quantum_invariant(KnotId.FIVE_TWO, 12000, "logscale")
+print(v.value_log.log_mag.hex(), v.value_log.arg.hex(), v.accum_error_estimate.hex())
+rng = np.random.default_rng(0)
+u = np.zeros(24000, complex)
+u[:12000] = rng.standard_normal(12000) + 1j * rng.standard_normal(12000)
+chirp = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 12000))
+print(_chirp_rows(u, np.conj(chirp), 4).tobytes().hex())
+"""
+
+
+def test_openblas_threads_never_change_bits():
+    # OpenBLAS threads a complex dot of more than 10 000 terms, and a
+    # threaded dot adds in another order.  5_2 at N = 12 000 has rows of
+    # 12 000 terms, but its weights peak so sharply that a split of its
+    # dots shifts no bit of the value, so the same kernel also sums flat
+    # random rows of that length.
+    src = str(os.path.dirname(os.path.dirname(knotvol.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        run = subprocess.run(
+            [sys.executable, "-c", _BLAS_BITS], env=env, capture_output=True, text=True
+        )
+        assert run.returncode == 0, run.stderr
+        outs.append(run.stdout)
+    assert outs[0] == outs[1]
+
+
 # --- bands ---
 
 def test_bands_tile_whole_rows():
@@ -309,8 +401,9 @@ def test_split_phase_exponents_are_exact(order):
 
 
 def test_repeated_calls_retain_no_memory():
-    # the chirp and Hankel blocks are views into per-call vectors; repeated
-    # calls at fixed orders must not hold on to memory as they go
+    # the Hankel blocks are views into per-call vectors, and the chirp
+    # correlations read per-call vectors; repeated calls at fixed orders
+    # must not hold on to memory as they go
     cases = [
         (KnotId.FIVE_TWO, 150, "logscale", 4096),
         (KnotId.FIVE_TWO, 60, "direct", 256),
