@@ -190,7 +190,8 @@ def _csv_number(row: dict, column: str, kind, where: str):
 
 def _series_from_csv(path: str, knot_filter: KnotId | None) -> asymfit.GrowthSeries:
     points: list[tuple[int, float]] = []
-    knots_seen: set[str] = set()
+    knots_seen: set[KnotId] = set()
+    first_lines: dict[tuple[KnotId, int], int] = {}
     with open(path, newline="") as handle:
         reader = csv.DictReader(handle)
         header = reader.fieldnames or []
@@ -206,16 +207,24 @@ def _series_from_csv(path: str, knot_filter: KnotId | None) -> asymfit.GrowthSer
             if knot_filter is not None and row["knot"] != str(knot_filter):
                 continue
             where = f"{path} line {reader.line_num}"
+            try:
+                knot = KnotId.parse(row["knot"])
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
             order = _csv_number(row, "N", int, where)
+            first = first_lines.setdefault((knot, order), reader.line_num)
+            if first != reader.line_num:
+                raise ValueError(
+                    f"{where}: duplicate order N = {order} (first on line {first})"
+                )
             points.append((order, _csv_number(row, "log_abs", float, where)))
-            knots_seen.add(row["knot"])
+            knots_seen.add(knot)
     if not points:
         raise ValueError(f"no usable rows in {path}")
     if len(knots_seen) > 1:
-        raise ValueError(
-            f"{path} mixes knots {sorted(knots_seen)}; pass --knot to choose"
-        )
-    return asymfit.GrowthSeries(KnotId.parse(knots_seen.pop()), tuple(points))
+        names = sorted(str(knot) for knot in knots_seen)
+        raise ValueError(f"{path} mixes knots {names}; pass --knot to choose")
+    return asymfit.GrowthSeries(knots_seen.pop(), tuple(points))
 
 
 def _print_fit(fit: asymfit.FitResult, knot: KnotId, count: int, fmt: str) -> None:

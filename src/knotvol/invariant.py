@@ -25,12 +25,12 @@ The moduli |(omega)_k| swing like exp(+-0.16 N), so besides the plain
 term as (log magnitude, argument) and sums with a running rescale, and an
 "exact" mode that delegates to cyclotomic field arithmetic.  The 5_2 and
 6_1 pair sums take one correlation per level of their weights: each row
-of their index triangle is summed by one BLAS dot, serially.  The rows'
-terms are cut into bands of whole rows, each reduced by numpy's pairwise
-sum, and the band sums are merged along a fixed binary tree, so results
-are bit-identical for any worker count.  The bands bound the memory of
-the 6_1 row sums C(s) alone, one dense block a band.  The 4_1 sum, N
-positive terms, is one pairwise sum.
+of their index triangle is summed by one BLAS dot, serially, and the N
+rows' terms by one pairwise sum.  Only the 6_1 row sums C(s) are cut
+into bands of whole rows, one dense block a band, which bounds their
+memory and lets workers share them; every band is summed the same way
+by any worker, so results are bit-identical for any worker count.  The
+4_1 sum, N positive terms, is one pairwise sum.
 
 No pair reads its phase by index.  With zeta = exp(i pi/N), so that
 omega = zeta^2, and -2rc = (c-r)^2 - r^2 - c^2,
@@ -242,7 +242,8 @@ def pochhammer_table(order: int) -> PochhammerTable:
 
 
 def _bands(order: int, chunk_size: int) -> list[tuple[int, int]]:
-    """Cut the rows of the triangle r <= c < N into bands [r0, r1).
+    """Cut the 6_1 row sums C(s), the rows of the triangle s <= m < N,
+    into bands [r0, r1).
 
     Band [r0, r1) is the dense block r0 <= r < r1, r0 <= c < N: at most
     chunk_size entries, or one whole row where a row alone is longer.
@@ -365,13 +366,14 @@ _LEVEL_STEP = 36.0
 def _chirp_rows(u: np.ndarray, chirp_conj: np.ndarray, rows: int) -> np.ndarray:
     """z[i] = sum_{d<L} chirp[d] u[i + d] for i < rows, L = len(chirp_conj).
 
-    u holds L terms and then at least rows - 1 zeros.  Each row is one
-    BLAS dot per window of at most _DOT_TERMS columns (np.correlate
-    conjugates its second argument, hence the conjugate chirp); a window
-    is skipped for the rows whose part of it is all zeros.
+    u holds L terms and then at least rows - 1 zeros; z takes the dtype of
+    u, complex or real.  Each row is one BLAS dot per window of at most
+    _DOT_TERMS columns (np.correlate conjugates its second argument, hence
+    the conjugate chirp); a window is skipped for the rows whose part of
+    it is all zeros.
     """
     width = len(chirp_conj)
-    z = np.zeros(rows, complex)
+    z = np.zeros(rows, u.dtype)
     for d0 in range(0, width, _DOT_TERMS):
         d1 = min(width, d0 + _DOT_TERMS)
         live = min(rows, width - d0)
@@ -380,7 +382,7 @@ def _chirp_rows(u: np.ndarray, chirp_conj: np.ndarray, rows: int) -> np.ndarray:
 
 
 class _SumSpace:
-    """The 5_2 or 6_1 state sum at one order, laid out in bands of rows.
+    """The 5_2 or 6_1 state sum at one order, as one pass over its rows.
 
     Both run over the pairs of the triangle r <= c < N,
 
@@ -390,30 +392,33 @@ class _SumSpace:
     e = (c-r)(c+1) for 6_1 (see the module docstring).  With zeta =
     exp(i pi/N) the phase splits as rho(r) kappa(c) zeta^((c-r)^2) (see
     _phase_exponents), and the weight exp(row_log[r] + col_log[c] - m) as
-    V(r) U(c), so that a band is
+    V(r) U(c), so that the sum is
 
         sum_r V(r) z(r),    z(r) = sum_{c>=r} zeta^((c-r)^2) U(c),
         V(r) = exp(row_log[r] + lam - m) rho(r) / (omega)_r^*,
         U(c) = exp(col_log[c] - lam) kappa(c) X(c).
 
-    m is the band's largest pair weight, max_r row_log[r] + SM(r) with SM
-    the suffix maxima of col_log.  lam is the level of row r, SM(r)
-    rounded up to a multiple of _LEVEL_STEP; U and the suffix sums of |U|
-    that give sum |t| and the error bound are built once per level.  The
-    rows of a level share U, so their z(r) are one correlation of U,
-    zero-padded, with the chirp: np.correlate, one BLAS dot per row of at
-    most _DOT_TERMS terms (see _chirp_rows).  z is computed once, serially;
-    a band keeps only its slice of V(r) z(r) and sums it pairwise.
+    m is the largest pair weight, max_r row_log[r] + SM(r) with SM the
+    suffix maxima of col_log.  lam is the level of row r, SM(r) rounded up
+    to a multiple of _LEVEL_STEP; U and the suffix sums of |U| that give
+    sum |t| and the error bound are built once per level.  The rows of a
+    level share U, so their z(r) are one correlation of U, zero-padded,
+    with the chirp: np.correlate, one BLAS dot per row of at most
+    _DOT_TERMS terms (see _chirp_rows).  The N terms V(r) z(r) are added
+    by one pairwise sum, and sum |t| and the error bound are the sums of
+    the rows' shares.
 
-    The row sums C(s) are built over the same bands, with k = m - s as the
-    column, before any pair is summed; no row is ever split.  A band of
-    them is a Hankel view H[i, k] = A(s + k) into the zero-padded vector
-    A(m) = |(omega)_m|^2, times B(k) = 1/(omega)_k, summed pairwise: the
-    rows of C cancel, and with the order-free count of a dot the 6_1
-    estimate reads 1.3 times higher at N = 100, 2.3 times at N = 149 and
-    8 times at N = 300.  The view is made by np.ndarray over the padded
-    vector: one from sliding_window_view keeps memory from one call to the
-    next (numpy 2.4).
+    The row sums C(s) are built in bands of whole rows, with k = m - s as
+    the column, before any pair is summed.  A band of them is a Hankel
+    view H[i, k] = A(s + k) into the zero-padded vector A(m) =
+    |(omega)_m|^2, times B(k) = 1/(omega)_k, summed pairwise: the rows of C
+    cancel, and with the order-free count of a dot the 6_1 estimate reads
+    1.3 times higher at N = 100, 2.3 times at N = 149 and 8 times at
+    N = 300.  The sums of |A||B| that scale that bound are a correlation
+    of A with |B| (see _chirp_rows): the dot's own rounding is second
+    order there.  The view is made by np.ndarray over the padded vector:
+    one from sliding_window_view keeps memory from one call to the next
+    (numpy 2.4).
 
     Every factor is split as exp(log) * val, and the mode only chooses the
     split.  Direct takes log 0 and the plain complex factor: every weight
@@ -421,7 +426,9 @@ class _SumSpace:
     and every pair term is a partial sum of the triple sum's own terms and
     obeys its magnitude bound.  Logscale takes the table's log and a unit
     phase.  col_err bounds the absolute rounding error already in X(c), on
-    the scale of col_val.
+    the scale of col_val.  The sum is exp(m) * s, with sum |t| = exp(m) * a
+    and err bounding its rounding on the scale of s; sum holds (m, s, a,
+    err) (see _four_one_sum).
     """
 
     def __init__(
@@ -477,14 +484,13 @@ class _SumSpace:
             u, sums, errs = self._level(g0, float(level[g0]), col_phased)
             z[g0:g1] = _chirp_rows(u, chirp_conj[: n - g0], g1 - g0)
             u_sum[g0:g1], u_err[g0:g1] = sums[: g1 - g0], errs[: g1 - g0]
-        # per row: V(r) z(r), with V(r) shifted by its band's largest pair
-        # weight m, and the row's share of sum |t| and of the error bound
-        band_starts = [r0 for r0, _ in bands]
-        band_m = np.maximum.reduceat(self.row_log + col_max, band_starts)
-        shift = level - np.repeat(band_m, [r1 - r0 for r0, r1 in bands])
+        # per row: V(r) z(r), with V(r) shifted by the largest pair weight m,
+        # and the row's share of sum |t| and of the error bound
+        m = float((self.row_log + col_max).max())
+        shift = level - m
         xv = self.row_log + shift
         v = np.exp(xv)
-        self.terms = v * (row_val * zeta[row_exp]) * z
+        terms = v * (row_val * zeta[row_exp]) * z
         v_abs = v * self.row_abs
         # row r's dot has N - r terms
         dot = _DOT_ROUNDINGS * np.arange(n + 1, 1, -1)
@@ -492,16 +498,11 @@ class _SumSpace:
         v_err = _EPS * rounds * v_abs
         if xv.min() < _NORMAL_LOG:
             v_err += (xv < _NORMAL_LOG) * _SUBNORMAL_ERR * self.row_abs
-        shares = np.empty((2, n))
-        shares[0] = v_abs * u_sum
-        shares[1] = v_err * u_sum + v_abs * u_err
-        shares = np.add.reduceat(shares, band_starts, axis=1).T.tolist()
-        # per band: m, sum |t| and the error bound but for the pairwise sum
-        # over the band's rows
-        self.bands = {
-            r0: (m, a, err)
-            for r0, m, (a, err) in zip(band_starts, band_m.tolist(), shares)
-        }
+        a = float((v_abs * u_sum).sum())
+        err = float((v_err * u_sum + v_abs * u_err).sum())
+        # the N terms are added pairwise
+        err += _sum_error_factor(n) * a
+        self.sum = m, complex(terms.sum()), a, err
 
     def _level(self, start: int, lam: float, col_phased: np.ndarray):
         """U(c) = exp(col_log[c] - lam) kappa(c) X(c) for c >= start,
@@ -546,20 +547,14 @@ class _SumSpace:
         a[:cols] = np.exp(xa) * abs2_val[r0:]
         h = np.ndarray((rows, cols), a.dtype, a, 0, (a.itemsize, a.itemsize))
         total = (h * self.inv_val[:cols]).sum(axis=1)
-        mods = (h * self.inv_abs[:cols]).sum(axis=1)
+        # sum_k A(s + k) |B(k)| only scales the bound: one BLAS dot a row
+        mods = _chirp_rows(a, self.inv_abs[:cols], rows)
         s = np.arange(r0, r1)
         roundings = np.minimum(_pairwise_roundings(cols, 2), n - 1 - s)
         err = _EPS * roundings * mods
         if xa.min() + self.inv_low[cols - 1] < _NORMAL_LOG:
             err += _SUBNORMAL_ERR * (n - s)
         return np.full(rows, top + self.row_log.max()), total, err
-
-    def band(self, r0: int, r1: int):
-        """The pairs of band [r0, r1) as (m, s, a, err) (see _four_one_sum)."""
-        m, a, err = self.bands[r0]
-        # the rows' terms are added pairwise, like a sum of r1 - r0 items
-        err += _EPS * _pairwise_roundings(r1 - r0, 2) * a
-        return m, complex(self.terms[r0:r1].sum()), a, err
 
 
 def _four_one_sum(table: PochhammerTable, direct: bool):
@@ -618,28 +613,6 @@ class InvariantValue:
     accum_error_estimate: float
 
 
-def _merge_partials(p, q):
-    """Merge partial sums (m, s, a, err) of exp(m) * s (see _four_one_sum)."""
-    m1, s1, a1, e1 = p
-    m2, s2, a2, e2 = q
-    m = m1 if m1 >= m2 else m2
-    w1 = math.exp(m1 - m)
-    w2 = math.exp(m2 - m)
-    a = a1 * w1 + a2 * w2
-    return m, s1 * w1 + s2 * w2, a, e1 * w1 + e2 * w2 + _EPS * a
-
-
-def _tree_reduce(items: list, merge):
-    while len(items) > 1:
-        paired = [
-            merge(items[i], items[i + 1]) for i in range(0, len(items) - 1, 2)
-        ]
-        if len(items) % 2:
-            paired.append(items[-1])
-        items = paired
-    return items[0]
-
-
 def _map_bands(compute, bands: list, threads: int) -> list:
     if threads == 1:
         return [compute(*band) for band in bands]
@@ -681,15 +654,14 @@ def quantum_invariant(
     or term magnitudes could overflow; "logscale" carries log magnitudes
     and never overflows, though cancellation in the 5_2 and 6_1 sums
     costs digits as N grows (see accum_error_estimate); "exact" works in
-    the cyclotomic field and is meant for small N oracle checks.  The 6_1
-    row sums C(s) are cut into bands of whole rows of at most
-    max(chunk_size, one row) entries each, which caps the memory of a
-    call, and threads sum those bands in parallel.  The 5_2 and 6_1 pair
-    sums take one BLAS dot per row, serially, and then sum the rows' terms
-    over the same bands.  For fixed (knot, order, mode, chunk_size) the
-    result is bit-identical for every thread count, OpenBLAS's included.
-    4_1 is summed in one pass over the table and ignores chunk_size and
-    threads.
+    the cyclotomic field and is meant for small N oracle checks.  The 5_2
+    and 6_1 pair sums take one BLAS dot per row, serially, and add the N
+    rows' terms by one pairwise sum.  Only the 6_1 row sums C(s) are cut
+    into bands of whole rows of at most max(chunk_size, one row) entries
+    each, which caps the memory of a call, and threads sum those bands in
+    parallel.  For fixed (knot, order, mode, chunk_size) the result is
+    bit-identical for every thread count, OpenBLAS's included.  4_1 and
+    5_2 ignore chunk_size and threads.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
@@ -722,14 +694,12 @@ def quantum_invariant(
 
     direct = mode == "direct"
     # the sum is exp(m) * s, with sum |term| = exp(m) * a; direct mode
-    # keeps m = 0, so merging its partial sums multiplies by exactly 1
+    # keeps m = 0, so s is the plain sum
     if knot is KnotId.FOUR_ONE:
         m, s, a, err = _four_one_sum(table, direct)
     else:
-        bands = _bands(order, chunk_size)
-        space = _SumSpace(knot, table, direct, bands, threads)
-        partials = _map_bands(space.band, bands, threads)
-        m, s, a, err = _tree_reduce(partials, _merge_partials)
+        bands = _bands(order, chunk_size) if knot is KnotId.SIX_ONE else []
+        m, s, a, err = _SumSpace(knot, table, direct, bands, threads).sum
     err += SUMMAND_FACTORS[knot] * table.err * a
     count = cyclo.exact_term_count(knot, order)
     if s == 0:

@@ -192,6 +192,22 @@ def test_fit_from_csv_names_a_bad_cell(capsys, tmp_path):
     assert code == 1 and f"{path} line 3: no log_abs value" in err
 
 
+def test_fit_from_csv_names_an_unknown_knot(capsys, tmp_path):
+    path = tmp_path / "series.csv"
+    path.write_text("knot,N,log_abs\n4_1,10,1.0\n4_2,20,2.0\n")
+    code, _, err = run(capsys, "fit", "--in", str(path))
+    assert code == 1
+    assert f"{path} line 3: unknown knot '4_2'; expected one of: 4_1, 5_2, 6_1" in err
+
+
+def test_fit_from_csv_names_a_repeated_order(capsys, tmp_path):
+    path = tmp_path / "series.csv"
+    path.write_text("knot,N,log_abs\n4_1,10,1.0\n4_1,20,2.0\n4_1,10,1.5\n")
+    code, _, err = run(capsys, "fit", "--in", str(path))
+    assert code == 1
+    assert f"{path} line 4: duplicate order N = 10 (first on line 2)" in err
+
+
 def test_dilog_command(capsys):
     code, out, _ = run(capsys, "dilog", "--z", "0.5,0")
     assert code == 0

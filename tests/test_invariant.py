@@ -279,23 +279,28 @@ def _rows_to_check(length, rng):
         x = x.copy()
         x[-1] = -np.dot(x[:-1], y[:-1]) / y[-1]
         yield "cancelling", x, y
+    # real rows, as in the 6_1 row-sum bound
+    yield "real", x.real.copy(), y.real.copy()
 
 
 @pytest.mark.parametrize("length", [1, 2, 7, 8, 9, 127, 128, 129, 1000, 8192, 8193])
 def test_correlate_rows_within_order_free_bound(length):
     # row i of a dot of L terms, rows padded with zeros, is within
     # sqrt(2) (L_i + 1) eps sum |x||y| of the exact sum, L_i = L - i its
-    # own terms, whatever order BLAS adds in; past 8192 terms a row is cut
-    # into windows of columns
+    # own terms, whatever order BLAS adds in (a real dot within
+    # (L_i + 1) eps sum |x||y|); past 8192 terms a row is cut into windows
+    # of columns
     rng = np.random.default_rng(length)
     rows = min(2, length)
     for kind, x, y in _rows_to_check(length, rng):
         u = np.concatenate((x, np.zeros(length)))
         z = _chirp_rows(u, np.conj(y), rows)
+        assert z.dtype == x.dtype, kind
+        per_term = 1.0 if kind == "real" else math.sqrt(2.0)
         for i in range(rows):
             terms = length - i
             xi, yi = x[i:], y[:terms]
-            bound = math.sqrt(2.0) * (terms + 1) * 2.0**-53 * float(np.abs(xi) @ np.abs(yi))
+            bound = per_term * (terms + 1) * 2.0**-53 * float(np.abs(xi) @ np.abs(yi))
             assert _exact_dot_error(z[i], xi, yi) <= bound, (kind, i)
 
 
@@ -310,6 +315,8 @@ u = np.zeros(24000, complex)
 u[:12000] = rng.standard_normal(12000) + 1j * rng.standard_normal(12000)
 chirp = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 12000))
 print(_chirp_rows(u, np.conj(chirp), 4).tobytes().hex())
+# a real dot, as the 6_1 row-sum bound takes it
+print(_chirp_rows(u.real.copy(), rng.standard_normal(12000), 4).tobytes().hex())
 """
 
 
@@ -318,7 +325,7 @@ def test_openblas_threads_never_change_bits():
     # threaded dot adds in another order.  5_2 at N = 12 000 has rows of
     # 12 000 terms, but its weights peak so sharply that a split of its
     # dots shifts no bit of the value, so the same kernel also sums flat
-    # random rows of that length.
+    # random rows of that length, complex and real.
     src = str(os.path.dirname(os.path.dirname(knotvol.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     outs = []
@@ -346,6 +353,20 @@ def test_bands_tile_whole_rows():
                 assert (r1 - r0) * (order - r0) <= max(chunk_size, order - r0), case
 
 
+def test_chunk_size_never_changes_five_two():
+    # the 5_2 pair sum is one pass over all rows, whatever the chunk size
+    for order in (17, 150, 498):
+        for mode in ("direct", "logscale"):
+            values = {
+                (v.value_log.log_mag.hex(), v.value_log.arg.hex(), v.accum_error_estimate.hex())
+                for v in (
+                    quantum_invariant(KnotId.FIVE_TWO, order, mode, chunk_size=c)
+                    for c in (1, 3, 50, 4096)
+                )
+            }
+            assert len(values) == 1, (order, mode)
+
+
 def test_banded_sums_match_brute_sums():
     # bands of one row, of a few rows, and one band of every row
     for knot in (KnotId.FIVE_TWO, KnotId.SIX_ONE):
@@ -358,28 +379,48 @@ def test_banded_sums_match_brute_sums():
                     assert abs(v.value_complex - ref) <= 1e-13 * abs(ref), case
 
 
+def _row_sum_products(table, direct, r0, s, inv_val):
+    # the double products A(m) B(m - s) that C(s) adds, A shifted as in the
+    # band that starts at row r0
+    n = table.order
+    if direct:
+        a = np.abs(table.values[r0:]) ** 2
+    else:
+        x = 2.0 * table.log_mag[r0:]
+        a = np.exp(x - x.max())
+    return a[s - r0 :] * inv_val[: n - s]
+
+
 def test_six_one_row_sums_match_loops():
     # C(s) = sum_{m>=s} |(w)_m|^2 / (w)_{m-s}, for bands of one row and
-    # for bands that hold several rows
-    n = 11
-    table = pochhammer_table(n)
-    poch = _fresh_pochhammer(n)
-    want = [
-        sum(abs(poch[m]) ** 2 / poch[m - s] for m in range(s, n)) for s in range(n)
-    ]
-    for chunk_size in (1, 3, 4, 50):
-        for direct in (True, False):
-            space = _SumSpace(KnotId.SIX_ONE, table, direct, _bands(n, chunk_size), 1)
-            got = space.col_val if direct else np.exp(space.col_log) * space.col_val
-            for s in range(n):
-                case = (chunk_size, direct, s)
-                assert abs(got[s] - want[s]) <= 1e-13 * abs(want[s]), case
-                assert space.col_err[s] <= 1e-13 * np.abs(space.col_val[s]), case
-                # the row s = N-1 holds one term and is summed exactly
-                if s == n - 1:
-                    assert space.col_err[s] == 0.0, case
-                else:
-                    assert space.col_err[s] > 0.0, case
+    # for bands that hold several rows; col_err covers the summation
+    # rounding of the double products, summed exactly
+    for n in (11, 40):
+        table = pochhammer_table(n)
+        poch = _fresh_pochhammer(n)
+        want = [
+            sum(abs(poch[m]) ** 2 / poch[m - s] for m in range(s, n)) for s in range(n)
+        ]
+        for chunk_size in (1, 3, 4, 50, 400):
+            bands = _bands(n, chunk_size)
+            for direct in (True, False):
+                space = _SumSpace(KnotId.SIX_ONE, table, direct, bands, 1)
+                got = space.col_val if direct else np.exp(space.col_log) * space.col_val
+                for r0, r1 in bands:
+                    for s in range(r0, r1):
+                        case = (n, chunk_size, direct, s)
+                        assert abs(got[s] - want[s]) <= 1e-13 * abs(want[s]), case
+                        # rows cancel at N = 40, and their bounds grow with it
+                        if n == 11:
+                            assert space.col_err[s] <= 1e-13 * np.abs(space.col_val[s]), case
+                        products = _row_sum_products(table, direct, r0, s, space.inv_val)
+                        exact = _abs_error(space.col_val[s], products)
+                        assert exact <= space.col_err[s], case
+                        # the row s = N-1 holds one term and is summed exactly
+                        if s == n - 1:
+                            assert space.col_err[s] == 0.0, case
+                        else:
+                            assert space.col_err[s] > 0.0, case
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 7, 64, 101])
