@@ -90,7 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
     inv.add_argument("--knot", type=_knot_arg, required=True)
     inv.add_argument("--n", type=_positive_int, required=True)
     inv.add_argument("--mode", choices=invariant.MODES, default="logscale")
-    inv.add_argument("--threads", type=_positive_int, default=1)
     inv.add_argument("--format", dest="fmt", choices=("text", "csv"), default="text")
 
     vol = sub.add_parser("volume", help="hyperbolic volume via the saddle point")
@@ -142,9 +141,7 @@ def _invariant_csv_row(value: invariant.InvariantValue) -> list[str]:
 
 
 def _cmd_invariant(args) -> int:
-    value = invariant.quantum_invariant(
-        args.knot, args.n, args.mode, threads=args.threads
-    )
+    value = invariant.quantum_invariant(args.knot, args.n, args.mode)
     if args.fmt == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(CSV_HEADER)

@@ -175,10 +175,6 @@ class CycElement:
         e = exponent % order
         return cls.from_coeffs(order, [Fraction(0)] * e + [Fraction(1)])
 
-    @property
-    def degree_bound(self) -> int:
-        return len(self.coeffs)
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 

@@ -26,11 +26,10 @@ term as (log magnitude, argument) and sums with a running rescale, and an
 "exact" mode that delegates to cyclotomic field arithmetic.  The 5_2 and
 6_1 pair sums take one correlation per level of their weights: each row
 of their index triangle is summed by one BLAS dot, serially, and the N
-rows' terms by one pairwise sum.  Only the 6_1 row sums C(s) are cut
-into bands of whole rows, one dense block a band, which bounds their
-memory and lets workers share them; every band is summed the same way
-by any worker, so results are bit-identical for any worker count.  The
-4_1 sum, N positive terms, is one pairwise sum.
+rows' terms by one pairwise sum.  The 6_1 row sums C(s) are correlations
+too, one dot a row.  Nothing is split over workers, and no dot is long
+enough for OpenBLAS to split it over threads, so results are the same
+bits on every run.  The 4_1 sum, N positive terms, is one pairwise sum.
 
 No pair reads its phase by index.  With zeta = exp(i pi/N), so that
 omega = zeta^2, and -2rc = (c-r)^2 - r^2 - c^2,
@@ -39,9 +38,9 @@ omega = zeta^2, and -2rc = (c-r)^2 - r^2 - c^2,
     omega^((c-r)(c+1))  = zeta^(-r^2-2r) * zeta^(c^2+2c)   * zeta^((c-r)^2),
 
 so the pairs of a row are a correlation of a column vector with the chirp
-zeta^(d^2), times a row factor, and a band of 6_1 row sums C(s) is a
-Hankel block of |(omega)_m|^2, a zero-copy strided view of one padded
-vector, times a vector (see _SumSpace).
+zeta^(d^2), times a row factor, and the 6_1 row sums C(s) are a
+correlation of |(omega)_m|^2, zero-padded, with 1/(omega)_k (see
+_SumSpace).
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -241,21 +239,6 @@ def pochhammer_table(order: int) -> PochhammerTable:
     return PochhammerTable(n, log_mag, err)
 
 
-def _bands(order: int, chunk_size: int) -> list[tuple[int, int]]:
-    """Cut the 6_1 row sums C(s), the rows of the triangle s <= m < N,
-    into bands [r0, r1).
-
-    Band [r0, r1) is the dense block r0 <= r < r1, r0 <= c < N: at most
-    chunk_size entries, or one whole row where a row alone is longer.
-    """
-    bands, r0 = [], 0
-    while r0 < order:
-        r1 = min(order, r0 + max(1, chunk_size // (order - r0)))
-        bands.append((r0, r1))
-        r0 = r1
-    return bands
-
-
 @functools.lru_cache(maxsize=None)
 def _pairwise_roundings(count: int, width: int) -> int:
     """Most roundings any item meets in numpy's pairwise sum of `count`
@@ -266,9 +249,7 @@ def _pairwise_roundings(count: int, width: int) -> int:
     part of a complex), combines those in a tree and adds the leftovers in
     turn; above 128 it splits off a multiple of 8 near the middle and adds
     the two halves.  The sizes on one level of that tree differ by less
-    than 16, so each level holds only a few distinct sizes.  A contiguous
-    2-D block is summed the same way: each row by .sum(axis=1), the whole
-    block by .sum().
+    than 16, so each level holds only a few distinct sizes.
     """
     tree = 3 if width == 1 else 2
     worst, level, sizes = 0, 0, {count * width}
@@ -408,17 +389,25 @@ class _SumSpace:
     by one pairwise sum, and sum |t| and the error bound are the sums of
     the rows' shares.
 
-    The row sums C(s) are built in bands of whole rows, with k = m - s as
-    the column, before any pair is summed.  A band of them is a Hankel
-    view H[i, k] = A(s + k) into the zero-padded vector A(m) =
-    |(omega)_m|^2, times B(k) = 1/(omega)_k, summed pairwise: the rows of C
-    cancel, and with the order-free count of a dot the 6_1 estimate reads
-    1.3 times higher at N = 100, 2.3 times at N = 149 and 8 times at
-    N = 300.  The sums of |A||B| that scale that bound are a correlation
-    of A with |B| (see _chirp_rows): the dot's own rounding is second
-    order there.  The view is made by np.ndarray over the padded vector:
-    one from sliding_window_view keeps memory from one call to the next
-    (numpy 2.4).
+    The 6_1 row sums C(s), with k = m - s as the column, come before any
+    pair is summed: all N of them are one correlation of A(m) =
+    |(omega)_m|^2, zero-padded, with B(k) = 1/(omega)_k (see _chirp_rows),
+    taken as two real correlations since A is real.  A is shifted by its
+    largest value and B by the largest row_log, so no product exceeds 1,
+    col_log is one constant and the 6_1 pair sum runs on one level.  Row
+    s holds L = N - s terms; whatever order BLAS adds them in, its error
+    is within sqrt(2) (L - 1) eps sum_k A(s+k) |B(k)|, and that sum is a
+    third real correlation, whose own rounding is second order.  Forming
+    a product (an exp per factor, then one multiplication) rounds like
+    forming a summand from table entries, which PochhammerTable.err
+    allows for, so the one-term row s = N - 1 is exact.  The rows of C
+    cancel, so this order-free count reads looser than a count of
+    pairwise row sums: the 6_1 estimate is 1.06 times as high at N = 60,
+    1.3 times at N = 100, 2.3 times at N = 149 and 7.8 times at N = 300.
+    When a product can leave the normal range, every term of every row
+    also carries 2^-1073; a row's largest term lies up to about 0.48 N
+    below the one scale, so whole rows leave the double range from
+    N = 1561, long after cancellation has taken every digit.
 
     Every factor is split as exp(log) * val, and the mode only chooses the
     split.  Direct takes log 0 and the plain complex factor: every weight
@@ -431,14 +420,7 @@ class _SumSpace:
     err) (see _four_one_sum).
     """
 
-    def __init__(
-        self,
-        knot: KnotId,
-        table: PochhammerTable,
-        direct: bool,
-        bands: list,
-        threads: int,
-    ):
+    def __init__(self, knot: KnotId, table: PochhammerTable, direct: bool):
         n = self.order = table.order
         # row factor 1/(omega)_r^*, so its conjugate is 1/(omega)_r; the
         # column factor (omega)_c^2 of 5_2, or |(omega)_m|^2 inside C(s)
@@ -455,15 +437,8 @@ class _SumSpace:
         if knot is KnotId.FIVE_TWO:
             self.col_log, self.col_val, self.col_err = sq_log, sq_val, None
         else:
-            # B(k) = 1/(omega)_k, shifted by the largest row_log
-            xb = self.row_log - self.row_log.max()
-            b = np.exp(xb)
-            self.inv_val, self.inv_abs = b * np.conj(row_val), b * self.row_abs
-            self.inv_low = np.minimum.accumulate(xb)
-            rows = functools.partial(self._row_sums, sq_log, abs2_val)
-            pieces = _map_bands(rows, bands, threads)
-            self.col_log, self.col_val, self.col_err = (
-                np.concatenate(p) for p in zip(*pieces)
+            self.col_log, self.col_val, self.col_err = self._row_sums(
+                sq_log, abs2_val, row_val
             )
         # the phases, read from zeta^j, j < 2N, at exponents reduced exactly
         zeta = _zeta_powers(n)
@@ -527,34 +502,33 @@ class _SumSpace:
         np.multiply(u, col_phased[start:], out=padded[: len(u)])
         return padded, u_sum, u_err
 
-    def _row_sums(self, abs2_log, abs2_val, r0: int, r1: int):
-        """C(s) = sum_{m>=s} |(omega)_m|^2 / (omega)_{m-s} for s in [r0, r1).
+    def _row_sums(self, abs2_log, abs2_val, row_val):
+        """C(s) = sum_{m>=s} |(omega)_m|^2 / (omega)_{m-s} for every s.
 
-        Returns each row's shift, its sum on that scale and its error
-        bound.  Zeros add exactly, so a row of v terms meets at most v - 1
-        roundings, however long the block.  A(m) is shifted by its largest
-        value in the band, and B(k) by its largest, so no product exceeds
-        1; when a product can leave the normal range, each row also
-        carries the error of its products that do.  Forming a product (an
-        exp per factor, then one multiplication) rounds like forming a
-        summand from table entries, which PochhammerTable.err allows for.
+        Returns each row's shift, one constant, its sum on that scale and
+        its error bound (see the class docstring).
         """
         n = self.order
-        rows, cols = r1 - r0, n - r0
-        top = abs2_log[r0:].max()
-        xa = abs2_log[r0:] - top
-        a = np.zeros(rows + cols - 1)
-        a[:cols] = np.exp(xa) * abs2_val[r0:]
-        h = np.ndarray((rows, cols), a.dtype, a, 0, (a.itemsize, a.itemsize))
-        total = (h * self.inv_val[:cols]).sum(axis=1)
-        # sum_k A(s + k) |B(k)| only scales the bound: one BLAS dot a row
-        mods = _chirp_rows(a, self.inv_abs[:cols], rows)
-        s = np.arange(r0, r1)
-        roundings = np.minimum(_pairwise_roundings(cols, 2), n - 1 - s)
-        err = _EPS * roundings * mods
-        if xa.min() + self.inv_low[cols - 1] < _NORMAL_LOG:
-            err += _SUBNORMAL_ERR * (n - s)
-        return np.full(rows, top + self.row_log.max()), total, err
+        top = abs2_log.max()
+        xa = abs2_log - top
+        a = np.zeros(2 * n)
+        a[:n] = np.exp(xa) * abs2_val
+        # B(k) = 1/(omega)_k, shifted by the largest row_log
+        shift = self.row_log.max()
+        xb = self.row_log - shift
+        b = np.exp(xb)
+        self.inv_val = b * np.conj(row_val)
+        # A is real: C(s) is two real correlations, with Re B and Im B
+        total = np.empty(n, complex)
+        total.real = _chirp_rows(a, self.inv_val.real, n)
+        total.imag = _chirp_rows(a, self.inv_val.imag, n)
+        # sum_k A(s + k) |B(k)| only scales the bound
+        mods = _chirp_rows(a, b * self.row_abs, n)
+        additions = np.arange(n - 1, -1, -1)
+        err = _DOT_ROUNDINGS * _EPS * additions * mods
+        if xa.min() + xb.min() < _NORMAL_LOG:
+            err += _SUBNORMAL_ERR * (additions + 1)
+        return np.full(n, top + shift), total, err
 
 
 def _four_one_sum(table: PochhammerTable, direct: bool):
@@ -613,13 +587,6 @@ class InvariantValue:
     accum_error_estimate: float
 
 
-def _map_bands(compute, bands: list, threads: int) -> list:
-    if threads == 1:
-        return [compute(*band) for band in bands]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda band: compute(*band), bands))
-
-
 def _exact_value(knot: KnotId, order: int) -> InvariantValue:
     element = cyclo.exact_invariant(knot, order)
     z = element.evaluate_numeric()
@@ -655,13 +622,10 @@ def quantum_invariant(
     and never overflows, though cancellation in the 5_2 and 6_1 sums
     costs digits as N grows (see accum_error_estimate); "exact" works in
     the cyclotomic field and is meant for small N oracle checks.  The 5_2
-    and 6_1 pair sums take one BLAS dot per row, serially, and add the N
-    rows' terms by one pairwise sum.  Only the 6_1 row sums C(s) are cut
-    into bands of whole rows of at most max(chunk_size, one row) entries
-    each, which caps the memory of a call, and threads sum those bands in
-    parallel.  For fixed (knot, order, mode, chunk_size) the result is
-    bit-identical for every thread count, OpenBLAS's included.  4_1 and
-    5_2 ignore chunk_size and threads.
+    and 6_1 sums take one BLAS dot per row, serially, and add the N rows'
+    terms by one pairwise sum, so the result is the same bits for every
+    OpenBLAS thread count.  threads and chunk_size have no effect; each
+    must still be at least 1.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
@@ -698,8 +662,7 @@ def quantum_invariant(
     if knot is KnotId.FOUR_ONE:
         m, s, a, err = _four_one_sum(table, direct)
     else:
-        bands = _bands(order, chunk_size) if knot is KnotId.SIX_ONE else []
-        m, s, a, err = _SumSpace(knot, table, direct, bands, threads).sum
+        m, s, a, err = _SumSpace(knot, table, direct).sum
     err += SUMMAND_FACTORS[knot] * table.err * a
     count = cyclo.exact_term_count(knot, order)
     if s == 0:

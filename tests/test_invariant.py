@@ -23,7 +23,6 @@ from knotvol.invariant import (
     InvariantValue,
     LogComplex,
     _SumSpace,
-    _bands,
     _chirp_rows,
     _phase_exponents,
     _sum_error_factor,
@@ -215,7 +214,6 @@ def _abs_error(got, items):
 
 
 _SUM_COUNTS = list(range(1, 300)) + [1000, 4096, 5001]
-_BLOCKS = [(1, 7), (4, 16), (3, 129), (5, 300), (2, 4096), (2, 5001)]
 
 
 def test_sum_error_factor_bounds_numpy_sum():
@@ -226,23 +224,6 @@ def test_sum_error_factor_bounds_numpy_sum():
             items = _half_ulp_run(count, unit)
             bound = _sum_error_factor(count, width) * float(np.sum(np.abs(items)))
             assert _abs_error(np.sum(items), items) <= bound, (count, width)
-
-
-def test_sum_error_factor_bounds_numpy_block_sums():
-    # a contiguous block sums each row (.sum(axis=1)) and the whole block
-    # (.sum()) as a 1-D sum of that many items, zeros included
-    for rows, cols in _BLOCKS:
-        for unit, width in ((1.0, 1), (1.0 + 1.0j, 2)):
-            block = _half_ulp_run(rows * cols, unit).reshape(rows, cols)
-            bound = _sum_error_factor(rows * cols, width) * float(np.abs(block).sum())
-            assert _abs_error(block.sum(), block.ravel()) <= bound, (rows, cols)
-            # row i: i zeros, then a run, as below the diagonal of a band
-            block = np.array(
-                [np.append([0.0] * i, _half_ulp_run(cols - i, unit)) for i in range(rows)]
-            )
-            for items, got in zip(block, block.sum(axis=1)):
-                bound = _sum_error_factor(cols, width) * float(np.sum(np.abs(items)))
-                assert _abs_error(got, items) <= bound, (rows, cols)
 
 
 def _exact_dot_error(got, x, y):
@@ -315,8 +296,11 @@ u = np.zeros(24000, complex)
 u[:12000] = rng.standard_normal(12000) + 1j * rng.standard_normal(12000)
 chirp = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 12000))
 print(_chirp_rows(u, np.conj(chirp), 4).tobytes().hex())
-# a real dot, as the 6_1 row-sum bound takes it
+# a real dot, as the 6_1 row sums and their bound take it
 print(_chirp_rows(u.real.copy(), rng.standard_normal(12000), 4).tobytes().hex())
+# 6_1 row sums of up to 9000 terms, each cut into two windows of columns
+v = quantum_invariant(KnotId.SIX_ONE, 9000, "logscale")
+print(v.value_log.log_mag.hex(), v.value_log.arg.hex(), v.accum_error_estimate.hex())
 """
 
 
@@ -325,7 +309,8 @@ def test_openblas_threads_never_change_bits():
     # threaded dot adds in another order.  5_2 at N = 12 000 has rows of
     # 12 000 terms, but its weights peak so sharply that a split of its
     # dots shifts no bit of the value, so the same kernel also sums flat
-    # random rows of that length, complex and real.
+    # random rows of that length, complex and real.  6_1 at N = 9000 has
+    # row sums longer than a window, so its dots are cut.
     src = str(os.path.dirname(os.path.dirname(knotvol.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     outs = []
@@ -339,36 +324,30 @@ def test_openblas_threads_never_change_bits():
     assert outs[0] == outs[1]
 
 
-# --- bands ---
+# --- chunk size and row sums ---
 
-def test_bands_tile_whole_rows():
-    for order in (1, 2, 7, 113):
-        for chunk_size in (1, 3, 50, 4096):
-            bands = _bands(order, chunk_size)
-            case = (order, chunk_size)
-            assert bands[0][0] == 0 and bands[-1][1] == order, case
-            assert all(a[1] == b[0] for a, b in zip(bands, bands[1:])), case
-            for r0, r1 in bands:
-                assert r0 < r1, case
-                assert (r1 - r0) * (order - r0) <= max(chunk_size, order - r0), case
-
-
-def test_chunk_size_never_changes_five_two():
-    # the 5_2 pair sum is one pass over all rows, whatever the chunk size
-    for order in (17, 150, 498):
-        for mode in ("direct", "logscale"):
-            values = {
-                (v.value_log.log_mag.hex(), v.value_log.arg.hex(), v.accum_error_estimate.hex())
-                for v in (
-                    quantum_invariant(KnotId.FIVE_TWO, order, mode, chunk_size=c)
-                    for c in (1, 3, 50, 4096)
-                )
-            }
-            assert len(values) == 1, (order, mode)
+def test_chunk_size_never_changes_results():
+    # no sum is cut by the chunk size: every knot's value is one pass
+    cases = [
+        (KnotId.FOUR_ONE, (17, 150, 498)),
+        (KnotId.FIVE_TWO, (17, 150, 498)),
+        (KnotId.SIX_ONE, (17, 150)),
+    ]
+    for knot, orders in cases:
+        for order in orders:
+            for mode in ("direct", "logscale"):
+                values = {
+                    (v.value_log.log_mag.hex(), v.value_log.arg.hex(), v.accum_error_estimate.hex())
+                    for v in (
+                        quantum_invariant(knot, order, mode, chunk_size=c)
+                        for c in (1, 3, 50, 4096)
+                    )
+                }
+                assert len(values) == 1, (knot, order, mode)
 
 
 def test_banded_sums_match_brute_sums():
-    # bands of one row, of a few rows, and one band of every row
+    # the loops agree with every mode at small and large chunk sizes
     for knot in (KnotId.FIVE_TWO, KnotId.SIX_ONE):
         for order in (11, 17):
             ref = _brute_sum(knot, order)
@@ -379,48 +358,46 @@ def test_banded_sums_match_brute_sums():
                     assert abs(v.value_complex - ref) <= 1e-13 * abs(ref), case
 
 
-def _row_sum_products(table, direct, r0, s, inv_val):
-    # the double products A(m) B(m - s) that C(s) adds, A shifted as in the
-    # band that starts at row r0
+def _row_sum_products(table, direct, s, inv_val):
+    # the double products A(m) B(m - s) that C(s) adds, A shifted by its
+    # largest value
     n = table.order
     if direct:
-        a = np.abs(table.values[r0:]) ** 2
+        a = np.abs(table.values) ** 2
     else:
-        x = 2.0 * table.log_mag[r0:]
+        x = 2.0 * table.log_mag
         a = np.exp(x - x.max())
-    return a[s - r0 :] * inv_val[: n - s]
+    return a[s:] * inv_val[: n - s]
 
 
 def test_six_one_row_sums_match_loops():
-    # C(s) = sum_{m>=s} |(w)_m|^2 / (w)_{m-s}, for bands of one row and
-    # for bands that hold several rows; col_err covers the summation
-    # rounding of the double products, summed exactly
+    # C(s) = sum_{m>=s} |(w)_m|^2 / (w)_{m-s}, every row from one
+    # correlation on one scale; col_err covers the summation rounding of
+    # the double products, summed exactly
     for n in (11, 40):
         table = pochhammer_table(n)
         poch = _fresh_pochhammer(n)
         want = [
             sum(abs(poch[m]) ** 2 / poch[m - s] for m in range(s, n)) for s in range(n)
         ]
-        for chunk_size in (1, 3, 4, 50, 400):
-            bands = _bands(n, chunk_size)
-            for direct in (True, False):
-                space = _SumSpace(KnotId.SIX_ONE, table, direct, bands, 1)
-                got = space.col_val if direct else np.exp(space.col_log) * space.col_val
-                for r0, r1 in bands:
-                    for s in range(r0, r1):
-                        case = (n, chunk_size, direct, s)
-                        assert abs(got[s] - want[s]) <= 1e-13 * abs(want[s]), case
-                        # rows cancel at N = 40, and their bounds grow with it
-                        if n == 11:
-                            assert space.col_err[s] <= 1e-13 * np.abs(space.col_val[s]), case
-                        products = _row_sum_products(table, direct, r0, s, space.inv_val)
-                        exact = _abs_error(space.col_val[s], products)
-                        assert exact <= space.col_err[s], case
-                        # the row s = N-1 holds one term and is summed exactly
-                        if s == n - 1:
-                            assert space.col_err[s] == 0.0, case
-                        else:
-                            assert space.col_err[s] > 0.0, case
+        for direct in (True, False):
+            space = _SumSpace(KnotId.SIX_ONE, table, direct)
+            assert np.all(space.col_log == space.col_log[0]), (n, direct)
+            got = space.col_val if direct else np.exp(space.col_log) * space.col_val
+            for s in range(n):
+                case = (n, direct, s)
+                assert abs(got[s] - want[s]) <= 1e-13 * abs(want[s]), case
+                # rows cancel at N = 40, and their bounds grow with it
+                if n == 11:
+                    assert space.col_err[s] <= 1e-13 * np.abs(space.col_val[s]), case
+                products = _row_sum_products(table, direct, s, space.inv_val)
+                exact = _abs_error(space.col_val[s], products)
+                assert exact <= space.col_err[s], case
+                # the row s = N-1 holds one term and is summed exactly
+                if s == n - 1:
+                    assert space.col_err[s] == 0.0, case
+                else:
+                    assert space.col_err[s] > 0.0, case
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 7, 64, 101])
@@ -442,9 +419,8 @@ def test_split_phase_exponents_are_exact(order):
 
 
 def test_repeated_calls_retain_no_memory():
-    # the Hankel blocks are views into per-call vectors, and the chirp
-    # correlations read per-call vectors; repeated calls at fixed orders
-    # must not hold on to memory as they go
+    # the chirp and row-sum correlations read per-call vectors; repeated
+    # calls at fixed orders must not hold on to memory as they go
     cases = [
         (KnotId.FIVE_TWO, 150, "logscale", 4096),
         (KnotId.FIVE_TWO, 60, "direct", 256),
@@ -672,8 +648,8 @@ def test_input_validation():
 
 
 def test_thread_count_never_changes_bits():
-    # direct mode refuses 4_1 at N = 50 000; 6_1 at N = 60 is one band at
-    # the default chunk size and 9 bands at 256
+    # threads has no effect, so every count gives the same bits; direct
+    # mode refuses 4_1 at N = 50 000
     cases = (
         (KnotId.SIX_ONE, 60, 4096, ("direct", "logscale")),
         (KnotId.SIX_ONE, 60, 256, ("direct", "logscale")),
