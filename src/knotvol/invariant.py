@@ -24,12 +24,12 @@ The moduli |(omega)_k| swing like exp(+-0.16 N), so besides the plain
 "direct" complex evaluation there is a "logscale" mode that keeps every
 term as (log magnitude, argument) and sums with a running rescale, and an
 "exact" mode that delegates to cyclotomic field arithmetic.  The 5_2 and
-6_1 pair sums take one correlation per level of their weights: each row
-of their index triangle is summed by one BLAS dot, serially, and the N
-rows' terms by one pairwise sum.  The 6_1 row sums C(s) are correlations
-too, one dot a row.  Nothing is split over workers, and no dot is long
-enough for OpenBLAS to split it over threads, so results are the same
-bits on every run.  The 4_1 sum, N positive terms, is one pairwise sum.
+6_1 pair sums are one correlation on one scale: each row of their index
+triangle is summed by one BLAS dot, serially, and the N rows' terms by
+one pairwise sum.  The 6_1 row sums C(s) are correlations too, one dot a
+row.  Nothing is split over workers, and no dot is long enough for
+OpenBLAS to split it over threads, so results are the same bits on every
+run.  The 4_1 sum, N positive terms, is one pairwise sum.
 
 No pair reads its phase by index.  With zeta = exp(i pi/N), so that
 omega = zeta^2, and -2rc = (c-r)^2 - r^2 - c^2,
@@ -40,7 +40,7 @@ omega = zeta^2, and -2rc = (c-r)^2 - r^2 - c^2,
 so the pairs of a row are a correlation of a column vector with the chirp
 zeta^(d^2), times a row factor, and the 6_1 row sums C(s) are a
 correlation of |(omega)_m|^2, zero-padded, with 1/(omega)_k (see
-_SumSpace).
+_pair_sum and _row_sums).
 """
 
 from __future__ import annotations
@@ -151,8 +151,9 @@ class PochhammerTable:
 
     The phases are computed on first use, since 4_1 never reads them:
     arg[k] is arg (omega)_k in (-pi, pi], and values[k] is the plain
-    complex number, inf past the double range, where direct mode (its
-    only reader) refuses the order.
+    complex number, inf past the double range, where direct mode refuses
+    the order.  Direct mode and the lattice check of `knotvol verify`
+    read values.
     """
 
     order: int
@@ -337,11 +338,6 @@ _DOT_TERMS = 8192
 # to within 2^-1074, and a product of factors of at most 1 to within 2^-1073
 _NORMAL_LOG = -708.0
 _SUBNORMAL_ERR = 2.0**-1073
-# pair weights are split on levels that are multiples of this: V(r) <=
-# e^_LEVEL_STEP, and a factor U(c) leaves the normal range only for pairs
-# whose weight under an exact per-pair shift is below e^(-745 + 36),
-# already subnormal
-_LEVEL_STEP = 36.0
 
 
 def _chirp_rows(u: np.ndarray, chirp_conj: np.ndarray, rows: int) -> np.ndarray:
@@ -362,44 +358,21 @@ def _chirp_rows(u: np.ndarray, chirp_conj: np.ndarray, rows: int) -> np.ndarray:
     return z
 
 
-class _SumSpace:
-    """The 5_2 or 6_1 state sum at one order, as one pass over its rows.
+def _row_sums(row_log, row_val, abs2_log, abs2_val):
+    """The 6_1 row sums C(s) = sum_{m>=s} |(omega)_m|^2 / (omega)_{m-s}.
 
-    Both run over the pairs of the triangle r <= c < N,
-
-        sum_{r<=c} X(c) / (omega)_r^* * omega^e(r, c),
-
-    with X(c) = (omega)_c^2, e = -r(c+1) for 5_2 and X(c) = C(c),
-    e = (c-r)(c+1) for 6_1 (see the module docstring).  With zeta =
-    exp(i pi/N) the phase splits as rho(r) kappa(c) zeta^((c-r)^2) (see
-    _phase_exponents), and the weight exp(row_log[r] + col_log[c] - m) as
-    V(r) U(c), so that the sum is
-
-        sum_r V(r) z(r),    z(r) = sum_{c>=r} zeta^((c-r)^2) U(c),
-        V(r) = exp(row_log[r] + lam - m) rho(r) / (omega)_r^*,
-        U(c) = exp(col_log[c] - lam) kappa(c) X(c).
-
-    m is the largest pair weight, max_r row_log[r] + SM(r) with SM the
-    suffix maxima of col_log.  lam is the level of row r, SM(r) rounded up
-    to a multiple of _LEVEL_STEP; U and the suffix sums of |U| that give
-    sum |t| and the error bound are built once per level.  The rows of a
-    level share U, so their z(r) are one correlation of U, zero-padded,
-    with the chirp: np.correlate, one BLAS dot per row of at most
-    _DOT_TERMS terms (see _chirp_rows).  The N terms V(r) z(r) are added
-    by one pairwise sum, and sum |t| and the error bound are the sums of
-    the rows' shares.
-
-    The 6_1 row sums C(s), with k = m - s as the column, come before any
-    pair is summed: all N of them are one correlation of A(m) =
-    |(omega)_m|^2, zero-padded, with B(k) = 1/(omega)_k (see _chirp_rows),
-    taken as two real correlations since A is real.  A is shifted by its
-    largest value and B by the largest row_log, so no product exceeds 1,
-    col_log is one constant and the 6_1 pair sum runs on one level.  Row
-    s holds L = N - s terms; whatever order BLAS adds them in, its error
-    is within sqrt(2) (L - 1) eps sum_k A(s+k) |B(k)|, and that sum is a
-    third real correlation, whose own rounding is second order.  Forming
-    a product (an exp per factor, then one multiplication) rounds like
-    forming a summand from table entries, which PochhammerTable.err
+    The factors come split as in _pair_sum: 1/(omega)_r^* as
+    exp(row_log[r]) * row_val[r] and |(omega)_m|^2 as exp(abs2_log[m]) *
+    abs2_val[m].  With k = m - s as the column, all N row sums are one
+    correlation of A(m) = |(omega)_m|^2, zero-padded, with B(k) =
+    1/(omega)_k (see _chirp_rows), taken as two real correlations since A
+    is real.  A is shifted by its largest value and B by the largest
+    row_log, so no product exceeds 1 and every row has the same shift.
+    Row s holds L = N - s terms; whatever order BLAS adds them in, its
+    error is within sqrt(2) (L - 1) eps sum_k A(s+k) |B(k)|, and that sum
+    is a third real correlation, whose own rounding is second order.
+    Forming a product (an exp per factor, then one multiplication) rounds
+    like forming a summand from table entries, which PochhammerTable.err
     allows for, so the one-term row s = N - 1 is exact.  The rows of C
     cancel, so this order-free count reads looser than a count of
     pairwise row sums: the 6_1 estimate is 1.06 times as high at N = 60,
@@ -409,126 +382,127 @@ class _SumSpace:
     below the one scale, so whole rows leave the double range from
     N = 1561, long after cancellation has taken every digit.
 
+    Returns each row's log shift (one constant), its sum on that scale and
+    its error bound.
+    """
+    n = len(row_log)
+    top = abs2_log.max()
+    xa = abs2_log - top
+    a = np.zeros(2 * n)
+    a[:n] = np.exp(xa) * abs2_val
+    # B(k) = 1/(omega)_k, shifted by the largest row_log
+    shift = row_log.max()
+    xb = row_log - shift
+    b = np.exp(xb)
+    inv_val = b * np.conj(row_val)
+    # A is real: C(s) is two real correlations, with Re B and Im B
+    total = np.empty(n, complex)
+    total.real = _chirp_rows(a, inv_val.real, n)
+    total.imag = _chirp_rows(a, inv_val.imag, n)
+    # sum_k A(s + k) |B(k)| only scales the bound
+    mods = _chirp_rows(a, b * np.abs(row_val), n)
+    additions = np.arange(n - 1, -1, -1)
+    err = _DOT_ROUNDINGS * _EPS * additions * mods
+    if xa.min() + xb.min() < _NORMAL_LOG:
+        err += _SUBNORMAL_ERR * (additions + 1)
+    return np.full(n, top + shift), total, err
+
+
+def _pair_sum(knot: KnotId, table: PochhammerTable, direct: bool):
+    """The 5_2 or 6_1 state sum at one order, as one pass over its rows.
+
+    Both run over the pairs of the triangle r <= c < N,
+
+        sum_{r<=c} X(c) / (omega)_r^* * omega^e(r, c),
+
+    with X(c) = (omega)_c^2, e = -r(c+1) for 5_2 and X(c) = C(c),
+    e = (c-r)(c+1) for 6_1 (see the module docstring and _row_sums).  With
+    zeta = exp(i pi/N) the phase splits as rho(r) kappa(c) zeta^((c-r)^2)
+    (see _phase_exponents), and the weight exp(row_log[r] + col_log[c] - m)
+    as V(r) U(c), so that the sum is
+
+        sum_r V(r) z(r),    z(r) = sum_{c>=r} zeta^((c-r)^2) U(c),
+        V(r) = exp(row_log[r] + lam - m) rho(r) / (omega)_r^*,
+        U(c) = exp(col_log[c] - lam) kappa(c) X(c),
+
+    on one scale: lam is the largest col_log and m = max row_log + lam.
+    That m is the largest pair weight, since the largest row_log lies at
+    or before the largest col_log (log |(omega)_k| is least near k = N/6
+    and largest near 5N/6; the 6_1 col_log is one constant).  Both
+    weights are at most 1, V up to the rounding of m, so a pair whose
+    weight is in the normal range has both in it.  The z(r) are one
+    correlation of U, zero-padded, with the chirp: np.correlate, one BLAS
+    dot per row of at most _DOT_TERMS terms (see _chirp_rows).  The N
+    terms V(r) z(r) are added by one pairwise sum, and sum |t| and the
+    error bound are the sums of the rows' shares, from suffix sums of
+    |U(c)| and of its errors.
+
     Every factor is split as exp(log) * val, and the mode only chooses the
     split.  Direct takes log 0 and the plain complex factor: every weight
     is exactly 1, and each reciprocal is applied per factor, so every C(s)
     and every pair term is a partial sum of the triple sum's own terms and
     obeys its magnitude bound.  Logscale takes the table's log and a unit
-    phase.  col_err bounds the absolute rounding error already in X(c), on
-    the scale of col_val.  The sum is exp(m) * s, with sum |t| = exp(m) * a
-    and err bounding its rounding on the scale of s; sum holds (m, s, a,
-    err) (see _four_one_sum).
+    phase.  Returns (m, s, a, err): the sum is exp(m) * s, with sum |t| =
+    exp(m) * a and err bounding its rounding on the scale of s (see
+    _four_one_sum).
     """
-
-    def __init__(self, knot: KnotId, table: PochhammerTable, direct: bool):
-        n = self.order = table.order
-        # row factor 1/(omega)_r^*, so its conjugate is 1/(omega)_r; the
-        # column factor (omega)_c^2 of 5_2, or |(omega)_m|^2 inside C(s)
-        if direct:
-            zero = np.zeros(n)
-            self.row_log, row_val = zero, 1.0 / np.conj(table.values)
-            sq_log, sq_val = zero, table.values**2
-            abs2_val = np.abs(table.values) ** 2
-        else:
-            self.row_log, row_val = -table.log_mag, _unit(table.arg)
-            sq_log, sq_val = 2.0 * table.log_mag, _unit(2.0 * table.arg)
-            abs2_val = np.ones(n)
-        self.row_abs = np.abs(row_val)
-        if knot is KnotId.FIVE_TWO:
-            self.col_log, self.col_val, self.col_err = sq_log, sq_val, None
-        else:
-            self.col_log, self.col_val, self.col_err = self._row_sums(
-                sq_log, abs2_val, row_val
-            )
-        # the phases, read from zeta^j, j < 2N, at exponents reduced exactly
-        zeta = _zeta_powers(n)
-        row_exp, col_exp, chirp_exp = _phase_exponents(knot, n)
-        chirp_conj = np.conj(zeta[chirp_exp])
-        col_phased = self.col_val * zeta[col_exp]
-        col_max = np.maximum.accumulate(self.col_log[::-1])[::-1]
-        level = _LEVEL_STEP * np.ceil(col_max / _LEVEL_STEP)
-        # levels fall with the row, so the rows of one level are a run
-        starts = [0]
-        if level[0] != level[-1]:
-            starts += (np.flatnonzero(level[1:] != level[:-1]) + 1).tolist()
-        # per row r: z(r) = sum_{c>=r} zeta^((c-r)^2) U(c), and the sums over
-        # c >= r of |U(c)| and of its errors
-        z = np.empty(n, complex)
-        u_sum, u_err = np.empty(n), np.empty(n)
-        for g0, g1 in zip(starts, starts[1:] + [n]):
-            u, sums, errs = self._level(g0, float(level[g0]), col_phased)
-            z[g0:g1] = _chirp_rows(u, chirp_conj[: n - g0], g1 - g0)
-            u_sum[g0:g1], u_err[g0:g1] = sums[: g1 - g0], errs[: g1 - g0]
-        # per row: V(r) z(r), with V(r) shifted by the largest pair weight m,
-        # and the row's share of sum |t| and of the error bound
-        m = float((self.row_log + col_max).max())
-        shift = level - m
-        xv = self.row_log + shift
-        v = np.exp(xv)
-        terms = v * (row_val * zeta[row_exp]) * z
-        v_abs = v * self.row_abs
-        # row r's dot has N - r terms
-        dot = _DOT_ROUNDINGS * np.arange(n + 1, 1, -1)
-        rounds = np.abs(shift) + np.abs(xv) + _PAIR_ROUNDINGS + dot
-        v_err = _EPS * rounds * v_abs
-        if xv.min() < _NORMAL_LOG:
-            v_err += (xv < _NORMAL_LOG) * _SUBNORMAL_ERR * self.row_abs
-        a = float((v_abs * u_sum).sum())
-        err = float((v_err * u_sum + v_abs * u_err).sum())
-        # the N terms are added pairwise
-        err += _sum_error_factor(n) * a
-        self.sum = m, complex(terms.sum()), a, err
-
-    def _level(self, start: int, lam: float, col_phased: np.ndarray):
-        """U(c) = exp(col_log[c] - lam) kappa(c) X(c) for c >= start,
-        zero-padded to twice its length, and per row r >= start the suffix
-        sums over c >= r of |U(c)| and of the error of U(c): the rounding of
-        its exp argument (col_log and the shift), the error of X(c) and
-        that of a subnormal U(c)."""
-        col_log = self.col_log[start:]
-        xu = col_log - lam
-        u = np.exp(xu)
-        col_abs = np.abs(self.col_val[start:])
-        sums = np.empty((2, len(u)))
-        u_abs = sums[0] = u * col_abs
-        sums[1] = _EPS * u_abs * (np.abs(xu) + np.abs(col_log))
-        if self.col_err is not None:
-            sums[1] += u * self.col_err[start:]
-        if xu.min() < _NORMAL_LOG:
-            sums[1] += (xu < _NORMAL_LOG) * _SUBNORMAL_ERR * (col_abs + 1.0)
-        # row r >= start takes the sums over c >= r
-        u_sum, u_err = np.add.accumulate(sums[:, ::-1], axis=1)[:, ::-1]
-        padded = np.zeros(2 * len(u), complex)
-        np.multiply(u, col_phased[start:], out=padded[: len(u)])
-        return padded, u_sum, u_err
-
-    def _row_sums(self, abs2_log, abs2_val, row_val):
-        """C(s) = sum_{m>=s} |(omega)_m|^2 / (omega)_{m-s} for every s.
-
-        Returns each row's shift, one constant, its sum on that scale and
-        its error bound (see the class docstring).
-        """
-        n = self.order
-        top = abs2_log.max()
-        xa = abs2_log - top
-        a = np.zeros(2 * n)
-        a[:n] = np.exp(xa) * abs2_val
-        # B(k) = 1/(omega)_k, shifted by the largest row_log
-        shift = self.row_log.max()
-        xb = self.row_log - shift
-        b = np.exp(xb)
-        self.inv_val = b * np.conj(row_val)
-        # A is real: C(s) is two real correlations, with Re B and Im B
-        total = np.empty(n, complex)
-        total.real = _chirp_rows(a, self.inv_val.real, n)
-        total.imag = _chirp_rows(a, self.inv_val.imag, n)
-        # sum_k A(s + k) |B(k)| only scales the bound
-        mods = _chirp_rows(a, b * self.row_abs, n)
-        additions = np.arange(n - 1, -1, -1)
-        err = _DOT_ROUNDINGS * _EPS * additions * mods
-        if xa.min() + xb.min() < _NORMAL_LOG:
-            err += _SUBNORMAL_ERR * (additions + 1)
-        return np.full(n, top + shift), total, err
+    n = table.order
+    # row factor 1/(omega)_r^*, so its conjugate is 1/(omega)_r; the
+    # column factor (omega)_c^2 of 5_2, or |(omega)_m|^2 inside C(s)
+    if direct:
+        zero = np.zeros(n)
+        row_log, row_val = zero, 1.0 / np.conj(table.values)
+        sq_log, sq_val = zero, table.values**2
+        abs2_val = np.abs(table.values) ** 2
+    else:
+        row_log, row_val = -table.log_mag, _unit(table.arg)
+        sq_log, sq_val = 2.0 * table.log_mag, _unit(2.0 * table.arg)
+        abs2_val = np.ones(n)
+    if knot is KnotId.FIVE_TWO:
+        col_log, col_val, col_err = sq_log, sq_val, None
+    else:
+        col_log, col_val, col_err = _row_sums(row_log, row_val, sq_log, abs2_val)
+    # the phases, read from zeta^j, j < 2N, at exponents reduced exactly
+    zeta = _zeta_powers(n)
+    row_exp, col_exp, chirp_exp = _phase_exponents(knot, n)
+    lam = float(col_log.max())
+    m = float(row_log.max()) + lam
+    # U(c), and the suffix sums over c >= r of |U(c)| and of its error: the
+    # rounding of its exp argument (col_log and the shift), the error of
+    # X(c) and that of a subnormal U(c)
+    xu = col_log - lam
+    u = np.exp(xu)
+    col_abs = np.abs(col_val)
+    sums = np.empty((2, n))
+    u_abs = sums[0] = u * col_abs
+    sums[1] = _EPS * u_abs * (np.abs(xu) + np.abs(col_log))
+    if col_err is not None:
+        sums[1] += u * col_err
+    if xu.min() < _NORMAL_LOG:
+        sums[1] += (xu < _NORMAL_LOG) * _SUBNORMAL_ERR * (col_abs + 1.0)
+    u_sum, u_err = np.add.accumulate(sums[:, ::-1], axis=1)[:, ::-1]
+    padded = np.zeros(2 * n, complex)
+    np.multiply(u, col_val * zeta[col_exp], out=padded[:n])
+    z = _chirp_rows(padded, np.conj(zeta[chirp_exp]), n)
+    # per row: V(r) z(r), and the row's share of sum |t| and of the error
+    # bound
+    shift = lam - m
+    xv = row_log + shift
+    v = np.exp(xv)
+    row_abs = np.abs(row_val)
+    terms = v * (row_val * zeta[row_exp]) * z
+    v_abs = v * row_abs
+    # row r's dot has N - r terms
+    dot = _DOT_ROUNDINGS * np.arange(n + 1, 1, -1)
+    rounds = abs(shift) + np.abs(xv) + _PAIR_ROUNDINGS + dot
+    v_err = _EPS * rounds * v_abs
+    if xv.min() < _NORMAL_LOG:
+        v_err += (xv < _NORMAL_LOG) * _SUBNORMAL_ERR * row_abs
+    a = float((v_abs * u_sum).sum())
+    err = float((v_err * u_sum + v_abs * u_err).sum())
+    # the N terms are added pairwise
+    err += _sum_error_factor(n) * a
+    return m, complex(terms.sum()), a, err
 
 
 def _four_one_sum(table: PochhammerTable, direct: bool):
@@ -662,7 +636,7 @@ def quantum_invariant(
     if knot is KnotId.FOUR_ONE:
         m, s, a, err = _four_one_sum(table, direct)
     else:
-        m, s, a, err = _SumSpace(knot, table, direct).sum
+        m, s, a, err = _pair_sum(knot, table, direct)
     err += SUMMAND_FACTORS[knot] * table.err * a
     count = cyclo.exact_term_count(knot, order)
     if s == 0:

@@ -22,9 +22,10 @@ from knotvol.invariant import (
     MODES,
     InvariantValue,
     LogComplex,
-    _SumSpace,
     _chirp_rows,
+    _pair_sum,
     _phase_exponents,
+    _row_sums,
     _sum_error_factor,
     alexander_check,
     growth_point,
@@ -358,16 +359,14 @@ def test_banded_sums_match_brute_sums():
                     assert abs(v.value_complex - ref) <= 1e-13 * abs(ref), case
 
 
-def _row_sum_products(table, direct, s, inv_val):
-    # the double products A(m) B(m - s) that C(s) adds, A shifted by its
-    # largest value
+def _split_factors(table, direct):
+    # 1/(w)_r^* and |(w)_m|^2 as exp(log) * val, split as each float mode
+    # splits them
     n = table.order
     if direct:
-        a = np.abs(table.values) ** 2
-    else:
-        x = 2.0 * table.log_mag
-        a = np.exp(x - x.max())
-    return a[s:] * inv_val[: n - s]
+        zero = np.zeros(n)
+        return zero, 1.0 / np.conj(table.values), zero, np.abs(table.values) ** 2
+    return -table.log_mag, np.exp(1j * table.arg), 2.0 * table.log_mag, np.ones(n)
 
 
 def test_six_one_row_sums_match_loops():
@@ -381,23 +380,52 @@ def test_six_one_row_sums_match_loops():
             sum(abs(poch[m]) ** 2 / poch[m - s] for m in range(s, n)) for s in range(n)
         ]
         for direct in (True, False):
-            space = _SumSpace(KnotId.SIX_ONE, table, direct)
-            assert np.all(space.col_log == space.col_log[0]), (n, direct)
-            got = space.col_val if direct else np.exp(space.col_log) * space.col_val
+            row_log, row_val, abs2_log, abs2_val = _split_factors(table, direct)
+            col_log, col_val, col_err = _row_sums(row_log, row_val, abs2_log, abs2_val)
+            assert np.all(col_log == col_log[0]), (n, direct)
+            # the double products A(m) B(m - s) that C(s) adds: A and
+            # B(k) = 1/(w)_k, each shifted by its largest log
+            a = np.exp(abs2_log - abs2_log.max()) * abs2_val
+            inv_val = np.exp(row_log - row_log.max()) * np.conj(row_val)
+            got = col_val if direct else np.exp(col_log) * col_val
             for s in range(n):
                 case = (n, direct, s)
                 assert abs(got[s] - want[s]) <= 1e-13 * abs(want[s]), case
                 # rows cancel at N = 40, and their bounds grow with it
                 if n == 11:
-                    assert space.col_err[s] <= 1e-13 * np.abs(space.col_val[s]), case
-                products = _row_sum_products(table, direct, s, space.inv_val)
-                exact = _abs_error(space.col_val[s], products)
-                assert exact <= space.col_err[s], case
+                    assert col_err[s] <= 1e-13 * np.abs(col_val[s]), case
+                products = a[s:] * inv_val[: n - s]
+                exact = _abs_error(col_val[s], products)
+                assert exact <= col_err[s], case
                 # the row s = N-1 holds one term and is summed exactly
                 if s == n - 1:
-                    assert space.col_err[s] == 0.0, case
+                    assert col_err[s] == 0.0, case
                 else:
-                    assert space.col_err[s] > 0.0, case
+                    assert col_err[s] > 0.0, case
+
+
+@pytest.mark.parametrize("knot", [KnotId.FIVE_TWO, KnotId.SIX_ONE])
+def test_pair_sum_takes_one_scale(knot):
+    # the scale m = max row_log + lam, lam = max col_log, is the largest
+    # pair weight max_{r<=c} row_log[r] + col_log[c], taken here from the
+    # suffix maxima of col_log; so no V(r) = exp(row_log[r] + lam - m) and
+    # no U(c) = exp(col_log[c] - lam) exceeds 1 (V up to the rounding of m
+    # and of exp), and a pair whose weight is normal has both factors normal
+    cases = [(n, direct) for n in range(1, 601) for direct in (True, False)]
+    cases += [(n, False) for n in (800, 1208, 2000, 3000)]
+    for n, direct in cases:
+        table = pochhammer_table(n)
+        row_log, row_val, abs2_log, abs2_val = _split_factors(table, direct)
+        col_log = abs2_log
+        if knot is KnotId.SIX_ONE:
+            col_log = _row_sums(row_log, row_val, abs2_log, abs2_val)[0]
+        m = _pair_sum(knot, table, direct)[0]
+        suffix = np.maximum.accumulate(col_log[::-1])[::-1]
+        assert m == (row_log + suffix).max(), (n, direct)
+        lam = col_log.max()
+        assert np.exp(col_log - lam).max() <= 1.0, (n, direct)
+        v_max = np.exp(row_log + (lam - m)).max()
+        assert v_max <= 1.0 + 2.0**-52 * (1.0 + m), (n, direct)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 7, 64, 101])
@@ -534,11 +562,24 @@ def test_direct_mode_overflow_refusals():
 
 
 def test_logscale_table_overflow_is_silent():
-    # the plain table overflows near N = 4300; logscale never reads it
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        v = quantum_invariant(KnotId.FOUR_ONE, 5000, "logscale")
-    assert v.value_complex is None and math.isfinite(v.value_log.log_mag)
+    # the plain table overflows near N = 4300; logscale never reads it.
+    # 5_2 and 6_1 take every pair on one scale here too, long after
+    # cancellation has taken every digit, which their estimates say
+    cases = [
+        (KnotId.FOUR_ONE, 5000),
+        (KnotId.FIVE_TWO, 2400),
+        (KnotId.FIVE_TWO, 5000),
+        (KnotId.SIX_ONE, 3000),
+    ]
+    for knot, order in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = quantum_invariant(knot, order, "logscale")
+        case = (knot, order)
+        assert v.value_complex is None and math.isfinite(v.value_log.log_mag), case
+        assert math.isfinite(v.accum_error_estimate), case
+        if knot is not KnotId.FOUR_ONE:
+            assert v.accum_error_estimate > 1.0, case
 
 
 def _mp_six_one(order, dps):
