@@ -3,17 +3,20 @@
 `CycElement` holds a polynomial in omega with rational coefficients,
 reduced modulo the N-th cyclotomic polynomial Phi_N.  Phi_N is irreducible
 over Q, so the quotient is a field and every nonzero element has an
-inverse.
+inverse.  One long division (`_poly_divmod`) and one product
+(`_poly_mul`) serve the field, the cyclotomic recursion and the inverse.
 
 The state sums need no inverse: (omega)_{N-1} = N makes every reciprocal
 of a partial product another partial product over N.  So `exact_invariant`
 works in the ring Z[x]/(x^N - 1), with integer coefficient lists of length
 N: a partial product is a shift and a subtraction, a power of omega a
 rotation, conjugation the index map i -> -i mod N, and a product one
-integer multiplication (Kronecker substitution).  Phi_N divides x^N - 1, so
-reducing mod Phi_N is a ring homomorphism onto Z[omega]; it is done once,
-at the end.  This module is the exact oracle; the floating-point engine
-lives in `invariant` and is checked against it.
+integer multiplication (Kronecker substitution).  5_2 and 6_1 are one
+pair loop over `knots.pair_exponent`, the exponent the float engine's
+phase split is tested against.  Phi_N divides x^N - 1, so reducing mod
+Phi_N is a ring homomorphism onto Z[omega], done once, at the end.  This
+module is the exact oracle the float engine in `invariant` is checked
+against.
 """
 
 from __future__ import annotations
@@ -23,8 +26,9 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
-from .knots import SUMMAND_FACTORS, KnotId
+from .knots import SUMMAND_FACTORS, KnotId, pair_exponent
 
 __all__ = [
     "EXACT_TERM_BUDGET",
@@ -49,11 +53,11 @@ def _trim(poly: list) -> list:
     return poly
 
 
-def _int_poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
-    """Long division of integer polynomials, constant term first.
+def _poly_divmod(num, den) -> tuple[list, list]:
+    """Long division of polynomials, constant term first.
 
-    Every quotient step must come out to an integer; that holds for the
-    cyclotomic recursion below, where all divisors are monic.
+    A monic divisor needs no division, so integers stay integers; any
+    other divisor divides as a Fraction, so every quotient is exact.
     """
     num = list(num)
     deg_den = len(den) - 1
@@ -63,13 +67,23 @@ def _int_poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[in
         coeff = num[i]
         if coeff == 0:
             continue
-        q, r = divmod(coeff, lead)
-        if r:
-            raise ArithmeticError("non-exact integer polynomial division")
+        q = coeff if lead == 1 else Fraction(coeff) / lead
         quot[i - deg_den] = q
         for j, d in enumerate(den):
             num[i - deg_den + j] -= q * d
     return quot, _trim(num)
+
+
+def _poly_mul(a, b) -> list:
+    """Product of polynomials, constant term first."""
+    prod = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, ai in enumerate(a):
+        if ai == 0:
+            continue
+        for j, bj in enumerate(b):
+            if bj != 0:
+                prod[i + j] += ai * bj
+    return prod
 
 
 @functools.lru_cache(maxsize=None)
@@ -77,58 +91,30 @@ def cyclotomic_polynomial(order: int) -> tuple[int, ...]:
     """Integer coefficients of Phi_order, constant term first, monic.
 
     Phi_1 = x - 1; for larger orders x^order - 1 is divided by Phi_d for
-    every proper divisor d.  All divisions are exact over the integers.
+    every proper divisor d.  All divisors are monic, so every division is
+    exact over the integers.
     """
     if order < 1:
         raise ValueError(f"cyclotomic order must be >= 1, got {order}")
     poly = [-1] + [0] * (order - 1) + [1]
     for d in range(1, order):
         if order % d == 0:
-            poly, rem = _int_poly_divmod(poly, list(cyclotomic_polynomial(d)))
+            poly, rem = _poly_divmod(poly, cyclotomic_polynomial(d))
             if rem:
                 raise ArithmeticError("cyclotomic recursion left a remainder")
     return tuple(poly)
 
 
-def _frac_poly_divmod(
-    num: list[Fraction], den: list[Fraction]
-) -> tuple[list[Fraction], list[Fraction]]:
-    num = list(num)
-    deg_den = len(den) - 1
-    inv_lead = 1 / den[-1]
-    quot = [Fraction(0)] * max(len(num) - deg_den, 0)
-    for i in range(len(num) - 1, deg_den - 1, -1):
-        if num[i] == 0:
-            continue
-        q = num[i] * inv_lead
-        quot[i - deg_den] = q
-        for j, d in enumerate(den):
-            num[i - deg_den + j] -= q * d
-    return quot, _trim(num)
-
-
-def _frac_poly_xgcd(
-    a: list[Fraction], b: list[Fraction]
-) -> tuple[list[Fraction], list[Fraction]]:
+def _poly_xgcd(a: list, b: list) -> tuple[list, list]:
     """Return (g, s) with s*a = g (mod b) via the extended Euclid loop."""
     r0, r1 = list(a), list(b)
     s0, s1 = [Fraction(1)], []
     while r1:
-        q, r = _frac_poly_divmod(r0, r1)
+        q, r = _poly_divmod(r0, r1)
         r0, r1 = r1, r
         # s_next = s0 - q*s1
-        prod = [Fraction(0)] * (len(q) + len(s1) - 1) if q and s1 else []
-        for i, qi in enumerate(q):
-            if qi == 0:
-                continue
-            for j, sj in enumerate(s1):
-                prod[i + j] += qi * sj
-        nxt = [Fraction(0)] * max(len(s0), len(prod))
-        for i, c in enumerate(s0):
-            nxt[i] += c
-        for i, c in enumerate(prod):
-            nxt[i] -= c
-        s0, s1 = s1, _trim(nxt)
+        nxt = zip_longest(s0, _poly_mul(q, s1), fillvalue=0)
+        s0, s1 = s1, _trim([x - y for x, y in nxt])
     return r0, s0
 
 
@@ -145,11 +131,11 @@ class CycElement:
 
     @staticmethod
     def _reduced(order: int, coeffs) -> tuple[Fraction, ...]:
-        phi = [Fraction(c) for c in cyclotomic_polynomial(order)]
+        phi = cyclotomic_polynomial(order)
         deg = len(phi) - 1
         rem = _trim([Fraction(c) for c in coeffs])
         if len(rem) > deg:
-            _, rem = _frac_poly_divmod(rem, phi)
+            _, rem = _poly_divmod(rem, phi)
         return tuple(rem) + (Fraction(0),) * (deg - len(rem))
 
     @classmethod
@@ -203,15 +189,7 @@ class CycElement:
 
     def __mul__(self, other: "CycElement") -> "CycElement":
         self._check_same_field(other)
-        a, b = self.coeffs, other.coeffs
-        prod = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                if bj == 0:
-                    continue
-                prod[i + j] += ai * bj
+        prod = _poly_mul(self.coeffs, other.coeffs)
         return CycElement(self.order, self._reduced(self.order, prod))
 
     def conjugate(self) -> "CycElement":
@@ -226,12 +204,12 @@ class CycElement:
         """Field inverse via the extended Euclid algorithm against Phi_N."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(omega)")
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.order)]
-        g, s = _frac_poly_xgcd(_trim(list(self.coeffs)), phi)
+        phi = cyclotomic_polynomial(self.order)
+        g, s = _poly_xgcd(_trim(list(self.coeffs)), phi)
         if len(g) != 1:
             # cannot happen while Phi_N is irreducible
             raise ArithmeticError("gcd with Phi_N is not a unit")
-        inv_g = 1 / g[0]
+        inv_g = 1 / Fraction(g[0])
         return CycElement(
             self.order, self._reduced(self.order, [c * inv_g for c in s])
         )
@@ -249,15 +227,12 @@ class CycElement:
 
 
 def exact_term_count(knot: KnotId, order: int) -> int:
-    """Size of the state sum's index set: N, N(N+1)/2 or N(N+1)(N+2)/6."""
+    """Size of the state sum's index set: N, N(N+1)/2 or N(N+1)(N+2)/6,
+    C(N + f - 2, f - 1) for a summand of f factors (k; k <= l; k + l <= m)."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    if knot is KnotId.FOUR_ONE:
-        return order
-    if knot is KnotId.FIVE_TWO:
-        return order * (order + 1) // 2
-    # 6_1: triples k, l >= 0 with k + l <= m <= order - 1
-    return order * (order + 1) * (order + 2) // 6
+    f = SUMMAND_FACTORS[knot]
+    return math.comb(order + f - 2, f - 1)
 
 
 def _pochhammer_rows(order: int) -> list[list[int]]:
@@ -361,12 +336,13 @@ def exact_invariant(knot: KnotId, order: int) -> CycElement:
     and omega powers.  It is computed in Z[x]/(x^N - 1), which maps into
     Q(omega) by reduction mod Phi_N: the partial products by shifts and
     subtractions, omega powers as rotations, each product as one integer
-    product (see `_PackedRing`).  Rotations are summed before the one
-    product of each row:
+    product (see `_PackedRing`).  5_2 and 6_1 are one pair sum, with
+    e(r, c) from `knots.pair_exponent`; each row's rotations are summed
+    before its one product:
 
-        N <5_2>   = sum_k (omega)_{N-1-k} sum_{l>=k} (omega)_l^2 x^(-k(l+1)),
-        N^2 <6_1> = sum_l (omega)_{N-1-l} sum_{s>=l} C(s) x^((s-l)(s+1)),
-        C(s)      = sum_{k<=N-1-s} |(omega)_{k+s}|^2 (omega)_{N-1-k}^*.
+        N^d <knot> = sum_r (omega)_{N-1-r} sum_{c>=r} x^e(r, c) col[c],
+        col[c]     = (omega)_c^2 (5_2) or C(c) (6_1),
+        C(s)       = sum_{k<=N-1-s} |(omega)_{k+s}|^2 (omega)_{N-1-k}^*.
 
     The integer result is reduced mod Phi_N once, and scaled by 1/N^d.
     """
@@ -380,8 +356,8 @@ def exact_invariant(knot: KnotId, order: int) -> CycElement:
     rows = _pochhammer_rows(n)
     ring = _PackedRing(n, _coefficient_bound(knot, rows))
     lifted = ring.unpack(_ring_sum(knot, rows, ring))
-    phi = list(cyclotomic_polynomial(n))
-    _, rem = _int_poly_divmod(lifted, phi)
+    phi = cyclotomic_polynomial(n)
+    rem = _poly_divmod(lifted, phi)[1]
     deg = len(phi) - 1
     # each reciprocal in a summand became a partial product over N
     scale = n ** (SUMMAND_FACTORS[knot] - 2)
@@ -396,25 +372,18 @@ def _ring_sum(knot: KnotId, rows: list[list[int]], ring: _PackedRing) -> int:
     poch = [ring.pack(row) for row in rows]
     # conjugation, x -> x^-1, moves coefficient i to -i mod N
     conj = [ring.pack(row[:1] + row[:0:-1]) for row in rows]
-
     if knot is KnotId.FOUR_ONE:
-        total = sum(p * c for p, c in zip(poch, conj))
-    elif knot is KnotId.FIVE_TWO:
-        sq = [ring.reduce(p * p) for p in poch]
-        total = 0
-        for k in range(n):
-            acc = sum(ring.rotate(sq[l], -k * (l + 1)) for l in range(k, n))
-            total += ring.reduce(acc) * poch[n - 1 - k]
+        return ring.reduce(sum(p * c for p, c in zip(poch, conj)))
+    if knot is KnotId.FIVE_TWO:
+        col = [ring.reduce(p * p) for p in poch]
     else:
         absq = [ring.reduce(p * c) for p, c in zip(poch, conj)]
-        row_sums = [
+        col = [
             ring.reduce(sum(absq[k + s] * conj[n - 1 - k] for k in range(n - s)))
             for s in range(n)
         ]
-        total = 0
-        for l in range(n):
-            acc = sum(
-                ring.rotate(row_sums[s], (s - l) * (s + 1)) for s in range(l, n)
-            )
-            total += ring.reduce(acc) * poch[n - 1 - l]
+    total = 0
+    for r in range(n):
+        acc = sum(ring.rotate(col[c], pair_exponent(knot, r, c)) for c in range(r, n))
+        total += ring.reduce(acc) * poch[n - 1 - r]
     return ring.reduce(total)

@@ -526,13 +526,10 @@ def _four_one_sum(table: PochhammerTable, direct: bool):
 
 
 def _direct_term_log_bound(knot: KnotId, table: PochhammerTable) -> float:
+    # two factors in the numerator, the other f - 2 reciprocals
     lm = table.log_mag
     hi, lo = float(np.max(lm)), float(np.min(lm))
-    if knot is KnotId.FOUR_ONE:
-        return 2.0 * hi
-    if knot is KnotId.FIVE_TWO:
-        return 2.0 * hi - lo
-    return 2.0 * hi - 2.0 * lo
+    return 2.0 * hi - (SUMMAND_FACTORS[knot] - 2) * lo
 
 
 @dataclass(frozen=True)

@@ -28,3 +28,17 @@ class KnotId(enum.Enum):
 # knot's state sum: |(omega)_k|^2, (omega)_l^2/(omega)_k^*, and for 6_1
 # |(omega)_m|^2/((omega)_k (omega)_l^*)
 SUMMAND_FACTORS = {KnotId.FOUR_ONE: 2, KnotId.FIVE_TWO: 3, KnotId.SIX_ONE: 4}
+
+
+def pair_exponent(knot: KnotId, r: int, c: int) -> int:
+    """e(r, c), the omega power of the pair r <= c in the 5_2 and 6_1 sums
+
+        sum_{r<=c} X(c) / (omega)_r^* * omega^e(r, c),
+
+    with X(c) = (omega)_c^2 for 5_2 and the row sum C(c) for 6_1.
+    """
+    if knot is KnotId.FIVE_TWO:
+        return -r * (c + 1)
+    if knot is KnotId.SIX_ONE:
+        return (c - r) * (c + 1)
+    raise ValueError(f"{knot} has no pair sum")

@@ -95,29 +95,22 @@ def li2(z: complex) -> complex:
         return complex(side.real, 0.0)
     rz, iz = z.real, z.imag
     nz = rz * rz + iz * iz
-    if rz <= 0.5:
-        if nz > 1.0:
-            # inversion: Li2(z) = -Li2(1/z) - pi^2/6 - log(-z)^2 / 2
-            lz = cmath.log(-z)
-            u = -cmath.log(1.0 - 1.0 / z)
-            rest = -0.5 * lz * lz - _PI2_6
-            sign = -1.0
-        else:
-            u = -cmath.log(1.0 - z)
-            rest = 0j
-            sign = 1.0
+    if rz > 0.5 and nz <= 2.0 * rz:  # |z - 1| <= 1
+        # reflection: Li2(z) = pi^2/6 - log(z) log(1-z) - Li2(1-z)
+        lz = cmath.log(z)
+        u = -lz
+        rest = _PI2_6 - lz * cmath.log(1.0 - z)
+        sign = -1.0
+    elif nz <= 1.0:
+        u = -cmath.log(1.0 - z)
+        rest = 0j
+        sign = 1.0
     else:
-        if nz <= 2.0 * rz:  # |z - 1| <= 1
-            # reflection: Li2(z) = pi^2/6 - log(z) log(1-z) - Li2(1-z)
-            lz = cmath.log(z)
-            u = -lz
-            rest = _PI2_6 - lz * cmath.log(1.0 - z)
-            sign = -1.0
-        else:
-            lz = cmath.log(-z)
-            u = -cmath.log(1.0 - 1.0 / z)
-            rest = -0.5 * lz * lz - _PI2_6
-            sign = -1.0
+        # inversion: Li2(z) = -Li2(1/z) - pi^2/6 - log(-z)^2 / 2
+        lz = cmath.log(-z)
+        u = -cmath.log(1.0 - 1.0 / z)
+        rest = -0.5 * lz * lz - _PI2_6
+        sign = -1.0
     return rest + sign * _li2_series(u)
 
 

@@ -160,6 +160,10 @@ def test_rational_embedding():
     e = CycElement.rational(7, Fraction(5))
     assert e.evaluate_numeric() == 5 + 0j
     assert e.coeffs[0] == 5 and all(c == 0 for c in e.coeffs[1:])
+    # integer coefficients, as the dataclass takes them, invert exactly
+    a = CycElement(7, (1, 2, 0, 0, 0, 0))
+    assert a.inverse() == CycElement.from_coeffs(7, a.coeffs).inverse()
+    assert a * a.inverse() == CycElement.one(7)
 
 
 def test_mixed_order_arithmetic_rejected():
@@ -293,6 +297,95 @@ def test_invariant_matches_defining_sum_with_divisions():
         for order in range(1, 13):
             want = _defining_sum(knot, order)
             assert exact_invariant(knot, order) == want, (knot, order)
+
+
+# --- Habiro's cyclotomic expansion: an oracle for the formulas ---
+#
+# The colored Jones polynomial of the twist knot K_p (Masbaum, AGT 2003) is
+#     J_N(K_p) = sum_{n<N} f_n(q) (q^(1+N))_n (q^(1-N))_n,
+#     f_n = q^n sum_{k<=n} (-1)^k q^(k(k+1)p + k(k-1)/2) (1 - q^(2k+1))
+#                          (q)_n / ((q)_(n+k+1) (q)_(n-k)),
+# and at q = omega each product (q^(1+-N))_n is (omega)_n.  p = -1, 2, -2
+# give 4_1, 5_2 and 6_1; the state sums are these values up to a unit.
+
+
+def _add_shifted(acc, poly, shift, sign):
+    # acc += sign * x^shift * poly
+    acc.extend([0] * (shift + len(poly) - len(acc)))
+    for i, c in enumerate(poly):
+        acc[shift + i] += sign * c
+
+
+def _gaussian_binomials(top):
+    # rows[m][j] = [m, j]_q, by [m, j] = [m-1, j-1] + q^j [m-1, j]
+    rows = [[[1]]]
+    for m in range(1, top + 1):
+        row = [[1]]
+        for j in range(1, m):
+            acc = list(rows[m - 1][j - 1])
+            _add_shifted(acc, rows[m - 1][j], j, 1)
+            row.append(acc)
+        rows.append(row + [[1]])
+    return rows
+
+
+def _divide_exactly(num, den):
+    # integer long division by a divisor with leading coefficient +-1
+    num = list(num)
+    quot = [0] * (len(num) - len(den) + 1)
+    for i in range(len(quot) - 1, -1, -1):
+        quot[i] = q = num[i + len(den) - 1] * den[-1]
+        for j, d in enumerate(den):
+            num[i + j] -= q * d
+    assert not any(num), "f_n is not a Laurent polynomial"
+    return quot
+
+
+def _cyclic_mul(a, b):
+    n = len(a)
+    return [sum(a[i] * b[(t - i) % n] for i in range(n)) for t in range(n)]
+
+
+def _habiro_sum(p, order):
+    # (q)_n / ((q)_(n+k+1) (q)_(n-k)) is [2n+1, n-k] / prod_{j=n+1}^{2n+1}
+    # (1 - q^j): f_n is the sum over k times the q-binomial, divided
+    # exactly by that product, then reduced mod x^N - 1
+    binom = _gaussian_binomials(2 * order - 1)
+    total, poch = [0] * order, [1] + [0] * (order - 1)
+    for n in range(order):
+        if n:
+            poch = [poch[i] - poch[(i - n) % order] for i in range(order)]
+        exps = [k * (k + 1) * p + k * (k - 1) // 2 for k in range(n + 1)]
+        low = min(exps)
+        num = []
+        for k, e in enumerate(exps):
+            row = binom[2 * n + 1][n - k]
+            _add_shifted(num, row, e - low, (-1) ** k)
+            _add_shifted(num, row, e - low + 2 * k + 1, -((-1) ** k))
+        den = [1]
+        for j in range(n + 1, 2 * n + 2):
+            den = _mul(den, [1] + [0] * (j - 1) + [-1])
+        f = [0] * order
+        for i, c in enumerate(_divide_exactly(num, den)):
+            f[(i + n + low) % order] += c
+        term = _cyclic_mul(f, _cyclic_mul(poch, poch))
+        total = [x + y for x, y in zip(total, term)]
+    return CycElement.from_coeffs(order, total)
+
+
+_TWIST = {KnotId.FOUR_ONE: -1, KnotId.FIVE_TWO: 2, KnotId.SIX_ONE: -2}
+
+
+@pytest.mark.parametrize("knot", list(KnotId))
+def test_invariant_matches_habiro_expansion(knot):
+    # J_N(K_p)(omega) = <4_1>, omega^-1 <5_2> and conj <6_1>, exactly
+    for order in range(1, 11):
+        value = exact_invariant(knot, order)
+        if knot is KnotId.FIVE_TWO:
+            value = CycElement.omega_power(order, -1) * value
+        elif knot is KnotId.SIX_ONE:
+            value = value.conjugate()
+        assert value == _habiro_sum(_TWIST[knot], order), (knot, order)
 
 
 def test_budget_refusal():

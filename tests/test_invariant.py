@@ -32,7 +32,7 @@ from knotvol.invariant import (
     pochhammer_table,
     quantum_invariant,
 )
-from knotvol.knots import KnotId
+from knotvol.knots import KnotId, pair_exponent
 
 PI = math.pi
 
@@ -431,19 +431,17 @@ def test_pair_sum_takes_one_scale(knot):
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 7, 64, 101])
 def test_split_phase_exponents_are_exact(order):
     # rho(r) kappa(c) zeta^((c-r)^2) = omega^e(r, c): the split exponents add
-    # up to 2 e(r, c) mod 2N, in exact integers, for every pair r <= c
+    # up to 2 e(r, c) mod 2N, in exact integers, for every pair r <= c; e is
+    # the pair exponent the exact engine sums with
     n2 = 2 * order
-    phases = {
-        KnotId.FIVE_TWO: lambda r, c: -r * (c + 1),
-        KnotId.SIX_ONE: lambda r, c: (c - r) * (c + 1),
-    }
-    for knot, e in phases.items():
+    for knot in (KnotId.FIVE_TWO, KnotId.SIX_ONE):
         row, col, chirp = (v.tolist() for v in _phase_exponents(knot, order))
         assert all(0 <= x < n2 for x in row + col + chirp), knot
         for r in range(order):
             for c in range(r, order):
                 split = row[r] + col[c] + chirp[c - r]
-                assert split % n2 == 2 * e(r, c) % n2, (knot, r, c)
+                e = pair_exponent(knot, r, c)
+                assert split % n2 == 2 * e % n2, (knot, r, c)
 
 
 def test_repeated_calls_retain_no_memory():
