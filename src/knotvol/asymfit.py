@@ -13,7 +13,6 @@ volume_estimate = 2*pi*a against the independently computed saddle volume.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,6 +112,8 @@ def collect_series(
     if threads == 1:
         points = [growth_point(knot, n) for n in orders]
     else:
+        # imported here, since the pool and the logging it loads take import time
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             points = list(pool.map(lambda n: growth_point(knot, n), orders))
     return GrowthSeries(knot, tuple(points))

@@ -13,10 +13,11 @@ N: a partial product is a shift and a subtraction, a power of omega a
 rotation, conjugation the index map i -> -i mod N, and a product one
 integer multiplication (Kronecker substitution).  5_2 and 6_1 are one
 pair loop over `knots.pair_exponent`, the exponent the float engine's
-phase split is tested against.  Phi_N divides x^N - 1, so reducing mod
-Phi_N is a ring homomorphism onto Z[omega], done once, at the end.  This
-module is the exact oracle the float engine in `invariant` is checked
-against.
+phase split reads.  The digit width of the packed integers comes from the
+same sum run over l1 norms, which bound every coefficient of the result.
+Phi_N divides x^N - 1, so reducing mod Phi_N is a ring homomorphism onto
+Z[omega], done once, at the end.  This module is the exact oracle the
+float engine in `invariant` is checked against.
 """
 
 from __future__ import annotations
@@ -254,9 +255,10 @@ class _PackedRing:
     x^N = 2^(bN) = 1 mod M, so the evaluation is a ring homomorphism: a
     sum or product of elements is one integer sum or product reduced mod
     M (Kronecker substitution), and multiplying by x^e rotates the bN-bit
-    word by be bits.  An element whose coefficients all stay below
-    2^(b-1) in magnitude is read back from its image as signed b-bit
-    digits; b is chosen from `coeff_bound` for that.
+    word by be bits.  A coefficient c is stored as the biased b-bit digit
+    c + 2^(b-1); `offset`, every digit 2^(b-1), is subtracted once when
+    packing and added once when unpacking, so coefficients below 2^(b-1)
+    in magnitude, as `coeff_bound` sizes b for, are read back exactly.
     """
 
     def __init__(self, order: int, coeff_bound: int):
@@ -265,6 +267,8 @@ class _PackedRing:
         self.bits = 8 * self.width
         self.total_bits = self.bits * order
         self.mod = (1 << self.total_bits) - 1
+        self.bias = 1 << (self.bits - 1)
+        self.offset = self.mod // ((1 << self.bits) - 1) * self.bias
 
     def reduce(self, z: int) -> int:
         """The residue of z >= 0 in [0, M), by folding at bN bits."""
@@ -273,10 +277,9 @@ class _PackedRing:
         return 0 if z == self.mod else z
 
     def pack(self, coeffs: list[int]) -> int:
-        w = self.width
-        pos = b"".join(max(c, 0).to_bytes(w, "little") for c in coeffs)
-        neg = b"".join(max(-c, 0).to_bytes(w, "little") for c in coeffs)
-        z = int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+        w, bias = self.width, self.bias
+        data = b"".join((c + bias).to_bytes(w, "little") for c in coeffs)
+        z = int.from_bytes(data, "little") - self.offset
         return z + self.mod if z < 0 else z
 
     def rotate(self, z: int, exponent: int) -> int:
@@ -290,41 +293,28 @@ class _PackedRing:
         """Coefficients of the element with small coefficients whose image is z."""
         if z > self.mod >> 1:
             z -= self.mod  # the image of a signed digit vector lies in (-M/2, M/2)
-        w, bias = self.width, 1 << (self.bits - 1)
-        offset = int.from_bytes((bytes(w - 1) + b"\x80") * self.order, "little")
-        data = (z + offset).to_bytes(self.order * w, "little")
+        w, bias = self.width, self.bias
+        data = (z + self.offset).to_bytes(self.order * w, "little")
         return [
             int.from_bytes(data[i : i + w], "little") - bias
             for i in range(0, len(data), w)
         ]
 
 
-def _coefficient_bound(knot: KnotId, rows: list[list[int]]) -> int:
-    """A bound on every coefficient of the sum `exact_invariant` forms.
+class _L1Norms:
+    """`_PackedRing`'s stand-in that maps each element to its l1 norm.  The
+    norm is subadditive and submultiplicative in Z[x]/(x^N - 1), and
+    rotations and conjugation keep it, so `_ring_sum` over norms bounds
+    every coefficient of the sum it forms over a `_PackedRing`."""
 
-    The l1 norm is submultiplicative in Z[x]/(x^N - 1), and rotations and
-    conjugation keep it, so each product and each rotated sum is bounded
-    by the l1 norms of the rows it is formed from: suffix sums of
-    ||(omega)_l||^2 for the 5_2 row sums, bounds on ||C(s)|| and their
-    suffix sums for 6_1.
-    """
-    norms = [sum(map(abs, row)) for row in rows]
-    n = len(norms)
-    if knot is KnotId.FOUR_ONE:
-        return sum(x * x for x in norms)
-    if knot is KnotId.FIVE_TWO:
-        inner = [x * x for x in norms]
-    else:
-        squares = [x * x for x in norms]
-        inner = [
-            sum(squares[k + s] * norms[n - 1 - k] for k in range(n - s))
-            for s in range(n)
-        ]
-    bound, suffix = 0, 0
-    for k in range(n - 1, -1, -1):
-        suffix += inner[k]
-        bound += norms[n - 1 - k] * suffix
-    return bound
+    pack = staticmethod(lambda coeffs: sum(map(abs, coeffs)))
+    reduce = staticmethod(lambda z: z)
+    rotate = staticmethod(lambda z, exponent: z)
+
+
+def _coefficient_bound(knot: KnotId, rows: list[list[int]]) -> int:
+    """A bound on every coefficient of `_ring_sum`: that sum over l1 norms."""
+    return _ring_sum(knot, rows, _L1Norms)
 
 
 def exact_invariant(knot: KnotId, order: int) -> CycElement:
@@ -344,7 +334,9 @@ def exact_invariant(knot: KnotId, order: int) -> CycElement:
         col[c]     = (omega)_c^2 (5_2) or C(c) (6_1),
         C(s)       = sum_{k<=N-1-s} |(omega)_{k+s}|^2 (omega)_{N-1-k}^*.
 
-    The integer result is reduced mod Phi_N once, and scaled by 1/N^d.
+    The digit width comes from the same sum over l1 norms
+    (`_coefficient_bound`).  The integer result is reduced mod Phi_N once,
+    and scaled by 1/N^d.
     """
     count = exact_term_count(knot, order)
     if count > EXACT_TERM_BUDGET:
@@ -365,9 +357,10 @@ def exact_invariant(knot: KnotId, order: int) -> CycElement:
     return CycElement(n, tuple(coeffs) + (Fraction(0),) * (deg - len(coeffs)))
 
 
-def _ring_sum(knot: KnotId, rows: list[list[int]], ring: _PackedRing) -> int:
+def _ring_sum(knot: KnotId, rows: list[list[int]], ring) -> int:
     """N^d <knot> in Z[x]/(x^N - 1) (see `exact_invariant`), as its image in
-    `ring`, reduced."""
+    `ring`, reduced: a `_PackedRing`, or `_L1Norms` for a bound on its
+    coefficients."""
     n = len(rows)
     poch = [ring.pack(row) for row in rows]
     # conjugation, x -> x^-1, moves coefficient i to -i mod N

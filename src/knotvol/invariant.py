@@ -32,10 +32,10 @@ OpenBLAS to split it over threads, so results are the same bits on every
 run.  The 4_1 sum, N positive terms, is one pairwise sum.
 
 No pair reads its phase by index.  With zeta = exp(i pi/N), so that
-omega = zeta^2, and -2rc = (c-r)^2 - r^2 - c^2,
+omega = zeta^2, and -2rc = (c-r)^2 - r^2 - c^2, both pair exponents
+e(r, c) = e(0, c) - r(c+1) (`knots.pair_exponent`) split as
 
-    omega^(-r(c+1))     = zeta^(-r^2-2r) * zeta^(-c^2)     * zeta^((c-r)^2),
-    omega^((c-r)(c+1))  = zeta^(-r^2-2r) * zeta^(c^2+2c)   * zeta^((c-r)^2),
+    omega^e(r, c) = zeta^(-r^2-2r) * zeta^(2e(0, c) - c^2) * zeta^((c-r)^2),
 
 so the pairs of a row are a correlation of a column vector with the chirp
 zeta^(d^2), times a row factor, and the 6_1 row sums C(s) are a
@@ -54,7 +54,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import cyclo
-from .knots import SUMMAND_FACTORS, KnotId
+from .knots import SUMMAND_FACTORS, KnotId, pair_exponent
 
 __all__ = [
     "MODES",
@@ -277,21 +277,20 @@ def _phase_exponents(knot: KnotId, order: int):
     """Exponents mod 2N of zeta = exp(i pi/N) that split the pair phase.
 
     For r <= c, omega^e(r, c) = zeta^(2e) = rho(r) * kappa(c) * zeta^((c-r)^2),
-    because -2rc = (c-r)^2 - r^2 - c^2:
+    with e = `knots.pair_exponent`.  Both knots' exponents have
+    e(r, c) = e(0, c) - r(c+1), and -2rc = (c-r)^2 - r^2 - c^2, so
 
-        5_2: 2e = -2r(c+1)    = (c-r)^2 + (1 - (r+1)^2) - c^2
-        6_1: 2e = 2(c-r)(c+1) = (c-r)^2 + (1 - (r+1)^2) + ((c+1)^2 - 1)
+        2e(r, c) = (c-r)^2 + (1 - (r+1)^2) + (2e(0, c) - c^2):
 
-    Returns the int64 exponents of rho(r), kappa(c) and the chirp
-    zeta^(d^2), d < N, each reduced exactly into [0, 2N).  kappa is the
-    conjugate of the chirp (5_2) or of rho (6_1).
+    rho(r) and the chirp zeta^(d^2), d < N, are the same for every knot,
+    and kappa(c) reads e(0, c).  Returns their int64 exponents, each
+    reduced exactly into [0, 2N).
     """
     n2 = 2 * order
     j = np.arange(order + 1, dtype=np.int64)
     sq = j * j % n2
-    row = (1 - sq[1:]) % n2
-    col = (sq[1:] - 1) % n2 if knot is KnotId.SIX_ONE else -sq[:-1] % n2
-    return row, col, sq[:-1]
+    col = (2 * pair_exponent(knot, 0, j[:-1]) - sq[:-1]) % n2
+    return (1 - sq[1:]) % n2, col, sq[:-1]
 
 
 def _zeta_powers(order: int) -> np.ndarray:

@@ -1,10 +1,12 @@
 """Exact cyclotomic arithmetic, checked against an in-file polynomial oracle."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from knotvol.asymfit import GrowthSeries, fit_growth
 from knotvol.cyclo import (
     EXACT_TERM_BUDGET,
     CycElement,
@@ -218,6 +220,22 @@ def test_coefficient_bound_covers_the_sum():
             assert bound <= old, (knot, order)
 
 
+@pytest.mark.parametrize(
+    "knot, bits",
+    [
+        (KnotId.FOUR_ONE, (24, 40, 64)),
+        (KnotId.FIVE_TWO, (32, 64, 96)),
+        (KnotId.SIX_ONE, (40, 80, 120)),
+    ],
+)
+def test_coefficient_bound_is_no_looser(knot, bits):
+    # the digit widths of the l1 bound at three orders: a looser bound
+    # would pack longer words into every product
+    for order, expected in zip((20, 60, 100), bits):
+        bound = _coefficient_bound(knot, _pochhammer_rows(order))
+        assert _PackedRing(order, bound).bits == expected, order
+
+
 def _oracle_term_count(knot, order):
     # brute enumeration of the index set
     if knot is KnotId.FOUR_ONE:
@@ -386,6 +404,24 @@ def test_invariant_matches_habiro_expansion(knot):
         elif knot is KnotId.SIX_ONE:
             value = value.conjugate()
         assert value == _habiro_sum(_TWIST[knot], order), (knot, order)
+
+
+def _habiro_volume(twist):
+    # fitted volume of log |J_N(K_p; omega)|, N = 6, 8, ..., 20; the knot
+    # of a GrowthSeries is only a label, fit_growth never reads it
+    points = tuple(
+        (n, math.log(abs(_habiro_sum(twist, n).evaluate_numeric())))
+        for n in range(6, 21, 2)
+    )
+    return fit_growth(GrowthSeries(KnotId.FOUR_ONE, points)).volume_estimate
+
+
+def test_growth_fit_finds_no_volume_for_the_trefoil():
+    # p = 1 is the trefoil, which is not hyperbolic: |J_N(3_1; omega)|
+    # grows like N^(3/2), so the fit must not invent a volume; p = -1,
+    # 4_1 on the same window, is the positive control
+    assert abs(_habiro_volume(1)) < 0.25
+    assert _habiro_volume(-1) > 1.8
 
 
 def test_budget_refusal():
