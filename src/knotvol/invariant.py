@@ -29,7 +29,9 @@ triangle is summed by one BLAS dot, serially, and the N rows' terms by
 one pairwise sum.  The 6_1 row sums C(s) are correlations too, one dot a
 row.  Nothing is split over workers, and no dot is long enough for
 OpenBLAS to split it over threads, so results are the same bits on every
-run.  The 4_1 sum, N positive terms, is one pairwise sum.
+run.  The 4_1 sum, N positive terms, is one pairwise sum of those within
+exp's range.  They lie in a window of about N/6 + 19 sqrt(N) entries
+around the peak near k = 5N/6, and 4_1 builds only that window.
 
 No pair reads its phase by index.  With zeta = exp(i pi/N), so that
 omega = zeta^2, and -2rc = (c-r)^2 - r^2 - c^2, both pair exponents
@@ -149,7 +151,11 @@ class PochhammerTable:
     and each entry's share of the rounding when a summand is formed from
     entries.
 
-    The phases are computed on first use, since 4_1 never reads them:
+    5_2 and 6_1 read the whole table.  4_1 builds none: it reads the
+    reflections of a shorter prefix (see _four_one_count), and its err
+    counts only that prefix's factors.
+
+    The phases are computed on first use:
     arg[k] is arg (omega)_k in (-pi, pi], and values[k] is the plain
     complex number, inf past the double range, where direct mode refuses
     the order.  Direct mode and the lattice check of `knotvol verify`
@@ -191,18 +197,34 @@ def _unit(angles: np.ndarray) -> np.ndarray:
     return out
 
 
-def pochhammer_table(order: int) -> PochhammerTable:
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
+def _log_window(order: int, count: int):
+    """log |(omega)_k| from the first `count` factors, count < N/2.
+
+    The prefix log_mag[j], j <= count, is the running sum of the factors
+    log |1 - omega^j| = log(2 sin(pi j/N)); since (omega)_{N-1} = N, the
+    entries k >= N - 1 - count are its reflections log N - log_mag[N-1-k].
+    With count = h - 1, h = ceil(N/2), that is the whole table: the first
+    h entries and the reflections of the rest.  With a smaller count it
+    is only the window k >= N - 1 - count (what 4_1 sums, see
+    _four_one_count), reflected in place over the prefix.
+
+    Returns (log_mag, hi, lo, err): the entries in the order of k; the
+    largest entry, which is a reflection of the prefix's minimum, so it
+    lies in the window; the smallest, which is in the prefix, since every
+    reflection is near log N/2 or more, above log_mag[0] = 0; and err as in
+    PochhammerTable, counting only the factors read.
+    """
     n = order
     h = (n + 1) // 2
-    log_mag = np.empty(n)
-    log_mag[0] = 0.0
-    # the first h entries are running sums of the factors j < h <= N/2,
-    # whose sine arguments pi j/N are accurate to a few ulps; the table is
-    # built in place, in log_mag and one grid buffer of h - 1 doubles
-    log_f = log_mag[1:h]
-    grid = np.arange(1.0, h)
+    whole = count == h - 1
+    log_mag = np.empty(n if whole else count + 1)
+    prefix = log_mag[: count + 1]
+    prefix[0] = 0.0
+    # the running sums of the factors j <= count < N/2, whose sine
+    # arguments pi j/N are accurate to a few ulps, are built in place, in
+    # the prefix and one grid buffer of count doubles
+    log_f = prefix[1:]
+    grid = np.arange(1.0, count + 1)
     np.multiply(grid, math.pi / n, out=grid)
     np.sin(grid, out=log_f)
     np.multiply(log_f, 2.0, out=log_f)
@@ -217,27 +239,37 @@ def pochhammer_table(order: int) -> PochhammerTable:
     np.add.accumulate(grid, out=grid)
     np.add.accumulate(log_f, out=log_f)
     np.add(grid, log_f, out=log_f)
-    # (omega)_{N-1} = N, so |(omega)_k| |(omega)_{N-1-k}| = N reflects the
-    # first h entries onto the rest
+    lo = float(prefix.min())
     log_n = math.log(n)
-    np.subtract(log_n, log_mag[: n - h][::-1], out=log_mag[h:])
-    # in units of _EPS: per factor j < h, 5 for the sine (its argument
-    # rounds three times) and 2|log| for the log; the fine running sums,
-    # each below h * grid/2; per entry, 5|log_mag| + 2 log N + 16 for adding
-    # the two sums, for the reflection (math.log is within an ulp, 2 log N,
-    # and the subtraction rounds once, |log_mag|, on top of the mirror
-    # entry's error), for the exponential and phase in `values`, and for
-    # forming a summand
-    top = max(float(log_mag.max()), -float(log_mag.min()))
+    if whole:
+        np.subtract(log_n, log_mag[: n - h][::-1], out=log_mag[h:])
+    else:
+        log_mag = np.subtract(log_n, prefix, out=prefix)[::-1]
+    hi = float(log_mag.max())
+    # in units of _EPS, with c = count + 1 prefix entries: per factor, 5
+    # for the sine (its argument rounds three times) and 2|log| for the
+    # log; the fine running sums, each below c * grid/2; per entry,
+    # 5|log_mag| + 2 log N + 16 for adding the two sums, for the
+    # reflection (math.log is within an ulp, 2 log N, and the subtraction
+    # rounds once, |log_mag|, on top of the mirror entry's error), for the
+    # exponential and phase in `values`, and for forming a summand
+    c = count + 1
     err = _EPS * (
-        5.0 * h
+        5.0 * c
         + 2.0 * log_f_sum
-        + h * h * _LOG_GRID / 4.0
-        + 5.0 * top
+        + c * c * _LOG_GRID / 4.0
+        + 5.0 * max(hi, -lo)
         + 2.0 * log_n
         + 16.0
     )
-    return PochhammerTable(n, log_mag, err)
+    return log_mag, hi, lo, err
+
+
+def pochhammer_table(order: int) -> PochhammerTable:
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    log_mag, _, _, err = _log_window(order, (order - 1) // 2)
+    return PochhammerTable(order, log_mag, err)
 
 
 @functools.lru_cache(maxsize=None)
@@ -504,19 +536,43 @@ def _pair_sum(knot: KnotId, table: PochhammerTable, direct: bool):
     return m, complex(terms.sum()), a, err
 
 
-def _four_one_sum(table: PochhammerTable, direct: bool):
+def _four_one_count(order: int) -> int:
+    """The prefix length whose window holds every term <4_1> keeps.
+
+    <4_1> = sum_k exp(2 log_mag[k]) peaks near k = 5N/6, the reflection of
+    the prefix minimum near j = N/6, and logscale keeps only the terms
+    within exp's range of the largest (see _four_one_sum): reflections
+    k = N-1-j whose prefix P(j) = log_mag[j] lies within 373.6 of its
+    minimum.  f(t) = log(2 sin t) is concave, 0 at pi/6 and log 2 at pi/2,
+    so f(pi j/N) >= (3 log 2/N)(j - N/6) on N/6 <= j <= N/2, and summing
+    from the first j past N/6,
+
+        P(j) - min P >= (3 log 2/(2N)) (j - N/6)^2,
+
+    which passes 374.6 (a unit above the cut, far above the table's
+    rounding) for every j > N/6 + 19 sqrt(N), since sqrt(2 * 374.6/(3 log
+    2)) < 19.  Entries k < N/2 are at most about log N/2 (the prefix falls
+    to its minimum and rises to about log N/2 at the middle), far below
+    the cut max log_mag - 373.6, which grows like 0.16 N and is 159 at
+    N = 3273, the first order whose window is not the whole table.
+    Direct mode takes every entry but accepts 4_1 only up to N = 2112.
+    """
+    return min((order - 1) // 2, math.ceil(order / 6 + 19 * math.sqrt(order)) + 2)
+
+
+def _four_one_sum(log_mag: np.ndarray, hi: float, direct: bool):
     """<4_1> = sum_k |(omega)_k|^2 = sum_k exp(2 log_mag[k]), in one pass.
 
-    Returns (m, s, a, err): the sum is exp(m) * s with sum |term| =
-    exp(m) * a, and err bounds its summation rounding on the scale of s.
-    Logscale shifts by the largest term; direct mode, whose refusals keep
-    every term finite, does not.
+    log_mag holds the entries of a _log_window, hi the largest.  Returns
+    (m, s, a, err): the sum is exp(m) * s with sum |term| = exp(m) * a,
+    and err bounds its summation rounding on the scale of s.  Logscale
+    shifts by the largest term; direct mode, whose refusals keep every
+    term finite, does not.
     """
-    lm = table.log_mag
-    m = 0.0 if direct else 2.0 * float(lm.max())
+    m = 0.0 if direct else 2.0 * hi
     # exp is exactly 0 below _EXP_ZERO_LOG, and many times slower there:
     # the entries are picked, with a margin, before any term is formed
-    terms = lm[lm >= (m + _EXP_ZERO_LOG) / 2.0 - 1.0]
+    terms = log_mag[log_mag >= (m + _EXP_ZERO_LOG) / 2.0 - 1.0]
     np.multiply(terms, 2.0, out=terms)
     terms -= m
     terms = terms[terms >= _EXP_ZERO_LOG]
@@ -524,11 +580,25 @@ def _four_one_sum(table: PochhammerTable, direct: bool):
     return m, complex(a), a, _sum_error_factor(len(terms), width=1) * a
 
 
-def _direct_term_log_bound(knot: KnotId, table: PochhammerTable) -> float:
+def _refuse_direct(knot: KnotId, hi: float, lo: float) -> None:
+    """Raise OverflowError if direct mode could overflow at this order.
+
+    hi and lo are the largest and smallest log |(omega)_k|.
+    """
+    table_log = max(hi, -lo)
+    if table_log > _DIRECT_TABLE_LOG_LIMIT:
+        raise OverflowError(
+            f"direct mode refused: table log magnitude {table_log:.1f} "
+            f"exceeds {_DIRECT_TABLE_LOG_LIMIT:.0f}; use logscale"
+        )
     # two factors in the numerator, the other f - 2 reciprocals
-    lm = table.log_mag
-    hi, lo = float(np.max(lm)), float(np.min(lm))
-    return 2.0 * hi - (SUMMAND_FACTORS[knot] - 2) * lo
+    term_log = 2.0 * hi - (SUMMAND_FACTORS[knot] - 2) * lo
+    if term_log > _DIRECT_TERM_LOG_LIMIT:
+        raise OverflowError(
+            f"direct mode refused: term log magnitude bound "
+            f"{term_log:.1f} exceeds {_DIRECT_TERM_LOG_LIMIT:.0f}; "
+            f"use logscale"
+        )
 
 
 @dataclass(frozen=True)
@@ -543,7 +613,9 @@ class InvariantValue:
     terms (their phases, weights and products), and from the rounding in
     the Pochhammer table: each summand is a product of 2 (4_1), 3 (5_2) or 4
     (6_1) table entries, so the table adds that many PochhammerTable.err
-    per unit of sum |summand|.  For 6_1 the summands are the pair terms
+    per unit of sum |summand|.  For 4_1 that err counts only the factors
+    of the prefix its window reflects, about N/6 + 19 sqrt(N) of them
+    rather than N/2.  For 6_1 the summands are the pair terms
     C(s)/(omega)_l^*, so cancellation inside a row sum C(s) weighs in its
     summation rounding but not its share of the table rounding.
     """
@@ -609,31 +681,22 @@ def quantum_invariant(
     if mode == "exact":
         return _exact_value(knot, order)
 
-    table = pochhammer_table(order)
-
-    if mode == "direct":
-        table_log = float(np.max(np.abs(table.log_mag)))
-        if table_log > _DIRECT_TABLE_LOG_LIMIT:
-            raise OverflowError(
-                f"direct mode refused: table log magnitude {table_log:.1f} "
-                f"exceeds {_DIRECT_TABLE_LOG_LIMIT:.0f}; use logscale"
-            )
-        term_log = _direct_term_log_bound(knot, table)
-        if term_log > _DIRECT_TERM_LOG_LIMIT:
-            raise OverflowError(
-                f"direct mode refused: term log magnitude bound "
-                f"{term_log:.1f} exceeds {_DIRECT_TERM_LOG_LIMIT:.0f}; "
-                f"use logscale"
-            )
-
-    direct = mode == "direct"
     # the sum is exp(m) * s, with sum |term| = exp(m) * a; direct mode
     # keeps m = 0, so s is the plain sum
+    direct = mode == "direct"
     if knot is KnotId.FOUR_ONE:
-        m, s, a, err = _four_one_sum(table, direct)
+        log_mag, hi, lo, table_err = _log_window(order, _four_one_count(order))
+        if direct:
+            _refuse_direct(knot, hi, lo)
+        m, s, a, err = _four_one_sum(log_mag, hi, direct)
     else:
+        table = pochhammer_table(order)
+        if direct:
+            lm = table.log_mag
+            _refuse_direct(knot, float(lm.max()), float(lm.min()))
         m, s, a, err = _pair_sum(knot, table, direct)
-    err += SUMMAND_FACTORS[knot] * table.err * a
+        table_err = table.err
+    err += SUMMAND_FACTORS[knot] * table_err * a
     count = cyclo.exact_term_count(knot, order)
     if s == 0:
         log = LogComplex(float("-inf"), 0.0, True)

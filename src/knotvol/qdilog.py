@@ -50,14 +50,26 @@ class PoleError(ValueError):
 
 
 def _bernoulli_numbers(count: int) -> list[Fraction]:
-    """B_0 .. B_{count-1} as exact rationals, convention B_1 = -1/2."""
-    bern = [Fraction(1)]
-    for m in range(1, count):
-        acc = Fraction(0)
-        for j in range(m):
-            acc += math.comb(m + 1, j) * bern[j]
-        bern.append(-acc / (m + 1))
-    return bern
+    """B_0 .. B_{count-1} as exact rationals, convention B_1 = -1/2.
+
+    The even ones come from the tangent numbers T_k = tan^(2k-1)(0),
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), which Brent and Harvey's
+    recurrence builds in place with integers only, O(count^2) small
+    integer steps; the odd ones past B_1 are 0.
+    """
+    n = (count - 1) // 2
+    tangent = [0, 1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        tangent[k] = (k - 1) * tangent[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            tangent[j] = (j - k) * tangent[j - 1] + (j - k + 2) * tangent[j]
+    bern = [Fraction(1), Fraction(-1, 2)]
+    for k in range(1, n + 1):
+        four = 4**k
+        b2k = Fraction((-1) ** (k - 1) * 2 * k * tangent[k], four * (four - 1))
+        bern += [b2k, Fraction(0)]
+    return bern[:count]
 
 
 _BERNOULLI = _bernoulli_numbers(72)

@@ -23,8 +23,11 @@ from knotvol.invariant import (
     InvariantValue,
     LogComplex,
     _chirp_rows,
+    _four_one_count,
+    _log_window,
     _pair_sum,
     _phase_exponents,
+    _refuse_direct,
     _row_sums,
     _sum_error_factor,
     alexander_check,
@@ -181,9 +184,13 @@ def test_table_log_mag_within_err(order):
 
 
 def test_table_and_four_one_peak_memory():
-    # the table is built in log_mag and one buffer of N/2 doubles, and 4_1
-    # picks the entries it sums before forming any term
+    # the table is built in log_mag and one buffer of N/2 doubles; 4_1
+    # builds only the window's prefix, in count + 1 doubles and one grid
+    # buffer of count, and picks the entries it sums before forming any
+    # term.  The call's own small objects (array views, ufunc calls) add
+    # about 1.4 KB on top
     n = 100_000
+    count = _four_one_count(n)
     quantum_invariant(KnotId.FOUR_ONE, n)
     tracemalloc.start()
     try:
@@ -197,7 +204,53 @@ def test_table_and_four_one_peak_memory():
     finally:
         tracemalloc.stop()
     assert table_peak <= 2 * nbytes, table_peak / nbytes
-    assert call_peak <= 2 * 8 * n, call_peak / (8 * n)
+    assert call_peak <= 8 * (2 * count + 1) + 2048, call_peak - 8 * (2 * count + 1)
+
+
+def _kept(log_mag, m):
+    # the entries whose term exp(2 log_mag - m) is not 0 in a double
+    lm = log_mag[log_mag >= (m - 745.2) / 2.0 - 1.0]
+    return lm[2.0 * lm - m >= -745.2]
+
+
+_WINDOW_ORDERS = list(range(1, 3301)) + list(range(3301, 200_001, 1999)) + [10**6]
+
+
+def test_four_one_window_keeps_every_term():
+    # 4_1 reads only the prefix up to _four_one_count and its reflections.
+    # Against the whole table, filtered and summed here: the window's
+    # entries are the table's bits, it keeps the same entries, and every
+    # value and direct-mode refusal is the same bits.  Orders to 3300
+    # cover both sides of count = h - 1 (the window is the whole table up
+    # to N = 3272)
+    for n in _WINDOW_ORDERS:
+        h = (n + 1) // 2
+        count = _four_one_count(n)
+        full = pochhammer_table(n).log_mag
+        hi, lo = float(full.max()), float(full.min())
+        window, *extremes, _ = _log_window(n, count)
+        start = 0 if count == h - 1 else n - 1 - count
+        assert window.tobytes() == full[start:].tobytes(), n
+        assert extremes == [hi, lo], n
+        for mode in ("logscale", "direct"):
+            direct = mode == "direct"
+            if direct:
+                try:
+                    _refuse_direct(KnotId.FOUR_ONE, hi, lo)
+                except OverflowError as refusal:
+                    with pytest.raises(OverflowError) as exc:
+                        quantum_invariant(KnotId.FOUR_ONE, n, mode)
+                    assert str(exc.value) == str(refusal), n
+                    continue
+            m = 0.0 if direct else 2.0 * hi
+            kept = _kept(full, m)
+            assert np.array_equal(_kept(window, m), kept), (n, mode)
+            s = float(np.exp(2.0 * kept - m).sum())
+            log = LogComplex(m + math.log(s), 0.0)
+            image = log.to_complex() if log.log_mag <= 709.0 else None
+            v = quantum_invariant(KnotId.FOUR_ONE, n, mode)
+            assert v.value_log == log, (n, mode)
+            assert v.value_complex == (s if direct else image), (n, mode)
 
 
 # --- summation rounding bounds ---

@@ -8,6 +8,8 @@ import cmath
 import math
 import random
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -28,8 +30,27 @@ from knotvol.qdilog import (
     lobachevsky,
     phi_angle,
 )
+from knotvol.qdilog import _bernoulli_numbers
 
 PI = math.pi
+
+
+def _bernoulli_by_binomial_sums(count):
+    # B_m = -sum_{j<m} C(m+1, j) B_j / (m+1), in exact rationals
+    bern = [Fraction(1)]
+    for m in range(1, count):
+        acc = Fraction(0)
+        for j in range(m):
+            acc += math.comb(m + 1, j) * bern[j]
+        bern.append(-acc / (m + 1))
+    return bern[:count]
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 6, 7, 72, 101])
+def test_bernoulli_numbers_match_binomial_recurrence(count):
+    # the tangent-number route gives the same rationals, so the li2 and
+    # Lobachevsky series coefficients keep their bits
+    assert _bernoulli_numbers(count) == _bernoulli_by_binomial_sums(count)
 
 
 def _li2_power_series(z, terms=80):
