@@ -16,7 +16,7 @@ the triple sum is a pair sum weighted by row sums:
 
 O(N^2) work for an index set of N(N+1)(N+2)/6 triples.  Every summand is
 a product of table entries and their reciprocals, which the float modes
-take once per order (logscale by negating the log table).  The exact mode
+take once per order by negating the log table.  The exact mode
 needs no field inverse: (omega)_{N-1} = N gives 1/(omega)_k^* =
 (omega)_{N-1-k}/N.
 
@@ -43,6 +43,19 @@ so the pairs of a row are a correlation of a column vector with the chirp
 zeta^(d^2), times a row factor, and the 6_1 row sums C(s) are a
 correlation of |(omega)_m|^2, zero-padded, with 1/(omega)_k (see
 _pair_sum and _row_sums).
+
+Every phase comes from one table per order, xi^j = exp(i pi j/(2N)) for
+j < 4N, built from angles of at most pi/4 (_xi_powers).  Since
+arg(1 - omega^j) = pi j/N - pi/2,
+
+    (omega)_k = |(omega)_k| xi^(k(k+1-N)),    omega = xi^4,  zeta = xi^2,
+
+so the phase of a row factor times rho(r), of the 5_2 column factor
+times kappa(c), of 1/(omega)_k inside C(s) and of the chirp are each one
+entry, read at an exact int64 exponent mod 4N (_phase_exponents): no
+phase is a float angle or a product of phases.  Direct mode reads the
+same table; it differs from logscale only in leaving its magnitudes
+unshifted.
 """
 
 from __future__ import annotations
@@ -151,15 +164,15 @@ class PochhammerTable:
     and each entry's share of the rounding when a summand is formed from
     entries.
 
-    5_2 and 6_1 read the whole table.  4_1 builds none: it reads the
+    5_2 and 6_1 read the whole log table, and their phases from the xi
+    table (see _phase_exponents).  4_1 builds none: it reads the
     reflections of a shorter prefix (see _four_one_count), and its err
     counts only that prefix's factors.
 
     The phases are computed on first use:
     arg[k] is arg (omega)_k in (-pi, pi], and values[k] is the plain
     complex number, inf past the double range, where direct mode refuses
-    the order.  Direct mode and the lattice check of `knotvol verify`
-    read values.
+    the order.  The lattice check of `knotvol verify` reads values.
     """
 
     order: int
@@ -168,11 +181,9 @@ class PochhammerTable:
 
     @functools.cached_property
     def arg(self) -> np.ndarray:
-        # arg(1 - omega^j) = pi j/N - pi/2, so arg (omega)_k = pi k(k+1-N)/(2N):
-        # the multiple of pi/(2N) is reduced exactly, in integers, into (-2N, 2N]
+        # the multiple a(k) of pi/(2N) (see _arg_exponents), taken into (-2N, 2N]
         n = self.order
-        k = np.arange(n, dtype=np.int64)
-        quarter = k * (k - (n - 1)) % (4 * n)
+        quarter = _arg_exponents(n)
         quarter = np.where(quarter > 2 * n, quarter - 4 * n, quarter)
         return quarter * (math.pi / (2 * n))
 
@@ -180,21 +191,14 @@ class PochhammerTable:
     def values(self) -> np.ndarray:
         values = np.full(self.order, np.inf, dtype=complex)
         fits = self.log_mag < _EXP_OVERFLOW_LOG
-        values[fits] = np.exp(self.log_mag[fits]) * _unit(self.arg[fits])
+        phase = _xi_powers(self.order)[_arg_exponents(self.order)[fits]]
+        values[fits] = np.exp(self.log_mag[fits]) * phase
         return values
 
 
 # the log factors are split at this grid: running sums of the grid parts
 # are exact in a double (for N * log N far below 2^33)
 _LOG_GRID = 2.0**-20
-
-
-def _unit(angles: np.ndarray) -> np.ndarray:
-    """exp(i * angles), from a cosine and a sine (faster than complex exp)."""
-    out = np.empty(len(angles), dtype=complex)
-    out.real = np.cos(angles)
-    out.imag = np.sin(angles)
-    return out
 
 
 def _log_window(order: int, count: int):
@@ -305,50 +309,85 @@ def _sum_error_factor(count: int, width: int = 2) -> float:
     return _EPS * _pairwise_roundings(count, width)
 
 
-def _phase_exponents(knot: KnotId, order: int):
-    """Exponents mod 2N of zeta = exp(i pi/N) that split the pair phase.
+def _arg_exponents(order: int) -> np.ndarray:
+    """a(k) = k(k+1-N) mod 4N: arg (omega)_k = pi a(k)/(2N).
 
-    For r <= c, omega^e(r, c) = zeta^(2e) = rho(r) * kappa(c) * zeta^((c-r)^2),
-    with e = `knots.pair_exponent`.  Both knots' exponents have
-    e(r, c) = e(0, c) - r(c+1), and -2rc = (c-r)^2 - r^2 - c^2, so
-
-        2e(r, c) = (c-r)^2 + (1 - (r+1)^2) + (2e(0, c) - c^2):
-
-    rho(r) and the chirp zeta^(d^2), d < N, are the same for every knot,
-    and kappa(c) reads e(0, c).  Returns their int64 exponents, each
-    reduced exactly into [0, 2N).
+    arg(1 - omega^j) = pi j/N - pi/2, so the phases of the k factors of
+    (omega)_k add up to pi (k(k+1) - kN)/(2N), and the unit phase of
+    (omega)_k is xi^a(k), xi = exp(i pi/(2N)).  The int64 product is
+    reduced exactly into [0, 4N).
     """
-    n2 = 2 * order
-    j = np.arange(order + 1, dtype=np.int64)
-    sq = j * j % n2
-    col = (2 * pair_exponent(knot, 0, j[:-1]) - sq[:-1]) % n2
-    return (1 - sq[1:]) % n2, col, sq[:-1]
+    k = np.arange(order, dtype=np.int64)
+    return k * (k - (order - 1)) % (4 * order)
 
 
-def _zeta_powers(order: int) -> np.ndarray:
-    """zeta^j = exp(i pi j/N) for j < 2N, from angles of at most pi/4.
+def _xi_powers(order: int) -> np.ndarray:
+    """xi^j = exp(i pi j/(2N)) for j < 4N, from angles of at most pi/4.
 
-    zeta^j is i^k exp(i pi f/(2N)) for the quarter turn k with f = 2j - kN
-    in [0, N).  exp(i pi f/(2N)) is computed for f <= N/2, and above as
-    i times the conjugate at N - f.
+    xi^N = i, so xi^j is i^k xi^f for the quarter turn k with f = j - kN
+    in [0, N).  xi^f is a cosine and a sine for f <= N/2, and above it is
+    i times the conjugate at N - f; multiplying by a power of i only swaps
+    and negates parts, so it is exact.  Each entry is within 3 eps of its
+    true value: the angle f * (pi/(2N)) is within 1.35 eps relative, so
+    1.1 eps absolute, and its cosine and sine within an ulp each (1.9 eps
+    is the largest error measured against 40-digit values).
     """
     n = order
     h = n // 2 + 1
-    low = np.exp(1j * (np.arange(h) * (math.pi / (2 * n))))
-    quarter = np.concatenate((low, 1j * low[n - h : 0 : -1].conj()))
-    # f runs over every other value of a quarter turn, from 0 when kN is
-    # even, else from 1; multiplying by a power of i is exact
-    even, odd = quarter[::2], quarter[n % 2 :: 2]
-    return np.concatenate((even, 1j * odd, -even, -1j * odd))
+    xi = np.empty(4 * n, dtype=complex)
+    re, im = xi.real, xi.imag
+    angles = np.arange(h, dtype=float)
+    angles *= math.pi / (2 * n)
+    np.cos(angles, out=re[:h])
+    np.sin(angles, out=im[:h])
+    re[h:n], im[h:n] = im[n - h : 0 : -1], re[n - h : 0 : -1]
+    np.negative(im[:n], out=re[n : 2 * n])
+    im[n : 2 * n] = re[:n]
+    parts = xi.view(float)
+    np.negative(parts[: 4 * n], out=parts[4 * n :])
+    return xi
+
+
+def _phase_exponents(knot: KnotId, order: int):
+    """Exponents mod 4N of xi = exp(i pi/(2N)) for every phase a pair
+    term reads.
+
+    The phase of a summand is that of its table entries, xi^a(k) for
+    (omega)_k and xi^-a(k) for 1/(omega)_k (see _arg_exponents), times
+    omega^e(r, c) = xi^(4e) with e = `knots.pair_exponent`.  Both knots'
+    exponents have e(r, c) = e(0, c) - r(c+1), and -2rc = (c-r)^2 - r^2 -
+    c^2, so
+
+        4e(r, c) = 2(c-r)^2 + 2(1 - (r+1)^2) + 2(2e(0, c) - c^2).
+
+    Returns four int64 arrays, each reduced exactly into [0, 4N): a(k);
+    row[r], the phase of rho(r) / (omega)_r^*, a(r) + 2(1 - (r+1)^2);
+    col[c], that of kappa(c) X(c), 2(2e(0, c) - c^2) plus 2a(c) for 5_2,
+    whose X(c) is (omega)_c^2 (the 6_1 row sum C(c) carries its own
+    phase); and the conjugate chirp -2d^2, d < N.  Since numpy reads
+    index -j as 4N - j, the phase of 1/(omega)_k is entry -a(k).
+    """
+    k = np.arange(order, dtype=np.int64)
+    a = _arg_exponents(order)
+    # one int64 pass reduces all three: a(r) + 2(1 - (r+1)^2) = -r(r+N+3)
+    exps = np.empty((3, order), dtype=np.int64)
+    row, col, chirp = exps
+    np.multiply(k, -(k + (order + 3)), out=row)
+    np.multiply(k, -2 * k, out=chirp)
+    np.add(4 * pair_exponent(knot, 0, k), chirp, out=col)
+    if knot is KnotId.FIVE_TWO:
+        col += 2 * a
+    exps %= 4 * order
+    return a, row, col, chirp
 
 
 # in units of _EPS, the rounding of one pair term V(r) T U(c) beyond its
-# exp arguments, its table entries and the row's dot: 4 for each of the
-# three phases (an angle of at most pi/4 is off by 2.35 pi/4, its cosine
-# and sine by 1.5 together), 7 for three complex products (sqrt 5 each:
-# rho(r) and kappa(c) into their factors, V(r) into the row's dot), 2 for
-# scaling by the two weights and 4 for the two exps
-_PAIR_ROUNDINGS = 3 * 4 + 7 + 2 + 4
+# exp arguments, its table entries and the row's dot: 3 for each of the
+# three phases, each one entry of the xi table (see _xi_powers), 5 for
+# two complex products (sqrt 5 each: V(r) into the row's dot, and for
+# 6_1 kappa(c) into C(c)), 2 for scaling by the two weights and 4 for the
+# two exps
+_PAIR_ROUNDINGS = 3 * 3 + 5 + 2 + 4
 # A complex dot of L terms x y, x = a + ib, y = c + id, is within
 # sqrt(2) (L + 1) eps sum |x||y| whatever order it adds in, with or
 # without FMA.  Its real part is sum a c - sum b d, formed term by term or
@@ -389,54 +428,56 @@ def _chirp_rows(u: np.ndarray, chirp_conj: np.ndarray, rows: int) -> np.ndarray:
     return z
 
 
-def _row_sums(row_log, row_val, abs2_log, abs2_val):
+def _row_sums(log_mag, inv_phase, direct):
     """The 6_1 row sums C(s) = sum_{m>=s} |(omega)_m|^2 / (omega)_{m-s}.
 
-    The factors come split as in _pair_sum: 1/(omega)_r^* as
-    exp(row_log[r]) * row_val[r] and |(omega)_m|^2 as exp(abs2_log[m]) *
-    abs2_val[m].  With k = m - s as the column, all N row sums are one
-    correlation of A(m) = |(omega)_m|^2, zero-padded, with B(k) =
-    1/(omega)_k (see _chirp_rows), taken as two real correlations since A
-    is real.  A is shifted by its largest value and B by the largest
-    row_log, so no product exceeds 1 and every row has the same shift.
-    Row s holds L = N - s terms; whatever order BLAS adds them in, its
-    error is within sqrt(2) (L - 1) eps sum_k A(s+k) |B(k)|, and that sum
-    is a third real correlation, whose own rounding is second order.
-    Forming a product (an exp per factor, then one multiplication) rounds
-    like forming a summand from table entries, which PochhammerTable.err
-    allows for, so the one-term row s = N - 1 is exact.  The rows of C
-    cancel, so this order-free count reads looser than a count of
-    pairwise row sums: the 6_1 estimate is 1.06 times as high at N = 60,
-    1.3 times at N = 100, 2.3 times at N = 149 and 7.8 times at N = 300.
-    When a product can leave the normal range, every term of every row
-    also carries 2^-1073; a row's largest term lies up to about 0.48 N
-    below the one scale, so whole rows leave the double range from
-    N = 1561, long after cancellation has taken every digit.
+    With k = m - s as the column, all N row sums are one correlation of
+    A(m) = |(omega)_m|^2 = exp(2 log_mag[m]), zero-padded, with B(k) =
+    1/(omega)_k = exp(-log_mag[k]) inv_phase[k] (see _chirp_rows), taken
+    as two real correlations since A is real.  Logscale shifts A by its
+    largest log and B by its own, so no product exceeds 1 and every row
+    has the same shift; direct mode shifts neither.  Row s holds L = N - s
+    terms; whatever order BLAS adds them in, its error is within
+    sqrt(2) (L - 1) eps sum_k A(s+k) |B(k)|, and that sum is a third real
+    correlation, whose own rounding is second order.  Forming a product
+    (an exp per factor, a phase read from the xi table, then one
+    multiplication) rounds like forming a summand from table entries,
+    which PochhammerTable.err allows for, so the one-term row s = N - 1 is
+    exact.  The rows of C cancel, so this order-free count reads looser
+    than a count of pairwise row sums: the 6_1 estimate is 1.06 times as
+    high at N = 60, 1.3 times at N = 100, 2.3 times at N = 149 and 7.8
+    times at N = 300.  When a product can leave the normal range, every
+    term of every row also carries 2^-1073; a row's largest term lies up
+    to about 0.48 N below the one scale, so whole rows leave the double
+    range from N = 1561, long after cancellation has taken every digit.
 
-    Returns each row's log shift (one constant), its sum on that scale and
+    Returns the rows' one log shift, and each row's sum on that scale and
     its error bound.
     """
-    n = len(row_log)
-    top = abs2_log.max()
-    xa = abs2_log - top
+    n = len(log_mag)
+    xa = 2.0 * log_mag
+    xb = -log_mag
+    shift = 0.0
+    if not direct:
+        top_a, top_b = xa.max(), xb.max()
+        shift = float(top_a + top_b)
+        xa -= top_a
+        xb -= top_b
     a = np.zeros(2 * n)
-    a[:n] = np.exp(xa) * abs2_val
-    # B(k) = 1/(omega)_k, shifted by the largest row_log
-    shift = row_log.max()
-    xb = row_log - shift
+    np.exp(xa, out=a[:n])
     b = np.exp(xb)
-    inv_val = b * np.conj(row_val)
+    inv_val = b * inv_phase
     # A is real: C(s) is two real correlations, with Re B and Im B
     total = np.empty(n, complex)
     total.real = _chirp_rows(a, inv_val.real, n)
     total.imag = _chirp_rows(a, inv_val.imag, n)
     # sum_k A(s + k) |B(k)| only scales the bound
-    mods = _chirp_rows(a, b * np.abs(row_val), n)
+    mods = _chirp_rows(a, b, n)
     additions = np.arange(n - 1, -1, -1)
     err = _DOT_ROUNDINGS * _EPS * additions * mods
     if xa.min() + xb.min() < _NORMAL_LOG:
         err += _SUBNORMAL_ERR * (additions + 1)
-    return np.full(n, top + shift), total, err
+    return shift, total, err
 
 
 def _pair_sum(knot: KnotId, table: PochhammerTable, direct: bool):
@@ -448,89 +489,81 @@ def _pair_sum(knot: KnotId, table: PochhammerTable, direct: bool):
 
     with X(c) = (omega)_c^2, e = -r(c+1) for 5_2 and X(c) = C(c),
     e = (c-r)(c+1) for 6_1 (see the module docstring and _row_sums).  With
-    zeta = exp(i pi/N) the phase splits as rho(r) kappa(c) zeta^((c-r)^2)
-    (see _phase_exponents), and the weight exp(row_log[r] + col_log[c] - m)
-    as V(r) U(c), so that the sum is
+    zeta = exp(i pi/N) the phase splits as rho(r) kappa(c) zeta^((c-r)^2),
+    and the weight exp(row_log[r] + col_log[c] - m) as V(r) U(c), so that
+    the sum is
 
         sum_r V(r) z(r),    z(r) = sum_{c>=r} zeta^((c-r)^2) U(c),
         V(r) = exp(row_log[r] + lam - m) rho(r) / (omega)_r^*,
         U(c) = exp(col_log[c] - lam) kappa(c) X(c),
 
-    on one scale: lam is the largest col_log and m = max row_log + lam.
-    That m is the largest pair weight, since the largest row_log lies at
-    or before the largest col_log (log |(omega)_k| is least near k = N/6
-    and largest near 5N/6; the 6_1 col_log is one constant).  Both
-    weights are at most 1, V up to the rounding of m, so a pair whose
-    weight is in the normal range has both in it.  The z(r) are one
+    with row_log = -log_mag and col_log = 2 log_mag for 5_2 (6_1 takes the
+    row sums' one log shift).  Every unit phase, that of rho(r) /
+    (omega)_r^*, of kappa(c) (omega)_c^2, of 1/(omega)_k inside C(s) and
+    of the chirp, is one entry of the xi table at an exact exponent (see
+    _phase_exponents).  Logscale takes one scale: lam is the largest
+    col_log and m = max row_log + lam.  That m is the largest pair weight,
+    since the largest row_log lies at or before the largest col_log
+    (log |(omega)_k| is least near k = N/6 and largest near 5N/6; all 6_1
+    columns share one shift).  Both weights are at most 1, V up to the
+    rounding of m, so a pair whose weight is in the normal range has both
+    in it.  Direct mode leaves the magnitudes unshifted, lam = m = 0, so
+    every C(s) and every pair term is a partial sum of the triple sum's
+    own terms and obeys its magnitude bound.  The z(r) are one
     correlation of U, zero-padded, with the chirp: np.correlate, one BLAS
     dot per row of at most _DOT_TERMS terms (see _chirp_rows).  The N
     terms V(r) z(r) are added by one pairwise sum, and sum |t| and the
     error bound are the sums of the rows' shares, from suffix sums of
-    |U(c)| and of its errors.
-
-    Every factor is split as exp(log) * val, and the mode only chooses the
-    split.  Direct takes log 0 and the plain complex factor: every weight
-    is exactly 1, and each reciprocal is applied per factor, so every C(s)
-    and every pair term is a partial sum of the triple sum's own terms and
-    obeys its magnitude bound.  Logscale takes the table's log and a unit
-    phase.  Returns (m, s, a, err): the sum is exp(m) * s, with sum |t| =
-    exp(m) * a and err bounding its rounding on the scale of s (see
-    _four_one_sum).
+    |U(c)| and of its errors.  Returns (m, s, a, err): the sum is
+    exp(m) * s, with sum |t| = exp(m) * a and err bounding its rounding on
+    the scale of s (see _four_one_sum).
     """
     n = table.order
-    # row factor 1/(omega)_r^*, so its conjugate is 1/(omega)_r; the
-    # column factor (omega)_c^2 of 5_2, or |(omega)_m|^2 inside C(s)
-    if direct:
-        zero = np.zeros(n)
-        row_log, row_val = zero, 1.0 / np.conj(table.values)
-        sq_log, sq_val = zero, table.values**2
-        abs2_val = np.abs(table.values) ** 2
-    else:
-        row_log, row_val = -table.log_mag, _unit(table.arg)
-        sq_log, sq_val = 2.0 * table.log_mag, _unit(2.0 * table.arg)
-        abs2_val = np.ones(n)
-    if knot is KnotId.FIVE_TWO:
-        col_log, col_val, col_err = sq_log, sq_val, None
-    else:
-        col_log, col_val, col_err = _row_sums(row_log, row_val, sq_log, abs2_val)
-    # the phases, read from zeta^j, j < 2N, at exponents reduced exactly
-    zeta = _zeta_powers(n)
-    row_exp, col_exp, chirp_exp = _phase_exponents(knot, n)
-    lam = float(col_log.max())
-    m = float(row_log.max()) + lam
-    # U(c), and the suffix sums over c >= r of |U(c)| and of its error: the
-    # rounding of its exp argument (col_log and the shift), the error of
-    # X(c) and that of a subnormal U(c)
-    xu = col_log - lam
-    u = np.exp(xu)
-    col_abs = np.abs(col_val)
-    sums = np.empty((2, n))
-    u_abs = sums[0] = u * col_abs
-    sums[1] = _EPS * u_abs * (np.abs(xu) + np.abs(col_log))
-    if col_err is not None:
-        sums[1] += u * col_err
-    if xu.min() < _NORMAL_LOG:
-        sums[1] += (xu < _NORMAL_LOG) * _SUBNORMAL_ERR * (col_abs + 1.0)
-    u_sum, u_err = np.add.accumulate(sums[:, ::-1], axis=1)[:, ::-1]
+    log_mag = table.log_mag
+    xi = _xi_powers(n)
+    arg_exp, row_exp, col_exp, chirp_exp = _phase_exponents(knot, n)
+    # U(c), zero-padded for the correlation, and per column |U(c)| and its
+    # error in units of eps: the rounding of its exp argument (col_log and
+    # the shift lam), that of a subnormal U(c) and the error of C(c)
     padded = np.zeros(2 * n, complex)
-    np.multiply(u, col_val * zeta[col_exp], out=padded[:n])
-    z = _chirp_rows(padded, np.conj(zeta[chirp_exp]), n)
-    # per row: V(r) z(r), and the row's share of sum |t| and of the error
-    # bound
+    cols = np.empty((2, n))
+    u_abs, u_err = cols
+    if knot is KnotId.FIVE_TWO:
+        col_log = 2.0 * log_mag
+        lam = 0.0 if direct else float(col_log.max())
+        xu = col_log - lam
+        np.exp(xu, out=u_abs)
+        np.multiply(u_abs, xi[col_exp], out=padded[:n])
+        np.abs(xu, out=u_err)
+        u_err += np.abs(col_log)
+        u_err *= u_abs
+        if xu.min() < _NORMAL_LOG:
+            u_err += (xu < _NORMAL_LOG) * (2.0 * _SUBNORMAL_ERR / _EPS)
+    else:
+        # col_log is the row sums' one shift, so U(c) = kappa(c) C(c)
+        lam, row_sums, col_err = _row_sums(log_mag, xi[-arg_exp], direct)
+        np.multiply(row_sums, xi[col_exp], out=padded[:n])
+        np.abs(row_sums, out=u_abs)
+        np.multiply(u_abs, abs(lam), out=u_err)
+        u_err += col_err / _EPS
+    m = 0.0 if direct else float(-log_mag.min()) + lam
     shift = lam - m
-    xv = row_log + shift
+    xv = shift - log_mag
     v = np.exp(xv)
-    row_abs = np.abs(row_val)
-    terms = v * (row_val * zeta[row_exp]) * z
-    v_abs = v * row_abs
-    # row r's dot has N - r terms
-    dot = _DOT_ROUNDINGS * np.arange(n + 1, 1, -1)
-    rounds = abs(shift) + np.abs(xv) + _PAIR_ROUNDINGS + dot
-    v_err = _EPS * rounds * v_abs
+    terms = v * xi[row_exp] * _chirp_rows(padded, xi[chirp_exp], n)
+    # per row: its share of sum |t| and of the error bound, from the suffix
+    # sums over c >= r; row r's dot has N - r terms
+    u_sum, u_err = np.add.accumulate(cols[:, ::-1], axis=1)[:, ::-1]
+    share = v * u_sum
+    a = float(share.sum())
+    rounds = np.arange(n + 1, 1, -1) * _DOT_ROUNDINGS
+    rounds += np.abs(xv)
+    rounds *= u_sum
+    rounds += u_err
+    rounds *= v
+    err = _EPS * (float(rounds.sum()) + (abs(shift) + _PAIR_ROUNDINGS) * a)
     if xv.min() < _NORMAL_LOG:
-        v_err += (xv < _NORMAL_LOG) * _SUBNORMAL_ERR * row_abs
-    a = float((v_abs * u_sum).sum())
-    err = float((v_err * u_sum + v_abs * u_err).sum())
+        err += _SUBNORMAL_ERR * float(((xv < _NORMAL_LOG) * u_sum).sum())
     # the N terms are added pairwise
     err += _sum_error_factor(n) * a
     return m, complex(terms.sum()), a, err

@@ -269,15 +269,19 @@ def _quadrature_log_s(params: QdParams, p: complex) -> complex:
     if margin <= 0.0:
         raise ValueError("argument outside the quadrature strip")
     t = params.truncation
-    tail = math.exp(-margin * t + abs(p.imag)) / (pg * margin * t)
+    h = params.step
+    # the grid ends at x_end, the truncation rounded to a whole number of
+    # steps, which lies below t when t/h rounds down; the dropped tail is
+    # estimated from there
+    half = int(round(t / h))
+    x_end = half * h
+    tail = math.exp(-margin * x_end + abs(p.imag)) / (pg * margin * x_end)
     if tail > _TAIL_TOL:
         raise QuadratureError(
             f"truncation {t} leaves an estimated tail {tail:.2e} for "
             f"Re p = {p.real:.4f}; increase the truncation"
         )
 
-    h = params.step
-    half = int(round(t / h))
     x = np.arange(-half, half + 1) * h
     # the x = 0 entry divides by zero here and is replaced just below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -305,7 +309,6 @@ def _quadrature_log_s(params: QdParams, p: complex) -> complex:
     # remainder is minus the Laurent part, so the trapezoid rule also
     # needs its Euler-Maclaurin end term -h^2/12 [f'(X) - f'(-X)] =
     # -h^2 p/(3 pi gamma X^3).
-    x_end = half * h
     tails = 2.0 * p / (pg * x_end) * (1.0 + h * h / (6.0 * x_end * x_end))
     integral += -tails - 1j * _PI * c1 / pg
     return complex(integral / 4.0)

@@ -22,6 +22,7 @@ from knotvol.invariant import (
     MODES,
     InvariantValue,
     LogComplex,
+    _arg_exponents,
     _chirp_rows,
     _four_one_count,
     _log_window,
@@ -30,6 +31,7 @@ from knotvol.invariant import (
     _refuse_direct,
     _row_sums,
     _sum_error_factor,
+    _xi_powers,
     alexander_check,
     growth_point,
     pochhammer_table,
@@ -413,13 +415,14 @@ def test_banded_sums_match_brute_sums():
 
 
 def _split_factors(table, direct):
-    # 1/(w)_r^* and |(w)_m|^2 as exp(log) * val, split as each float mode
-    # splits them
-    n = table.order
-    if direct:
-        zero = np.zeros(n)
-        return zero, 1.0 / np.conj(table.values), zero, np.abs(table.values) ** 2
-    return -table.log_mag, np.exp(1j * table.arg), 2.0 * table.log_mag, np.ones(n)
+    # the phases of 1/(w)_k read from the xi table, and the double factors
+    # A(m) = |(w)_m|^2 and B(k) = 1/(w)_k that the row sums multiply, each
+    # shifted by its largest log in logscale and unshifted in direct mode
+    inv_phase = _xi_powers(table.order)[-_arg_exponents(table.order)]
+    xa, xb = 2.0 * table.log_mag, -table.log_mag
+    if not direct:
+        xa, xb = xa - xa.max(), xb - xb.max()
+    return inv_phase, np.exp(xa), np.exp(xb) * inv_phase
 
 
 def test_six_one_row_sums_match_loops():
@@ -433,14 +436,11 @@ def test_six_one_row_sums_match_loops():
             sum(abs(poch[m]) ** 2 / poch[m - s] for m in range(s, n)) for s in range(n)
         ]
         for direct in (True, False):
-            row_log, row_val, abs2_log, abs2_val = _split_factors(table, direct)
-            col_log, col_val, col_err = _row_sums(row_log, row_val, abs2_log, abs2_val)
-            assert np.all(col_log == col_log[0]), (n, direct)
-            # the double products A(m) B(m - s) that C(s) adds: A and
-            # B(k) = 1/(w)_k, each shifted by its largest log
-            a = np.exp(abs2_log - abs2_log.max()) * abs2_val
-            inv_val = np.exp(row_log - row_log.max()) * np.conj(row_val)
-            got = col_val if direct else np.exp(col_log) * col_val
+            # the double products A(m) B(m - s) that C(s) adds
+            inv_phase, a, inv_val = _split_factors(table, direct)
+            shift, col_val, col_err = _row_sums(table.log_mag, inv_phase, direct)
+            assert shift == 0.0 if direct else shift > 0.0, (n, direct)
+            got = np.exp(shift) * col_val
             for s in range(n):
                 case = (n, direct, s)
                 assert abs(got[s] - want[s]) <= 1e-13 * abs(want[s]), case
@@ -459,20 +459,24 @@ def test_six_one_row_sums_match_loops():
 
 @pytest.mark.parametrize("knot", [KnotId.FIVE_TWO, KnotId.SIX_ONE])
 def test_pair_sum_takes_one_scale(knot):
-    # the scale m = max row_log + lam, lam = max col_log, is the largest
-    # pair weight max_{r<=c} row_log[r] + col_log[c], taken here from the
-    # suffix maxima of col_log; so no V(r) = exp(row_log[r] + lam - m) and
-    # no U(c) = exp(col_log[c] - lam) exceeds 1 (V up to the rounding of m
-    # and of exp), and a pair whose weight is normal has both factors normal
+    # in logscale the scale m = max row_log + lam, lam = max col_log, is the
+    # largest pair weight max_{r<=c} row_log[r] + col_log[c], taken here
+    # from the suffix maxima of col_log; so no V(r) = exp(row_log[r] + lam
+    # - m) and no U(c) = exp(col_log[c] - lam) exceeds 1 (V up to the
+    # rounding of m and of exp), and a pair whose weight is normal has both
+    # factors normal.  Direct mode leaves its magnitudes unshifted, m = 0
     cases = [(n, direct) for n in range(1, 601) for direct in (True, False)]
     cases += [(n, False) for n in (800, 1208, 2000, 3000)]
     for n, direct in cases:
         table = pochhammer_table(n)
-        row_log, row_val, abs2_log, abs2_val = _split_factors(table, direct)
-        col_log = abs2_log
-        if knot is KnotId.SIX_ONE:
-            col_log = _row_sums(row_log, row_val, abs2_log, abs2_val)[0]
         m = _pair_sum(knot, table, direct)[0]
+        if direct:
+            assert m == 0.0, n
+            continue
+        row_log, col_log = -table.log_mag, 2.0 * table.log_mag
+        if knot is KnotId.SIX_ONE:
+            inv_phase = _split_factors(table, direct)[0]
+            col_log = np.full(n, _row_sums(table.log_mag, inv_phase, direct)[0])
         suffix = np.maximum.accumulate(col_log[::-1])[::-1]
         assert m == (row_log + suffix).max(), (n, direct)
         lam = col_log.max()
@@ -483,18 +487,42 @@ def test_pair_sum_takes_one_scale(knot):
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 7, 64, 101])
 def test_split_phase_exponents_are_exact(order):
-    # rho(r) kappa(c) zeta^((c-r)^2) = omega^e(r, c): the split exponents add
-    # up to 2 e(r, c) mod 2N, in exact integers, for every pair r <= c; e is
-    # the pair exponent the exact engine sums with
-    n2 = 2 * order
+    # xi^a(k), xi = exp(i pi/(2N)), is the phase of (w)_k; and the row and
+    # column exponents and the chirp's (the negated conjugate) add up to the
+    # phase of the pair term, xi^(4e(r, c)) times that of (w)_c^2/(w)_r^*
+    # (5_2) or 1/(w)_r^* (6_1), mod 4N in exact integers, for every pair
+    # r <= c; e is the pair exponent the exact engine sums with
+    n4 = 4 * order
+    xi = _xi_powers(order)
+    a = _arg_exponents(order).tolist()
+    poch = _fresh_pochhammer(order)
+    for k in range(order):
+        assert abs(xi[a[k]] - poch[k] / abs(poch[k])) <= 1e-12, k
     for knot in (KnotId.FIVE_TWO, KnotId.SIX_ONE):
-        row, col, chirp = (v.tolist() for v in _phase_exponents(knot, order))
-        assert all(0 <= x < n2 for x in row + col + chirp), knot
+        arg, row, col, chirp = (v.tolist() for v in _phase_exponents(knot, order))
+        assert arg == a, knot
+        assert all(0 <= x < n4 for x in arg + row + col + chirp), knot
         for r in range(order):
             for c in range(r, order):
-                split = row[r] + col[c] + chirp[c - r]
+                split = row[r] + col[c] - chirp[c - r]
+                table = a[r] + (2 * a[c] if knot is KnotId.FIVE_TWO else 0)
                 e = pair_exponent(knot, r, c)
-                assert split % n2 == 2 * e % n2, (knot, r, c)
+                assert split % n4 == (4 * e + table) % n4, (knot, r, c)
+
+
+def test_xi_powers_within_three_eps():
+    # every entry of the xi table is within 3 eps of exp(i pi j/(2N)), the
+    # count _PAIR_ROUNDINGS takes per phase
+    mp = pytest.importorskip("mpmath")
+    for order in (1, 2, 3, 7, 100, 101, 1208):
+        xi = _xi_powers(order)
+        assert len(xi) == 4 * order
+        with mp.workdps(30):
+            worst = max(
+                abs(mp.mpc(xi[j].real, xi[j].imag) - mp.expjpi(mp.mpf(j) / (2 * order)))
+                for j in range(4 * order)
+            )
+        assert worst <= 3 * 2.0**-53, (order, worst)
 
 
 def test_repeated_calls_retain_no_memory():
@@ -709,6 +737,52 @@ def test_error_estimate_covers_table_rounding(knot, order, reference):
         got = mp.exp(mp.mpf(v.value_log.log_mag)) * mp.expj(mp.mpf(v.value_log.arg))
         err = float(abs(got - ref) / abs(ref))
     assert err <= v.accum_error_estimate
+
+
+# (log |<L>_N|, arg <L>_N) at the orders past the logscale precision cliff,
+# from 60-digit mpmath sums, stored to 25 digits
+_CLIFF_REFS = {
+    (KnotId.SIX_ONE, 171): ("93.18310269382014554695698", "0.3986117727590883305602743"),
+    (KnotId.SIX_ONE, 186): ("100.8623371638943947310892", "3.036888243666921565350001"),
+    (KnotId.SIX_ONE, 201): ("108.5318285485951645829591", "-0.6080834049086877033638260"),
+    (KnotId.SIX_ONE, 225): ("120.7861381503428258083369", "-1.413589148010528804333674"),
+    (KnotId.SIX_ONE, 249): ("133.0233475004194535084597", "-2.219186282639454620451752"),
+    (KnotId.SIX_ONE, 273): ("145.2466037447334075596759", "-3.024850741781737055698837"),
+    (KnotId.SIX_ONE, 300): ("158.9839935275958318148861", "-0.7896909875820620471902315"),
+    (KnotId.FIVE_TWO, 584): ("271.9987162631417038184208", "3.093570538000718383571172"),
+    (KnotId.FIVE_TWO, 632): ("293.7223737175394272978649", "-1.159468828814571804568037"),
+    (KnotId.FIVE_TWO, 704): ("326.2919915383515746543377", "1.885738919577259835636333"),
+    (KnotId.FIVE_TWO, 800): ("369.6941509017799665754787", "-0.3371846090467634847088249"),
+    (KnotId.FIVE_TWO, 896): ("413.0745775219676619181097", "-2.560120413600096849389757"),
+    (KnotId.FIVE_TWO, 1016): ("467.2761754931370771651729", "2.515179496245717677295998"),
+    (KnotId.FIVE_TWO, 1208): ("553.9567558562942202550360", "-1.930729590343955717679196"),
+}
+
+
+@pytest.mark.parametrize("knot, order", list(_CLIFF_REFS))
+def test_cliff_error_estimates_cover_the_error(knot, order):
+    # past the cliff logscale loses most or all of its digits; its error
+    # estimate must still cover the true errors of log |<L>| and arg <L>
+    ref_log, ref_arg = (Fraction(x) for x in _CLIFF_REFS[knot, order])
+    v = quantum_invariant(knot, order, "logscale")
+    d_log = abs(float(Fraction(v.value_log.log_mag) - ref_log))
+    d_arg = abs(math.remainder(float(Fraction(v.value_log.arg) - ref_arg), 2.0 * PI))
+    assert max(d_log, d_arg) <= v.accum_error_estimate, (d_log, d_arg)
+
+
+def test_four_one_matches_its_refined_expansion():
+    # with no fit: log |<4_1>_N| - (3/2) log N - N Vol/(2 pi) tends to
+    # log(3^(-1/4) (1 + k1 h + k2 h^2 + O(h^3))), h = 2 pi/N, with
+    # k1 = 11/(72 sqrt 3) and k2 = 697/(2 (72 sqrt 3)^2)
+    vol = knotvol.hyperbolic_volume(KnotId.FOUR_ONE).volume
+    k1 = 11.0 / (72.0 * math.sqrt(3.0))
+    k2 = 697.0 / (2.0 * (72.0 * math.sqrt(3.0)) ** 2)
+    for order in (4000, 16_000, 64_000):
+        h = 2.0 * PI / order
+        got = growth_point(KnotId.FOUR_ONE, order)[1]
+        got -= 1.5 * math.log(order) + order * vol / (2.0 * PI)
+        want = -0.25 * math.log(3.0) + math.log1p(k1 * h + k2 * h * h)
+        assert abs(got - want) <= 1e-10, (order, got - want)
 
 
 @pytest.mark.parametrize(

@@ -340,6 +340,17 @@ def test_truncation_refusal():
         faddeev_log_s(params, 2.9)
 
 
+@pytest.mark.parametrize("p", [3.089366, -3.089366])
+def test_tail_is_estimated_at_the_grid_end(p):
+    # with step 0.09 the grid ends at x_end = 1333 * 0.09 = 119.97, below
+    # the truncation 120: the tail estimate is 9.97e-13 at 120 but 1.004e-12
+    # at x_end, where the dropped tail starts, so the call is refused; at
+    # the default step the grid ends at 120 and the same argument is taken
+    with pytest.raises(QuadratureError, match="increase the truncation"):
+        faddeev_log_s(QdParams.for_order(20, step=0.09), p)
+    assert cmath.isfinite(faddeev_log_s(QdParams.for_order(20), p))
+
+
 def test_step_refusal():
     params = QdParams(gamma=PI / 10, step=0.8)
     with pytest.raises(QuadratureError):
