@@ -540,7 +540,7 @@ def _pair_sum(knot: KnotId, table: PochhammerTable, direct: bool):
         if xu.min() < _NORMAL_LOG:
             u_err += (xu < _NORMAL_LOG) * (2.0 * _SUBNORMAL_ERR / _EPS)
     else:
-        # col_log is the row sums' one shift, so U(c) = kappa(c) C(c)
+        # lam is the row sums' one shift, so U(c) = kappa(c) C(c)
         lam, row_sums, col_err = _row_sums(log_mag, xi[-arg_exp], direct)
         np.multiply(row_sums, xi[col_exp], out=padded[:n])
         np.abs(row_sums, out=u_abs)
@@ -553,13 +553,13 @@ def _pair_sum(knot: KnotId, table: PochhammerTable, direct: bool):
     terms = v * xi[row_exp] * _chirp_rows(padded, xi[chirp_exp], n)
     # per row: its share of sum |t| and of the error bound, from the suffix
     # sums over c >= r; row r's dot has N - r terms
-    u_sum, u_err = np.add.accumulate(cols[:, ::-1], axis=1)[:, ::-1]
+    u_sum, u_err_sum = np.add.accumulate(cols[:, ::-1], axis=1)[:, ::-1]
     share = v * u_sum
     a = float(share.sum())
     rounds = np.arange(n + 1, 1, -1) * _DOT_ROUNDINGS
     rounds += np.abs(xv)
     rounds *= u_sum
-    rounds += u_err
+    rounds += u_err_sum
     rounds *= v
     err = _EPS * (float(rounds.sum()) + (abs(shift) + _PAIR_ROUNDINGS) * a)
     if xv.min() < _NORMAL_LOG:
