@@ -63,6 +63,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -96,9 +97,19 @@ _EXP_OVERFLOW_LOG = 709.0
 _EXP_ZERO_LOG = -745.2
 
 
-def _wrap_angle(a):
-    """Wrap angles (scalar or array) into (-pi, pi]."""
-    return math.pi - np.remainder(math.pi - np.asarray(a), 2.0 * math.pi)
+def _wrap_angle(a: float) -> float:
+    """Wrap an angle into (-pi, pi]."""
+    return math.pi - (math.pi - a) % (2.0 * math.pi)
+
+
+def _check_order(order) -> int:
+    try:
+        order = operator.index(order)
+    except TypeError:
+        raise TypeError(f"order must be an integer, got {order!r}") from None
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    return order
 
 
 @dataclass(frozen=True)
@@ -118,9 +129,7 @@ class LogComplex:
         z = complex(z)
         if z == 0:
             return cls(float("-inf"), 0.0, True)
-        return cls(
-            math.log(abs(z)), float(_wrap_angle(math.atan2(z.imag, z.real)))
-        )
+        return cls(math.log(abs(z)), _wrap_angle(math.atan2(z.imag, z.real)))
 
     def to_complex(self) -> complex:
         if self.is_zero:
@@ -167,7 +176,8 @@ class PochhammerTable:
     5_2 and 6_1 read the whole log table, and their phases from the xi
     table (see _phase_exponents).  4_1 builds none: it reads the
     reflections of a shorter prefix (see _four_one_count), and its err
-    counts only that prefix's factors.
+    counts only that prefix's factors.  log_max and log_min, the largest
+    and smallest log_mag[k], set the pair sums' scales (see _log_window).
 
     The phases are computed on first use:
     arg[k] is arg (omega)_k in (-pi, pi], and values[k] is the plain
@@ -178,14 +188,14 @@ class PochhammerTable:
     order: int
     log_mag: np.ndarray
     err: float
+    log_max: float
+    log_min: float
 
     @functools.cached_property
     def arg(self) -> np.ndarray:
         # the multiple a(k) of pi/(2N) (see _arg_exponents), taken into (-2N, 2N]
         n = self.order
-        quarter = _arg_exponents(n)
-        quarter = np.where(quarter > 2 * n, quarter - 4 * n, quarter)
-        return quarter * (math.pi / (2 * n))
+        return (2 * n - (2 * n - _arg_exponents(n)) % (4 * n)) * (math.pi / (2 * n))
 
     @functools.cached_property
     def values(self) -> np.ndarray:
@@ -213,10 +223,11 @@ def _log_window(order: int, count: int):
     _four_one_count), reflected in place over the prefix.
 
     Returns (log_mag, hi, lo, err): the entries in the order of k; the
-    largest entry, which is a reflection of the prefix's minimum, so it
-    lies in the window; the smallest, which is in the prefix, since every
-    reflection is near log N/2 or more, above log_mag[0] = 0; and err as in
-    PochhammerTable, counting only the factors read.
+    largest, hi = log N - lo, the reflection of the smallest, lo, which is
+    in the prefix (every reflection is near log N/2 or more), at some j <=
+    N/6 (the prefix falls while 2 sin(pi j/N) < 1), so reflected in the
+    window, and no prefix entry passes log N/2 (log_mag[h-1] + log_mag[N-h]
+    = log N); and err as in PochhammerTable, counting only the factors read.
     """
     n = order
     h = (n + 1) // 2
@@ -233,7 +244,7 @@ def _log_window(order: int, count: int):
     np.sin(grid, out=log_f)
     np.multiply(log_f, 2.0, out=log_f)
     np.log(log_f, out=log_f)
-    log_f_sum = float(np.abs(log_f, out=grid).sum())
+    log_f_sum = float(np.add.reduce(np.abs(log_f, out=grid)))
     # scaling by a power of two is exact: the same bits as log_f / _LOG_GRID
     np.multiply(log_f, 1.0 / _LOG_GRID, out=grid)
     np.rint(grid, out=grid)
@@ -243,13 +254,13 @@ def _log_window(order: int, count: int):
     np.add.accumulate(grid, out=grid)
     np.add.accumulate(log_f, out=log_f)
     np.add(grid, log_f, out=log_f)
-    lo = float(prefix.min())
+    lo = float(np.minimum.reduce(prefix))
     log_n = math.log(n)
     if whole:
         np.subtract(log_n, log_mag[: n - h][::-1], out=log_mag[h:])
     else:
         log_mag = np.subtract(log_n, prefix, out=prefix)[::-1]
-    hi = float(log_mag.max())
+    hi = log_n - lo
     # in units of _EPS, with c = count + 1 prefix entries: per factor, 5
     # for the sine (its argument rounds three times) and 2|log| for the
     # log; the fine running sums, each below c * grid/2; per entry,
@@ -270,10 +281,9 @@ def _log_window(order: int, count: int):
 
 
 def pochhammer_table(order: int) -> PochhammerTable:
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    log_mag, _, _, err = _log_window(order, (order - 1) // 2)
-    return PochhammerTable(order, log_mag, err)
+    order = _check_order(order)
+    log_mag, hi, lo, err = _log_window(order, (order - 1) // 2)
+    return PochhammerTable(order, log_mag, err, hi, lo)
 
 
 @functools.lru_cache(maxsize=None)
@@ -335,20 +345,18 @@ def _xi_powers(order: int) -> np.ndarray:
     n = order
     h = n // 2 + 1
     xi = np.empty(4 * n, dtype=complex)
-    re, im = xi.real, xi.imag
-    angles = np.arange(h, dtype=float)
-    angles *= math.pi / (2 * n)
-    np.cos(angles, out=re[:h])
-    np.sin(angles, out=im[:h])
-    re[h:n], im[h:n] = im[n - h : 0 : -1], re[n - h : 0 : -1]
-    np.negative(im[:n], out=re[n : 2 * n])
-    im[n : 2 * n] = re[:n]
-    parts = xi.view(float)
-    np.negative(parts[: 4 * n], out=parts[4 * n :])
+    parts = xi.view(float).reshape(4 * n, 2)
+    angles = np.arange(h) * (math.pi / (2 * n))
+    np.cos(angles, out=parts[:h, 0])
+    np.sin(angles, out=parts[:h, 1])
+    parts[h:n] = parts[n - h : 0 : -1, ::-1]
+    np.negative(parts[:n, 1], out=parts[n : 2 * n, 0])
+    parts[n : 2 * n, 1] = parts[:n, 0]
+    np.negative(parts[: 2 * n], out=parts[2 * n :])
     return xi
 
 
-def _phase_exponents(knot: KnotId, order: int):
+def _phase_exponents(knot: KnotId, order: int) -> np.ndarray:
     """Exponents mod 4N of xi = exp(i pi/(2N)) for every phase a pair
     term reads.
 
@@ -360,25 +368,24 @@ def _phase_exponents(knot: KnotId, order: int):
 
         4e(r, c) = 2(c-r)^2 + 2(1 - (r+1)^2) + 2(2e(0, c) - c^2).
 
-    Returns four int64 arrays, each reduced exactly into [0, 4N): a(k);
-    row[r], the phase of rho(r) / (omega)_r^*, a(r) + 2(1 - (r+1)^2);
-    col[c], that of kappa(c) X(c), 2(2e(0, c) - c^2) plus 2a(c) for 5_2,
-    whose X(c) is (omega)_c^2 (the 6_1 row sum C(c) carries its own
-    phase); and the conjugate chirp -2d^2, d < N.  Since numpy reads
-    index -j as 4N - j, the phase of 1/(omega)_k is entry -a(k).
+    Returns one int64 array of four rows, built and reduced exactly into
+    [0, 4N) in one pass: inv[k] = -a(k), the phase of 1/(omega)_k; row[r],
+    the phase of rho(r) / (omega)_r^*, -a(r) + 2(1 - (r+1)^2) =
+    -r(r+N+3); col[c], that of kappa(c) X(c), 2(2e(0, c) - c^2) plus 2a(c)
+    for 5_2, whose X(c) is (omega)_c^2 (the 6_1 row sum C(c) carries its
+    own phase); and the conjugate chirp -2d^2, d < N.
     """
     k = np.arange(order, dtype=np.int64)
-    a = _arg_exponents(order)
-    # one int64 pass reduces all three: a(r) + 2(1 - (r+1)^2) = -r(r+N+3)
-    exps = np.empty((3, order), dtype=np.int64)
-    row, col, chirp = exps
-    np.multiply(k, -(k + (order + 3)), out=row)
+    exps = np.empty((4, order), dtype=np.int64)
+    inv, row, col, chirp = exps
+    np.multiply(k, (order - 1) - k, out=inv)
+    np.multiply(k, -(order + 3) - k, out=row)
     np.multiply(k, -2 * k, out=chirp)
     np.add(4 * pair_exponent(knot, 0, k), chirp, out=col)
     if knot is KnotId.FIVE_TWO:
-        col += 2 * a
+        col -= 2 * inv
     exps %= 4 * order
-    return a, row, col, chirp
+    return exps
 
 
 # in units of _EPS, the rounding of one pair term V(r) T U(c) beyond its
@@ -411,58 +418,54 @@ _SUBNORMAL_ERR = 2.0**-1073
 
 
 def _chirp_rows(u: np.ndarray, chirp_conj: np.ndarray, rows: int) -> np.ndarray:
-    """z[i] = sum_{d<L} chirp[d] u[i + d] for i < rows, L = len(chirp_conj).
+    """z[i] = sum_{d<L} chirp[d] u[i + d] for i < rows <= L = len(chirp_conj).
 
     u holds L terms and then at least rows - 1 zeros; z takes the dtype of
-    u, complex or real.  Each row is one BLAS dot per window of at most
-    _DOT_TERMS columns (np.correlate conjugates its second argument, hence
-    the conjugate chirp); a window is skipped for the rows whose part of
-    it is all zeros.
+    u and the chirp, both complex or both real.  Each row is one BLAS dot
+    per window of at most _DOT_TERMS columns (np.correlate conjugates its
+    second argument, hence the conjugate chirp); a window after the first
+    is skipped for the rows whose part of it is all zeros.
     """
     width = len(chirp_conj)
-    z = np.zeros(rows, u.dtype)
-    for d0 in range(0, width, _DOT_TERMS):
+    d1 = min(width, _DOT_TERMS)
+    z = np.correlate(u[: d1 + rows - 1], chirp_conj[:d1], "valid")
+    for d0 in range(d1, width, _DOT_TERMS):
         d1 = min(width, d0 + _DOT_TERMS)
         live = min(rows, width - d0)
         z[:live] += np.correlate(u[d0 : d1 + live - 1], chirp_conj[d0:d1], "valid")
     return z
 
 
-def _row_sums(log_mag, inv_phase, direct):
+def _row_sums(table: PochhammerTable, inv_phase: np.ndarray, direct: bool):
     """The 6_1 row sums C(s) = sum_{m>=s} |(omega)_m|^2 / (omega)_{m-s}.
 
     With k = m - s as the column, all N row sums are one correlation of
     A(m) = |(omega)_m|^2 = exp(2 log_mag[m]), zero-padded, with B(k) =
     1/(omega)_k = exp(-log_mag[k]) inv_phase[k] (see _chirp_rows), taken
     as two real correlations since A is real.  Logscale shifts A by its
-    largest log and B by its own, so no product exceeds 1 and every row
-    has the same shift; direct mode shifts neither.  Row s holds L = N - s
-    terms; whatever order BLAS adds them in, its error is within
-    sqrt(2) (L - 1) eps sum_k A(s+k) |B(k)|, and that sum is a third real
-    correlation, whose own rounding is second order.  Forming a product
-    (an exp per factor, a phase read from the xi table, then one
-    multiplication) rounds like forming a summand from table entries,
-    which PochhammerTable.err allows for, so the one-term row s = N - 1 is
-    exact.  The rows of C cancel, so this order-free count reads looser
-    than a count of pairwise row sums: the 6_1 estimate is 1.06 times as
-    high at N = 60, 1.3 times at N = 100, 2.3 times at N = 149 and 7.8
-    times at N = 300.  When a product can leave the normal range, every
-    term of every row also carries 2^-1073; a row's largest term lies up
-    to about 0.48 N below the one scale, so whole rows leave the double
-    range from N = 1561, long after cancellation has taken every digit.
+    largest log, 2 log_max, and B by its own, -log_min, so no product
+    exceeds 1 and every row has the same shift; direct mode shifts
+    neither.  Row s holds L = N - s terms; whatever order BLAS adds them
+    in, its error is within sqrt(2) (L - 1) eps sum_k A(s+k) |B(k)|, and
+    that sum is a third real correlation, whose own rounding is second
+    order.  Forming a product (an exp per factor, a phase read from the xi
+    table, then one multiplication) rounds like forming a summand from
+    table entries, which PochhammerTable.err allows for, so the one-term
+    row s = N - 1 is exact.  The rows of C cancel, so this order-free
+    count reads looser than a count of pairwise row sums: the 6_1 estimate
+    is 1.06 times as high at N = 60, 1.3 times at N = 100, 2.3 times at
+    N = 149 and 7.8 times at N = 300.  When a product can leave the normal
+    range, every term of every row also carries 2^-1073; a row's largest
+    term lies up to about 0.48 N below the one scale, so whole rows leave
+    the double range from N = 1561, long after cancellation has taken
+    every digit.
 
     Returns the rows' one log shift, and each row's sum on that scale and
     its error bound.
     """
-    n = len(log_mag)
-    xa = 2.0 * log_mag
-    xb = -log_mag
-    shift = 0.0
-    if not direct:
-        top_a, top_b = xa.max(), xb.max()
-        shift = float(top_a + top_b)
-        xa -= top_a
-        xb -= top_b
+    n = table.order
+    top_a, top_b = (0.0, 0.0) if direct else (2.0 * table.log_max, -table.log_min)
+    xa, xb = 2.0 * table.log_mag - top_a, -table.log_mag - top_b
     a = np.zeros(2 * n)
     np.exp(xa, out=a[:n])
     b = np.exp(xb)
@@ -475,9 +478,10 @@ def _row_sums(log_mag, inv_phase, direct):
     mods = _chirp_rows(a, b, n)
     additions = np.arange(n - 1, -1, -1)
     err = _DOT_ROUNDINGS * _EPS * additions * mods
-    if xa.min() + xb.min() < _NORMAL_LOG:
+    # the smallest xa and xb, from the table's extremes
+    if (2.0 * table.log_min - top_a) - (table.log_max + top_b) < _NORMAL_LOG:
         err += _SUBNORMAL_ERR * (additions + 1)
-    return shift, total, err
+    return top_a + top_b, total, err
 
 
 def _pair_sum(knot: KnotId, table: PochhammerTable, direct: bool):
@@ -501,11 +505,12 @@ def _pair_sum(knot: KnotId, table: PochhammerTable, direct: bool):
     row sums' one log shift).  Every unit phase, that of rho(r) /
     (omega)_r^*, of kappa(c) (omega)_c^2, of 1/(omega)_k inside C(s) and
     of the chirp, is one entry of the xi table at an exact exponent (see
-    _phase_exponents).  Logscale takes one scale: lam is the largest
-    col_log and m = max row_log + lam.  That m is the largest pair weight,
-    since the largest row_log lies at or before the largest col_log
-    (log |(omega)_k| is least near k = N/6 and largest near 5N/6; all 6_1
-    columns share one shift).  Both weights are at most 1, V up to the
+    _phase_exponents), all read by one gather.  Logscale takes one scale
+    from the table's extremes: lam is the largest col_log and m = max
+    row_log + lam.  That m is the largest pair weight, since the largest
+    row_log lies at or before the largest col_log (log |(omega)_k| is
+    least near k = N/6 and largest near 5N/6; all 6_1 columns share one
+    shift).  Both weights are at most 1, V up to the
     rounding of m, so a pair whose weight is in the normal range has both
     in it.  Direct mode leaves the magnitudes unshifted, lam = m = 0, so
     every C(s) and every pair term is a partial sum of the triple sum's
@@ -519,9 +524,8 @@ def _pair_sum(knot: KnotId, table: PochhammerTable, direct: bool):
     the scale of s (see _four_one_sum).
     """
     n = table.order
-    log_mag = table.log_mag
-    xi = _xi_powers(n)
-    arg_exp, row_exp, col_exp, chirp_exp = _phase_exponents(knot, n)
+    log_mag, hi, lo = table.log_mag, table.log_max, table.log_min
+    inv_phase, row_phase, col_phase, chirp = _xi_powers(n)[_phase_exponents(knot, n)]
     # U(c), zero-padded for the correlation, and per column |U(c)| and its
     # error in units of eps: the rounding of its exp argument (col_log and
     # the shift lam), that of a subnormal U(c) and the error of C(c)
@@ -530,43 +534,43 @@ def _pair_sum(knot: KnotId, table: PochhammerTable, direct: bool):
     u_abs, u_err = cols
     if knot is KnotId.FIVE_TWO:
         col_log = 2.0 * log_mag
-        lam = 0.0 if direct else float(col_log.max())
+        lam = 0.0 if direct else 2.0 * hi
         xu = col_log - lam
         np.exp(xu, out=u_abs)
-        np.multiply(u_abs, xi[col_exp], out=padded[:n])
+        np.multiply(u_abs, col_phase, out=padded[:n])
         np.abs(xu, out=u_err)
         u_err += np.abs(col_log)
         u_err *= u_abs
-        if xu.min() < _NORMAL_LOG:
+        if 2.0 * lo - lam < _NORMAL_LOG:  # the smallest xu
             u_err += (xu < _NORMAL_LOG) * (2.0 * _SUBNORMAL_ERR / _EPS)
     else:
         # lam is the row sums' one shift, so U(c) = kappa(c) C(c)
-        lam, row_sums, col_err = _row_sums(log_mag, xi[-arg_exp], direct)
-        np.multiply(row_sums, xi[col_exp], out=padded[:n])
+        lam, row_sums, col_err = _row_sums(table, inv_phase, direct)
+        np.multiply(row_sums, col_phase, out=padded[:n])
         np.abs(row_sums, out=u_abs)
         np.multiply(u_abs, abs(lam), out=u_err)
         u_err += col_err / _EPS
-    m = 0.0 if direct else float(-log_mag.min()) + lam
+    m = 0.0 if direct else lam - lo
     shift = lam - m
     xv = shift - log_mag
     v = np.exp(xv)
-    terms = v * xi[row_exp] * _chirp_rows(padded, xi[chirp_exp], n)
+    terms = v * row_phase * _chirp_rows(padded, chirp, n)
     # per row: its share of sum |t| and of the error bound, from the suffix
     # sums over c >= r; row r's dot has N - r terms
     u_sum, u_err_sum = np.add.accumulate(cols[:, ::-1], axis=1)[:, ::-1]
     share = v * u_sum
-    a = float(share.sum())
-    rounds = np.arange(n + 1, 1, -1) * _DOT_ROUNDINGS
+    a = float(np.add.reduce(share))
+    rounds = np.arange(n + 1.0, 1.0, -1.0) * _DOT_ROUNDINGS
     rounds += np.abs(xv)
     rounds *= u_sum
     rounds += u_err_sum
     rounds *= v
-    err = _EPS * (float(rounds.sum()) + (abs(shift) + _PAIR_ROUNDINGS) * a)
-    if xv.min() < _NORMAL_LOG:
+    err = _EPS * (float(np.add.reduce(rounds)) + (abs(shift) + _PAIR_ROUNDINGS) * a)
+    if shift - hi < _NORMAL_LOG:  # the smallest xv
         err += _SUBNORMAL_ERR * float(((xv < _NORMAL_LOG) * u_sum).sum())
     # the N terms are added pairwise
     err += _sum_error_factor(n) * a
-    return m, complex(terms.sum()), a, err
+    return m, complex(np.add.reduce(terms)), a, err
 
 
 def _four_one_count(order: int) -> int:
@@ -609,7 +613,7 @@ def _four_one_sum(log_mag: np.ndarray, hi: float, direct: bool):
     np.multiply(terms, 2.0, out=terms)
     terms -= m
     terms = terms[terms >= _EXP_ZERO_LOG]
-    a = float(np.exp(terms, out=terms).sum())
+    a = float(np.add.reduce(np.exp(terms, out=terms)))
     return m, complex(a), a, _sum_error_factor(len(terms), width=1) * a
 
 
@@ -702,8 +706,7 @@ def quantum_invariant(
     OpenBLAS thread count.  threads and chunk_size have no effect; each
     must still be at least 1.
     """
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
+    order = _check_order(order)
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if threads < 1:
@@ -719,25 +722,21 @@ def quantum_invariant(
     direct = mode == "direct"
     if knot is KnotId.FOUR_ONE:
         log_mag, hi, lo, table_err = _log_window(order, _four_one_count(order))
-        if direct:
-            _refuse_direct(knot, hi, lo)
-        m, s, a, err = _four_one_sum(log_mag, hi, direct)
     else:
         table = pochhammer_table(order)
-        if direct:
-            lm = table.log_mag
-            _refuse_direct(knot, float(lm.max()), float(lm.min()))
+        hi, lo, table_err = table.log_max, table.log_min, table.err
+    if direct:
+        _refuse_direct(knot, hi, lo)
+    if knot is KnotId.FOUR_ONE:
+        m, s, a, err = _four_one_sum(log_mag, hi, direct)
+    else:
         m, s, a, err = _pair_sum(knot, table, direct)
-        table_err = table.err
     err += SUMMAND_FACTORS[knot] * table_err * a
     count = cyclo.exact_term_count(knot, order)
     if s == 0:
         log = LogComplex(float("-inf"), 0.0, True)
         return InvariantValue(knot, order, mode, log, 0j, count, 0.0)
-    log = LogComplex(
-        m + math.log(abs(s)),
-        float(_wrap_angle(math.atan2(s.imag, s.real))),
-    )
+    log = LogComplex(m + math.log(abs(s)), _wrap_angle(math.atan2(s.imag, s.real)))
     image = None
     if direct:
         image = s

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -94,9 +95,12 @@ def li2(z: complex) -> complex:
     real principal value, the average of the two sides.  The argument is
     first moved by the inversion z -> 1/z and reflection z -> 1 - z
     identities into a region where |1 - w| >= 1/2, where the Bernoulli
-    series in u = -log(1 - w) converges geometrically.
+    series in u = -log(1 - w) converges geometrically.  A non-finite
+    argument raises ValueError.
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise ValueError(f"z must be finite, got {z}")
     if z == 0:
         return 0j
     if z == 1:
@@ -138,13 +142,33 @@ _LOB_COEFS = [
 ]
 
 
+# lobachevsky refuses larger arguments, whose reduction mod pi keeps no digit
+_LOB_MAX_ARG = 2.0**49
+
+
 def lobachevsky(theta: float) -> float:
     """Lobachevsky's function -int_0^theta log|2 sin t| dt.
 
     Odd and pi-periodic.  The argument is reduced to |t| <= pi/2 and the
     integral evaluated through its series around t = 0, whose tail decays
     like (t/pi)^(2m) and is summed far past double precision.
+
+    The reduction t = theta - pi k, k = round(theta/pi), in doubles is off
+    by at most (2^-53 + 4e-17)(|theta| + 2): half an ulp for the product
+    pi k, and |k| <= |theta|/pi + 1/2 times the 1.23e-16 by which the
+    double pi misses pi; the subtraction itself is exact (Sterbenz).  That
+    error reaches 0.1, so that not even the first decimal of t is known,
+    near |theta| = 6.6e14.  ValueError is raised for |theta| above
+    _LOB_MAX_ARG = 2^49 (5.6e14, where the error is below 0.085) and for
+    a non-finite theta.
     """
+    if not abs(theta) <= _LOB_MAX_ARG:
+        if not math.isfinite(theta):
+            raise ValueError(f"theta must be finite, got {theta}")
+        raise ValueError(
+            f"theta = {theta!r} is too large: reducing it mod pi keeps no "
+            f"digit (|theta| must be at most 2^49)"
+        )
     t = theta - _PI * round(theta / _PI)
     if t == 0.0:
         return 0.0
@@ -230,6 +254,10 @@ class QdParams:
     @classmethod
     def for_order(cls, order: int, **overrides) -> "QdParams":
         """Parameters for the root-of-unity setting gamma = pi/order."""
+        try:
+            order = operator.index(order)
+        except TypeError:
+            raise TypeError(f"order must be an integer, got {order!r}") from None
         if order < 1:
             raise ValueError(f"order must be >= 1, got {order}")
         return cls(gamma=_PI / order, **overrides)

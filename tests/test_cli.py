@@ -222,6 +222,22 @@ def test_lobachevsky_command(capsys):
     assert abs(float(_fields(out)["lambda"]) - 0.5074708032048268) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("lobachevsky", "--theta", "1e300"), "theta = 1e+300 is too large"),
+        (("lobachevsky", "--theta", "nan"), "theta must be finite, got nan"),
+        (("lobachevsky", "--theta=-inf"), "theta must be finite, got -inf"),
+        (("dilog", "--z", "inf,0"), "z must be finite, got (inf+0j)"),
+        (("dilog", "--z", "0.5,nan"), "z must be finite"),
+    ],
+)
+def test_arguments_without_digits_exit_one(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and err.startswith("error:")
+    assert message in err
+
+
 def test_faddeev_command(capsys):
     code, out, _ = run(capsys, "faddeev", "--gamma", repr(PI / 5), "--p", "0.3,0.1")
     assert code == 0

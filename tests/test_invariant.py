@@ -438,7 +438,7 @@ def test_six_one_row_sums_match_loops():
         for direct in (True, False):
             # the double products A(m) B(m - s) that C(s) adds
             inv_phase, a, inv_val = _split_factors(table, direct)
-            shift, col_val, col_err = _row_sums(table.log_mag, inv_phase, direct)
+            shift, col_val, col_err = _row_sums(table, inv_phase, direct)
             assert shift == 0.0 if direct else shift > 0.0, (n, direct)
             got = np.exp(shift) * col_val
             for s in range(n):
@@ -476,7 +476,7 @@ def test_pair_sum_takes_one_scale(knot):
         row_log, col_log = -table.log_mag, 2.0 * table.log_mag
         if knot is KnotId.SIX_ONE:
             inv_phase = _split_factors(table, direct)[0]
-            col_log = np.full(n, _row_sums(table.log_mag, inv_phase, direct)[0])
+            col_log = np.full(n, _row_sums(table, inv_phase, direct)[0])
         suffix = np.maximum.accumulate(col_log[::-1])[::-1]
         assert m == (row_log + suffix).max(), (n, direct)
         lam = col_log.max()
@@ -487,11 +487,12 @@ def test_pair_sum_takes_one_scale(knot):
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 7, 64, 101])
 def test_split_phase_exponents_are_exact(order):
-    # xi^a(k), xi = exp(i pi/(2N)), is the phase of (w)_k; and the row and
-    # column exponents and the chirp's (the negated conjugate) add up to the
-    # phase of the pair term, xi^(4e(r, c)) times that of (w)_c^2/(w)_r^*
-    # (5_2) or 1/(w)_r^* (6_1), mod 4N in exact integers, for every pair
-    # r <= c; e is the pair exponent the exact engine sums with
+    # xi^a(k), xi = exp(i pi/(2N)), is the phase of (w)_k, and the first
+    # row is -a(k), that of 1/(w)_k; and the row and column exponents and
+    # the chirp's (the negated conjugate) add up to the phase of the pair
+    # term, xi^(4e(r, c)) times that of (w)_c^2/(w)_r^* (5_2) or 1/(w)_r^*
+    # (6_1), mod 4N in exact integers, for every pair r <= c; e is the pair
+    # exponent the exact engine sums with
     n4 = 4 * order
     xi = _xi_powers(order)
     a = _arg_exponents(order).tolist()
@@ -499,9 +500,9 @@ def test_split_phase_exponents_are_exact(order):
     for k in range(order):
         assert abs(xi[a[k]] - poch[k] / abs(poch[k])) <= 1e-12, k
     for knot in (KnotId.FIVE_TWO, KnotId.SIX_ONE):
-        arg, row, col, chirp = (v.tolist() for v in _phase_exponents(knot, order))
-        assert arg == a, knot
-        assert all(0 <= x < n4 for x in arg + row + col + chirp), knot
+        inv, row, col, chirp = (v.tolist() for v in _phase_exponents(knot, order))
+        assert inv == [-x % n4 for x in a], knot
+        assert all(0 <= x < n4 for x in inv + row + col + chirp), knot
         for r in range(order):
             for c in range(r, order):
                 split = row[r] + col[c] - chirp[c - r]
@@ -739,8 +740,28 @@ def test_error_estimate_covers_table_rounding(knot, order, reference):
     assert err <= v.accum_error_estimate
 
 
-# (log |<L>_N|, arg <L>_N) at the orders past the logscale precision cliff,
-# from 60-digit mpmath sums, stored to 25 digits
+# (log |<L>_N|, arg <L>_N) from 60-digit mpmath sums (knotbench/refs.json),
+# stored to 25 digits: a spread of the deep benchmark's orders, where both
+# float modes are right to 1e-6, and the orders past the logscale precision
+# cliff
+_DEEP_REFS = {
+    (KnotId.SIX_ONE, 100): ("56.62818441038209199009721", "1.732067939604432462476714"),
+    (KnotId.SIX_ONE, 107): ("60.25418359521820437095919", "0.4503757274742751724836113"),
+    (KnotId.SIX_ONE, 114): ("63.87379987946611136217193", "-0.8313878228184838173314612"),
+    (KnotId.SIX_ONE, 121): ("67.48779172996525920289768", "-2.113210373148018541080858"),
+    (KnotId.SIX_ONE, 128): ("71.09678997478343237869624", "2.888103031742916368080016"),
+    (KnotId.SIX_ONE, 135): ("74.70132492732338125605410", "1.606189430740709064490171"),
+    (KnotId.SIX_ONE, 142): ("78.30184666754079409084636", "0.3242402796503632235386077"),
+    (KnotId.SIX_ONE, 149): ("81.89874045269901928747824", "-0.9577394250941208161259264"),
+    (KnotId.FIVE_TWO, 400): ("188.6114172258441167406063", "-2.594357392586983522539746"),
+    (KnotId.FIVE_TWO, 414): ("194.9644976554078431216804", "-3.049413428689878321430417"),
+    (KnotId.FIVE_TWO, 428): ("201.3158654628592062710587", "2.778713991842109516629601"),
+    (KnotId.FIVE_TWO, 442): ("207.6656308020640901722500", "2.323654429978351115120996"),
+    (KnotId.FIVE_TWO, 456): ("214.0138935297655932666107", "1.868593346757008077542116"),
+    (KnotId.FIVE_TWO, 470): ("220.3607444503171862244433", "1.413530877755398092295757"),
+    (KnotId.FIVE_TWO, 484): ("226.7062663778388496355540", "0.9584671429063942100595502"),
+    (KnotId.FIVE_TWO, 498): ("233.0505350470187168902016", "0.5034022486916546833031100"),
+}
 _CLIFF_REFS = {
     (KnotId.SIX_ONE, 171): ("93.18310269382014554695698", "0.3986117727590883305602743"),
     (KnotId.SIX_ONE, 186): ("100.8623371638943947310892", "3.036888243666921565350001"),
@@ -759,15 +780,20 @@ _CLIFF_REFS = {
 }
 
 
-@pytest.mark.parametrize("knot, order", list(_CLIFF_REFS))
+@pytest.mark.parametrize("knot, order", list(_CLIFF_REFS) + list(_DEEP_REFS))
 def test_cliff_error_estimates_cover_the_error(knot, order):
     # past the cliff logscale loses most or all of its digits; its error
-    # estimate must still cover the true errors of log |<L>| and arg <L>
-    ref_log, ref_arg = (Fraction(x) for x in _CLIFF_REFS[knot, order])
-    v = quantum_invariant(knot, order, "logscale")
-    d_log = abs(float(Fraction(v.value_log.log_mag) - ref_log))
-    d_arg = abs(math.remainder(float(Fraction(v.value_log.arg) - ref_arg), 2.0 * PI))
-    assert max(d_log, d_arg) <= v.accum_error_estimate, (d_log, d_arg)
+    # estimate must still cover the true errors of log |<L>| and arg <L>.
+    # At the deep orders both float modes must also be right to 1e-6
+    deep = (knot, order) in _DEEP_REFS
+    ref_log, ref_arg = (Fraction(x) for x in {**_CLIFF_REFS, **_DEEP_REFS}[knot, order])
+    for mode in ("direct", "logscale") if deep else ("logscale",):
+        v = quantum_invariant(knot, order, mode)
+        d_log = abs(float(Fraction(v.value_log.log_mag) - ref_log))
+        d_arg = abs(math.remainder(float(Fraction(v.value_log.arg) - ref_arg), 2.0 * PI))
+        assert max(d_log, d_arg) <= v.accum_error_estimate, (mode, d_log, d_arg)
+        if deep:
+            assert max(d_log, d_arg) <= 1e-6, (mode, d_log, d_arg)
 
 
 def test_four_one_matches_its_refined_expansion():
@@ -805,6 +831,15 @@ def test_exact_mode_budget_refusal():
 def test_input_validation():
     with pytest.raises(ValueError):
         quantum_invariant(KnotId.FOUR_ONE, 0)
+    # an order is an integer: a float, even a whole one, is refused by name
+    for order in (5.0, 2.5, "5"):
+        with pytest.raises(TypeError, match="order must be an integer, got"):
+            quantum_invariant(KnotId.FOUR_ONE, order)
+        with pytest.raises(TypeError, match="order must be an integer, got"):
+            pochhammer_table(order)
+    # any integer type is taken as its value
+    v = quantum_invariant(KnotId.FIVE_TWO, np.int64(7))
+    assert v == quantum_invariant(KnotId.FIVE_TWO, 7) and type(v.order) is int
     with pytest.raises(ValueError):
         quantum_invariant(KnotId.FOUR_ONE, 5, "fast")
     with pytest.raises(ValueError):

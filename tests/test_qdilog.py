@@ -129,6 +129,12 @@ def test_li2_accepts_reals_and_ints():
     assert li2(1) == li2(1.0) == li2(1 + 0j)
 
 
+@pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan, complex(1.0, math.inf), complex(0.5, math.nan)])
+def test_li2_refuses_non_finite_arguments(z):
+    with pytest.raises(ValueError, match="z must be finite"):
+        li2(z)
+
+
 # --- Lobachevsky ---
 
 def test_lobachevsky_zeroes():
@@ -172,6 +178,24 @@ def test_lobachevsky_matches_fourier_partial_sums():
 def test_lobachevsky_fourier_validates_terms():
     with pytest.raises(ValueError):
         lobachevsky_fourier(1.0, 0)
+
+
+def test_lobachevsky_refuses_what_it_cannot_reduce():
+    # reducing theta mod pi in doubles is off by up to 1.5e-16 (|theta| + 2),
+    # 0.085 at 2^49: a change of t by that much moves Lambda by at most
+    # int_0^0.085 |log(2s)| ds < 0.24, so up to 2^49 a value keeps its first
+    # digit, and beyond it lobachevsky raises
+    mp = pytest.importorskip("mpmath")
+    for theta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            lobachevsky(theta)
+    for theta in (1e300, -1e300, math.nextafter(2.0**49, math.inf)):
+        with pytest.raises(ValueError, match="too large: reducing it mod pi keeps no digit"):
+            lobachevsky(theta)
+    for theta, tol in ((1e8, 1e-7), (3e14, 0.24), (2.0**49, 0.24), (-(2.0**49), 0.24)):
+        with mp.workdps(40):
+            want = float(mp.clsin(2, 2 * mp.mpf(theta)) / 2)
+        assert abs(lobachevsky(theta) - want) <= tol, theta
 
 
 def test_lobachevsky_maximum_value():
@@ -234,6 +258,11 @@ def test_params_for_order():
     assert QdParams.for_order(5, step=0.1).step == 0.1
     with pytest.raises(ValueError):
         QdParams.for_order(0)
+    # gamma = pi/N needs an integer N; a float, even a whole one, is refused
+    for order in (2.5, 5.0):
+        with pytest.raises(TypeError, match="order must be an integer, got"):
+            QdParams.for_order(order)
+    assert QdParams.for_order(np.int64(10)) == QdParams.for_order(10)
 
 
 # --- Faddeev integral ---
