@@ -103,6 +103,7 @@ def _wrap_angle(a: float) -> float:
 
 
 def _check_order(order) -> int:
+    """order as an int, refused unless it is an integer >= 1."""
     try:
         order = operator.index(order)
     except TypeError:
@@ -195,7 +196,9 @@ class PochhammerTable:
     def arg(self) -> np.ndarray:
         # the multiple a(k) of pi/(2N) (see _arg_exponents), taken into (-2N, 2N]
         n = self.order
-        return (2 * n - (2 * n - _arg_exponents(n)) % (4 * n)) * (math.pi / (2 * n))
+        quarter = _arg_exponents(n)
+        quarter = np.where(quarter > 2 * n, quarter - 4 * n, quarter)
+        return quarter * (math.pi / (2 * n))
 
     @functools.cached_property
     def values(self) -> np.ndarray:
@@ -370,7 +373,7 @@ def _phase_exponents(knot: KnotId, order: int) -> np.ndarray:
 
     Returns one int64 array of four rows, built and reduced exactly into
     [0, 4N) in one pass: inv[k] = -a(k), the phase of 1/(omega)_k; row[r],
-    the phase of rho(r) / (omega)_r^*, -a(r) + 2(1 - (r+1)^2) =
+    the phase of rho(r) / (omega)_r^*, a(r) + 2(1 - (r+1)^2) =
     -r(r+N+3); col[c], that of kappa(c) X(c), 2(2e(0, c) - c^2) plus 2a(c)
     for 5_2, whose X(c) is (omega)_c^2 (the 6_1 row sum C(c) carries its
     own phase); and the conjugate chirp -2d^2, d < N.
@@ -443,22 +446,21 @@ def _row_sums(table: PochhammerTable, inv_phase: np.ndarray, direct: bool):
     A(m) = |(omega)_m|^2 = exp(2 log_mag[m]), zero-padded, with B(k) =
     1/(omega)_k = exp(-log_mag[k]) inv_phase[k] (see _chirp_rows), taken
     as two real correlations since A is real.  Logscale shifts A by its
-    largest log, 2 log_max, and B by its own, -log_min, so no product
-    exceeds 1 and every row has the same shift; direct mode shifts
-    neither.  Row s holds L = N - s terms; whatever order BLAS adds them
-    in, its error is within sqrt(2) (L - 1) eps sum_k A(s+k) |B(k)|, and
-    that sum is a third real correlation, whose own rounding is second
-    order.  Forming a product (an exp per factor, a phase read from the xi
-    table, then one multiplication) rounds like forming a summand from
-    table entries, which PochhammerTable.err allows for, so the one-term
-    row s = N - 1 is exact.  The rows of C cancel, so this order-free
-    count reads looser than a count of pairwise row sums: the 6_1 estimate
-    is 1.06 times as high at N = 60, 1.3 times at N = 100, 2.3 times at
-    N = 149 and 7.8 times at N = 300.  When a product can leave the normal
-    range, every term of every row also carries 2^-1073; a row's largest
-    term lies up to about 0.48 N below the one scale, so whole rows leave
-    the double range from N = 1561, long after cancellation has taken
-    every digit.
+    largest log and B by its own, so no product exceeds 1 and every row
+    has the same shift; direct mode shifts neither.  Row s holds L = N - s
+    terms; whatever order BLAS adds them in, its error is within
+    sqrt(2) (L - 1) eps sum_k A(s+k) |B(k)|, and that sum is a third real
+    correlation, whose own rounding is second order.  Forming a product
+    (an exp per factor, a phase read from the xi table, then one
+    multiplication) rounds like forming a summand from table entries,
+    which PochhammerTable.err allows for, so the one-term row s = N - 1 is
+    exact.  The rows of C cancel, so this order-free count reads looser
+    than a count of pairwise row sums: the 6_1 estimate is 1.06 times as
+    high at N = 60, 1.3 times at N = 100, 2.3 times at N = 149 and 7.8
+    times at N = 300.  When a product can leave the normal range, every
+    term of every row also carries 2^-1073; a row's largest term lies up
+    to about 0.48 N below the one scale, so whole rows leave the double
+    range from N = 1561, long after cancellation has taken every digit.
 
     Returns the rows' one log shift, and each row's sum on that scale and
     its error bound.
@@ -505,12 +507,11 @@ def _pair_sum(knot: KnotId, table: PochhammerTable, direct: bool):
     row sums' one log shift).  Every unit phase, that of rho(r) /
     (omega)_r^*, of kappa(c) (omega)_c^2, of 1/(omega)_k inside C(s) and
     of the chirp, is one entry of the xi table at an exact exponent (see
-    _phase_exponents), all read by one gather.  Logscale takes one scale
-    from the table's extremes: lam is the largest col_log and m = max
-    row_log + lam.  That m is the largest pair weight, since the largest
-    row_log lies at or before the largest col_log (log |(omega)_k| is
-    least near k = N/6 and largest near 5N/6; all 6_1 columns share one
-    shift).  Both weights are at most 1, V up to the
+    _phase_exponents).  Logscale takes one scale: lam is the largest
+    col_log and m = max row_log + lam.  That m is the largest pair weight,
+    since the largest row_log lies at or before the largest col_log
+    (log |(omega)_k| is least near k = N/6 and largest near 5N/6; all 6_1
+    columns share one shift).  Both weights are at most 1, V up to the
     rounding of m, so a pair whose weight is in the normal range has both
     in it.  Direct mode leaves the magnitudes unshifted, lam = m = 0, so
     every C(s) and every pair term is a partial sum of the triple sum's
