@@ -74,6 +74,37 @@ def _complex_arg(text: str) -> complex:
         raise argparse.ArgumentTypeError(f"non-numeric component in {text!r}")
 
 
+# the options that take a number.  argparse reads a token that starts with
+# "-" as that option's value only if it is a plain negative decimal such
+# as -1.5, so `--theta -1e3`, `--z -1e3,0` and `--theta -inf` are passed
+# to it as `--theta=-1e3` and so on
+_NUMBER_OPTIONS = frozenset(
+    {"--n", "--n-min", "--n-max", "--step", "--threads", "--z", "--theta",
+     "--gamma", "--p", "--truncation"}
+)
+
+
+def _join_number_values(argv: list[str]) -> list[str]:
+    """argv with each number option and a value after it that starts with
+    a single "-" written as one `--option=value` token."""
+    out: list[str] = []
+    i = 0
+    while i < len(argv):
+        arg = argv[i]
+        if (
+            arg in _NUMBER_OPTIONS
+            and i + 1 < len(argv)
+            and argv[i + 1].startswith("-")
+            and not argv[i + 1].startswith("--")
+        ):
+            out.append(f"{arg}={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(arg)
+            i += 1
+    return out
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="knotvol",
@@ -385,7 +416,9 @@ def _cmd_verify() -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            _join_number_values(sys.argv[1:] if argv is None else list(argv))
+        )
         if args.command == "invariant":
             return _cmd_invariant(args)
         if args.command == "volume":

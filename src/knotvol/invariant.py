@@ -29,9 +29,10 @@ triangle is summed by one BLAS dot, serially, and the N rows' terms by
 one pairwise sum.  The 6_1 row sums C(s) are correlations too, one dot a
 row.  Nothing is split over workers, and no dot is long enough for
 OpenBLAS to split it over threads, so results are the same bits on every
-run.  The 4_1 sum, N positive terms, is one pairwise sum of those within
-exp's range.  They lie in a window of about N/6 + 19 sqrt(N) entries
-around the peak near k = 5N/6, and 4_1 builds only that window.
+run.  The 4_1 sum, N positive terms, is one pairwise sum of those that
+are not negligible.  They lie in a window of O(sqrt N) entries around the
+peak near k = 5N/6, and 4_1 builds only that window, starting its running
+log sum at the window's edge from the sum's Euler-Maclaurin form.
 
 No pair reads its phase by index.  With zeta = exp(i pi/N), so that
 omega = zeta^2, and -2rc = (c-r)^2 - r^2 - c^2, both pair exponents
@@ -69,7 +70,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import cyclo
+from . import cyclo, qdilog
 from .knots import SUMMAND_FACTORS, KnotId, pair_exponent
 
 __all__ = [
@@ -93,8 +94,6 @@ _DIRECT_TABLE_LOG_LIMIT = 600.0
 # ... or when a term magnitude bound would approach the double-float ceiling
 _DIRECT_TERM_LOG_LIMIT = 690.0
 _EXP_OVERFLOW_LOG = 709.0
-# exp(x) rounds to 0 for every x below this (log 2^-1075 = -745.13)
-_EXP_ZERO_LOG = -745.2
 
 
 def _wrap_angle(a: float) -> float:
@@ -176,9 +175,10 @@ class PochhammerTable:
 
     5_2 and 6_1 read the whole log table, and their phases from the xi
     table (see _phase_exponents).  4_1 builds none: it reads the
-    reflections of a shorter prefix (see _four_one_count), and its err
-    counts only that prefix's factors.  log_max and log_min, the largest
-    and smallest log_mag[k], set the pair sums' scales (see _log_window).
+    reflections of a short stretch of the prefix (see _four_one_window),
+    and its err counts only that stretch's factors and its start value.
+    log_max and log_min, the largest and smallest log_mag[k], set the pair
+    sums' scales (see _log_window).
 
     The phases are computed on first use:
     arg[k] is arg (omega)_k in (-pi, pi], and values[k] is the plain
@@ -214,49 +214,105 @@ class PochhammerTable:
 _LOG_GRID = 2.0**-20
 
 
-def _log_window(order: int, count: int):
-    """log |(omega)_k| from the first `count` factors, count < N/2.
+def _euler_maclaurin_start(order: int, start: int) -> tuple[float, float]:
+    """P(j) = sum_{i<=j} log(2 sin(pi i/N)) at j = start, in closed form.
 
-    The prefix log_mag[j], j <= count, is the running sum of the factors
-    log |1 - omega^j| = log(2 sin(pi j/N)); since (omega)_{N-1} = N, the
-    entries k >= N - 1 - count are its reflections log N - log_mag[N-1-k].
-    With count = h - 1, h = ceil(N/2), that is the whole table: the first
-    h entries and the reflections of the rest.  With a smaller count it
-    is only the window k >= N - 1 - count (what 4_1 sums, see
-    _four_one_count), reflected in place over the prefix.
+    With theta = pi j/N and h = pi/N, Euler-Maclaurin gives
+
+        P(j) = -(N/pi) Lambda(theta) + 1/2 log(2N sin theta)
+               + h cot(theta)/12 - h^3 (2 cot csc^2)/720
+               + h^5 (16 cot csc^4 + 8 cot^3 csc^2)/30240 + R,
+
+    Lambda being Lobachevsky's function.  Split log(2 sin t) as log(2t) +
+    g(t), g(t) = log(sin t/t): the first part sums to j log(2pi/N) +
+    log j!, Stirling's series, and g is smooth and even, with every Taylor
+    coefficient negative, so its odd derivatives vanish at 0 and the sum
+    of g(pi i/N) from i = 0 is Euler-Maclaurin's with no terms at the
+    lower end.  Both remainders are within their first omitted term (the
+    Stirling series of log j!, and Euler-Maclaurin for g, whose even
+    derivatives keep one sign): 1/(1680 j^7) and (h^7/1209600) |g^(7)|,
+    and |g^(7)| grows to 720/(pi/2)^7 at pi/2, where cot's sixth
+    derivative vanishes, so it is at most 720/theta^7 there and |R| <=
+    1/(840 j^7).
+
+    Returns (P, err): err adds to R the rounding, in units of eps = 2^-53.
+    theta is within 2.4 eps relative, which moves (N/pi) Lambda by at
+    most 2.4 |P| <= 2.4 (N/pi) Lambda (|log(2 sin t)| falls up to pi/6,
+    and the terms after the first are positive).  Lambda is within 6 eps
+    relative on (0, pi/6]: its parts t, -t log 2t and the positive series
+    meet four roundings and a log within an ulp, and -t log 2t is negative
+    only past t = 1/2, where it is under 5% of the sum (2.4 eps is the
+    largest error measured against 40-digit values).  N/pi and the product
+    add 2.35 (N/pi) Lambda, and the two additions at most 2 ((N/pi) Lambda
+    + log 2N).  1/2 log(2N sin theta) is within log 2N + 2.2, and the small
+    terms within 0.02.
+    """
+    n = order
+    h = math.pi / n
+    theta = start * h
+    sine = math.sin(theta)
+    v = h * math.cos(theta) / sine  # h cot theta
+    u = h * h / (sine * sine)  # h^2 csc^2 theta
+    main = n / math.pi * qdilog.lobachevsky(theta)
+    p = -main + 0.5 * math.log(2.0 * n * sine) + v * (
+        1.0 / 12.0 - u / 360.0 + u * (2.0 * u + v * v) / 3780.0
+    )
+    log_2n = math.log(2.0 * n)
+    err = _EPS * (14.0 * main + 4.0 * log_2n + 3.0) + 1.0 / (840.0 * start**7)
+    return p, err
+
+
+def _log_window(order: int, start: int, count: int):
+    """log |(omega)_k| from the prefix P(j) = log_mag[j], start <= j <= count.
+
+    P(j) is the running sum of the factors log |1 - omega^i| = log(2 sin(pi
+    i/N)), i <= j, count < N/2; since (omega)_{N-1} = N, the entries
+    k >= N - 1 - count are its reflections log N - P(N-1-k).  With start =
+    0 and count = h - 1, h = ceil(N/2), that is the whole table: the first
+    h entries and the reflections of the rest.  Otherwise it is only the
+    window N - 1 - count <= k <= N - 1 - start (what 4_1 sums, see
+    _four_one_window), reflected in place over the prefix, and for
+    start > 0 the running sum begins at P(start) from
+    _euler_maclaurin_start.
 
     Returns (log_mag, hi, lo, err): the entries in the order of k; the
     largest, hi = log N - lo, the reflection of the smallest, lo, which is
     in the prefix (every reflection is near log N/2 or more), at some j <=
     N/6 (the prefix falls while 2 sin(pi j/N) < 1), so reflected in the
     window, and no prefix entry passes log N/2 (log_mag[h-1] + log_mag[N-h]
-    = log N); and err as in PochhammerTable, counting only the factors read.
+    = log N); and err as in PochhammerTable, counting only the factors read
+    and the start value's error.
     """
     n = order
     h = (n + 1) // 2
     whole = count == h - 1
-    log_mag = np.empty(n if whole else count + 1)
-    prefix = log_mag[: count + 1]
-    prefix[0] = 0.0
-    # the running sums of the factors j <= count < N/2, whose sine
-    # arguments pi j/N are accurate to a few ulps, are built in place, in
-    # the prefix and one grid buffer of count doubles
+    c = count - start + 1
+    log_mag = np.empty(n if whole else c)
+    prefix = log_mag[:c]
+    p0, start_err = _euler_maclaurin_start(n, start) if start else (0.0, 0.0)
+    # the running sums of P(start) and the factors start < j <= count < N/2,
+    # whose sine arguments pi j/N are accurate to a few ulps, are built in
+    # place, in the prefix and one grid buffer of c doubles
     log_f = prefix[1:]
-    grid = np.arange(1.0, count + 1)
-    np.multiply(grid, math.pi / n, out=grid)
-    np.sin(grid, out=log_f)
+    grid = np.arange(float(start), count + 1)
+    factors = grid[1:]
+    np.multiply(factors, math.pi / n, out=factors)
+    np.sin(factors, out=log_f)
     np.multiply(log_f, 2.0, out=log_f)
     np.log(log_f, out=log_f)
-    log_f_sum = float(np.add.reduce(np.abs(log_f, out=grid)))
+    log_f_sum = float(np.add.reduce(np.abs(log_f, out=factors)))
     # scaling by a power of two is exact: the same bits as log_f / _LOG_GRID
-    np.multiply(log_f, 1.0 / _LOG_GRID, out=grid)
-    np.rint(grid, out=grid)
-    np.multiply(grid, _LOG_GRID, out=grid)
-    np.subtract(log_f, grid, out=log_f)
+    np.multiply(log_f, 1.0 / _LOG_GRID, out=factors)
+    np.rint(factors, out=factors)
+    np.multiply(factors, _LOG_GRID, out=factors)
+    np.subtract(log_f, factors, out=log_f)
+    # P(start) is split on the grid too; both parts are exact
+    grid[0] = round(p0 / _LOG_GRID) * _LOG_GRID
+    prefix[0] = p0 - grid[0]
     # np.add.accumulate, not np.cumsum, which keeps a little memory per call
     np.add.accumulate(grid, out=grid)
-    np.add.accumulate(log_f, out=log_f)
-    np.add(grid, log_f, out=log_f)
+    np.add.accumulate(prefix, out=prefix)
+    np.add(grid, prefix, out=prefix)
     lo = float(np.minimum.reduce(prefix))
     log_n = math.log(n)
     if whole:
@@ -264,15 +320,15 @@ def _log_window(order: int, count: int):
     else:
         log_mag = np.subtract(log_n, prefix, out=prefix)[::-1]
     hi = log_n - lo
-    # in units of _EPS, with c = count + 1 prefix entries: per factor, 5
-    # for the sine (its argument rounds three times) and 2|log| for the
-    # log; the fine running sums, each below c * grid/2; per entry,
-    # 5|log_mag| + 2 log N + 16 for adding the two sums, for the
-    # reflection (math.log is within an ulp, 2 log N, and the subtraction
-    # rounds once, |log_mag|, on top of the mirror entry's error), for the
-    # exponential and phase in `values`, and for forming a summand
-    c = count + 1
-    err = _EPS * (
+    # in units of _EPS, with c prefix entries: per factor, 5 for the sine
+    # (its argument rounds three times) and 2|log| for the log; the fine
+    # running sums, each below c * grid/2; per entry, 5|log_mag| + 2 log N
+    # + 16 for adding the two sums, for the reflection (math.log is within
+    # an ulp, 2 log N, and the subtraction rounds once, |log_mag|, on top
+    # of the mirror entry's error), for the exponential and phase in
+    # `values`, and for forming a summand; and P(start)'s error, which
+    # every entry carries
+    err = start_err + _EPS * (
         5.0 * c
         + 2.0 * log_f_sum
         + c * c * _LOG_GRID / 4.0
@@ -285,7 +341,7 @@ def _log_window(order: int, count: int):
 
 def pochhammer_table(order: int) -> PochhammerTable:
     order = _check_order(order)
-    log_mag, hi, lo, err = _log_window(order, (order - 1) // 2)
+    log_mag, hi, lo, err = _log_window(order, 0, (order - 1) // 2)
     return PochhammerTable(order, log_mag, err, hi, lo)
 
 
@@ -574,28 +630,49 @@ def _pair_sum(knot: KnotId, table: PochhammerTable, direct: bool):
     return m, complex(np.add.reduce(terms)), a, err
 
 
-def _four_one_count(order: int) -> int:
-    """The prefix length whose window holds every term <4_1> keeps.
+# 4_1 starts its running sum at the Euler-Maclaurin P(start) from this start
+# on, where that form's remainder, at most 1/(840 start^7) = 2.7e-16, is a
+# fraction of an ulp of P(start) (about -120 at start = 64, N = 1000)
+_EM_MIN_START = 64
 
-    <4_1> = sum_k exp(2 log_mag[k]) peaks near k = 5N/6, the reflection of
-    the prefix minimum near j = N/6, and logscale keeps only the terms
-    within exp's range of the largest (see _four_one_sum): reflections
-    k = N-1-j whose prefix P(j) = log_mag[j] lies within 373.6 of its
-    minimum.  f(t) = log(2 sin t) is concave, 0 at pi/6 and log 2 at pi/2,
-    so f(pi j/N) >= (3 log 2/N)(j - N/6) on N/6 <= j <= N/2, and summing
-    from the first j past N/6,
 
-        P(j) - min P >= (3 log 2/(2N)) (j - N/6)^2,
+def _four_one_window(order: int) -> tuple[int, int]:
+    """The prefix range start <= j <= count whose reflections hold every
+    term of <4_1> that is not negligible.
 
-    which passes 374.6 (a unit above the cut, far above the table's
-    rounding) for every j > N/6 + 19 sqrt(N), since sqrt(2 * 374.6/(3 log
-    2)) < 19.  Entries k < N/2 are at most about log N/2 (the prefix falls
-    to its minimum and rises to about log N/2 at the middle), far below
-    the cut max log_mag - 373.6, which grows like 0.16 N and is 159 at
-    N = 3273, the first order whose window is not the whole table.
-    Direct mode takes every entry but accepts 4_1 only up to N = 2112.
+    <4_1> = sum_k exp(2 log_mag[k]) peaks near k = 5N/6, the reflection
+    of the minimum of P(j) = log_mag[j] near j = N/6.  A term is dropped
+    only if it is below e^-T of the largest, T = log(4N/eps), so the at
+    most N dropped terms add at most eps/4 of the sum (_four_one_sum counts
+    that share).  f(t) = log(2 sin t) is concave, 0 at pi/6 and log 2 at
+    pi/2, with slope sqrt(3) at pi/6.  Above its chord, f(pi i/N) >=
+    (3 log 2/N)(i - N/6) on N/6 <= i <= N/2; below its tangent, -f(pi i/N)
+    >= (sqrt(3) pi/N)(N/6 - i) for i < N/6.  Summing over the i between j
+    and the minimum,
+
+        P(j) - min P >= (3 log 2/(2N)) (j - N/6)^2       for j >= N/6,
+        P(j) - min P >= (sqrt(3) pi/(2N)) (N/6 - j - 1)^2 for j < N/6,
+
+    which passes T/2 for every j > count and every j < start, since
+    count - N/6 > sqrt(N T/(3 log 2)) and N/6 - start - 1 > sqrt(N T/
+    (sqrt(3) pi)), each with a unit of margin.  Entries k < N/2, which are
+    not reflections, are at most log N/2 (see _log_window), no more than
+    the reflection of j = h - 1, so they are dropped too unless count =
+    h - 1 (N <= 204), when the window is the whole table.  Below N = 919
+    start would fall under _EM_MIN_START and is 0.  Every term a window
+    keeps is far inside exp's range: at least about e^-(2.6 T) of the
+    largest when start > 0 (the slope of f at pi/6 is 2.6 times the
+    chord's, and the left edge lies nearer), e^-(0.33 N) when start = 0
+    and e^-(0.65 N) for the whole table.
     """
-    return min((order - 1) // 2, math.ceil(order / 6 + 19 * math.sqrt(order)) + 2)
+    n = order
+    h = (n + 1) // 2
+    cut = math.log(4.0 * n / _EPS)
+    count = min(h - 1, math.ceil(n / 6 + math.sqrt(n * cut / (3.0 * math.log(2.0)))) + 1)
+    start = math.floor(n / 6 - math.sqrt(n * cut / (math.sqrt(3.0) * math.pi))) - 2
+    if start < _EM_MIN_START or count == h - 1:
+        start = 0
+    return start, count
 
 
 def _four_one_sum(log_mag: np.ndarray, hi: float, direct: bool):
@@ -603,19 +680,16 @@ def _four_one_sum(log_mag: np.ndarray, hi: float, direct: bool):
 
     log_mag holds the entries of a _log_window, hi the largest.  Returns
     (m, s, a, err): the sum is exp(m) * s with sum |term| = exp(m) * a,
-    and err bounds its summation rounding on the scale of s.  Logscale
+    and err bounds its summation rounding on the scale of s, with the
+    eps/4 share the window may drop (see _four_one_window).  Logscale
     shifts by the largest term; direct mode, whose refusals keep every
     term finite, does not.
     """
     m = 0.0 if direct else 2.0 * hi
-    # exp is exactly 0 below _EXP_ZERO_LOG, and many times slower there:
-    # the entries are picked, with a margin, before any term is formed
-    terms = log_mag[log_mag >= (m + _EXP_ZERO_LOG) / 2.0 - 1.0]
-    np.multiply(terms, 2.0, out=terms)
+    terms = np.multiply(log_mag, 2.0)
     terms -= m
-    terms = terms[terms >= _EXP_ZERO_LOG]
     a = float(np.add.reduce(np.exp(terms, out=terms)))
-    return m, complex(a), a, _sum_error_factor(len(terms), width=1) * a
+    return m, complex(a), a, (_sum_error_factor(len(terms), width=1) + _EPS / 4.0) * a
 
 
 def _refuse_direct(knot: KnotId, hi: float, lo: float) -> None:
@@ -652,8 +726,10 @@ class InvariantValue:
     the Pochhammer table: each summand is a product of 2 (4_1), 3 (5_2) or 4
     (6_1) table entries, so the table adds that many PochhammerTable.err
     per unit of sum |summand|.  For 4_1 that err counts only the factors
-    of the prefix its window reflects, about N/6 + 19 sqrt(N) of them
-    rather than N/2.  For 6_1 the summands are the pair terms
+    of the stretch of the prefix its window reflects, O(sqrt N) of them
+    rather than N/2, and the error of its Euler-Maclaurin start; the
+    estimate also holds the eps/4 share of the terms the window leaves
+    out.  For 6_1 the summands are the pair terms
     C(s)/(omega)_l^*, so cancellation inside a row sum C(s) weighs in its
     summation rounding but not its share of the table rounding.
     """
@@ -722,7 +798,7 @@ def quantum_invariant(
     # keeps m = 0, so s is the plain sum
     direct = mode == "direct"
     if knot is KnotId.FOUR_ONE:
-        log_mag, hi, lo, table_err = _log_window(order, _four_one_count(order))
+        log_mag, hi, lo, table_err = _log_window(order, *_four_one_window(order))
     else:
         table = pochhammer_table(order)
         hi, lo, table_err = table.log_max, table.log_min, table.err

@@ -238,6 +238,43 @@ def test_arguments_without_digits_exit_one(capsys, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        (("lobachevsky", "--theta", "-1e3"), "theta: -1000.0"),
+        (("lobachevsky", "--theta", "-.5"), "theta: -0.5"),
+        (("dilog", "--z", "-1e3,0"), "z: (-1000+0j)"),
+        (("dilog", "--z", "-0.5,-2E-1"), "z: (-0.5-0.2j)"),
+        (("faddeev", "--gamma", "0.3", "--p", "-0.3,0.1"), "p: (-0.3+0.1j)"),
+        (("faddeev", "--gamma", "0.3", "--p", "-3e-1,1e-1"), "p: (-0.3+0.1j)"),
+    ],
+)
+def test_negative_number_values_are_values(capsys, argv, value):
+    # argparse alone reads `--theta -1e3` as an option with no value; the
+    # separate and the joined spelling must give the same output
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == "", err
+    assert value in out.splitlines()
+    joined, tokens = [], iter(argv)
+    for token in tokens:
+        joined.append(f"{token}={next(tokens)}" if token.startswith("--") else token)
+    assert run(capsys, *joined)[1] == out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("lobachevsky", "--theta", "-inf"),
+        ("dilog", "--z", "-inf,0"),
+        ("faddeev", "--gamma", "-inf", "--p", "0.3,0.1"),
+    ],
+)
+def test_negative_infinity_reaches_the_library(capsys, argv):
+    # a negative inf is read as a value, which the library then refuses
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == "" and err.startswith("error:"), err
+
+
 def test_faddeev_command(capsys):
     code, out, _ = run(capsys, "faddeev", "--gamma", repr(PI / 5), "--p", "0.3,0.1")
     assert code == 0

@@ -24,7 +24,8 @@ from knotvol.invariant import (
     LogComplex,
     _arg_exponents,
     _chirp_rows,
-    _four_one_count,
+    _euler_maclaurin_start,
+    _four_one_window,
     _log_window,
     _pair_sum,
     _phase_exponents,
@@ -164,7 +165,7 @@ def _mp_log_mag(order, entries, dps=30):
         twice_cos = 2 * mp.cos(x)
         prev, sine, product = mp.mpf(0), mp.sin(x), mp.mpf(1)
         wanted, out = set(entries), {0: 0.0}
-        for j in range(1, order):
+        for j in range(1, max(wanted, default=0) + 1):
             product *= 2 * sine
             if j in wanted:
                 out[j] = mp.log(product)
@@ -187,53 +188,60 @@ def test_table_log_mag_within_err(order):
 
 def test_table_and_four_one_peak_memory():
     # the table is built in log_mag and one buffer of N/2 doubles; 4_1
-    # builds only the window's prefix, in count + 1 doubles and one grid
-    # buffer of count, and picks the entries it sums before forming any
-    # term.  The call's own small objects (array views, ufunc calls) add
-    # about 1.4 KB on top
-    n = 100_000
-    count = _four_one_count(n)
-    quantum_invariant(KnotId.FOUR_ONE, n)
-    tracemalloc.start()
-    try:
-        table = pochhammer_table(n)
-        table_peak = tracemalloc.get_traced_memory()[1]
-        nbytes = table.log_mag.nbytes
-        del table
-        tracemalloc.reset_peak()
-        quantum_invariant(KnotId.FOUR_ONE, n, "logscale")
-        call_peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert table_peak <= 2 * nbytes, table_peak / nbytes
-    assert call_peak <= 8 * (2 * count + 1) + 2048, call_peak - 8 * (2 * count + 1)
-
-
-def _kept(log_mag, m):
-    # the entries whose term exp(2 log_mag - m) is not 0 in a double
-    lm = log_mag[log_mag >= (m - 745.2) / 2.0 - 1.0]
-    return lm[2.0 * lm - m >= -745.2]
+    # builds only its window of c = count - start + 1 prefix entries, in
+    # c doubles and one grid buffer of c, and forms its terms in c more
+    # once the grid buffer is gone.  The call's own small objects (array
+    # views, ufunc calls) add about 1.4 KB on top.  An O(N) prefix would
+    # take 8 N/6 bytes or more
+    for n in (100_000, 10**6):
+        start, count = _four_one_window(n)
+        c = count - start + 1
+        assert 2 * c < n / 6
+        quantum_invariant(KnotId.FOUR_ONE, n)
+        tracemalloc.start()
+        try:
+            table = pochhammer_table(n)
+            table_peak = tracemalloc.get_traced_memory()[1]
+            nbytes = table.log_mag.nbytes
+            del table
+            tracemalloc.reset_peak()
+            quantum_invariant(KnotId.FOUR_ONE, n, "logscale")
+            call_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table_peak <= 2 * nbytes, (n, table_peak / nbytes)
+        assert call_peak <= 8 * 2 * c + 2048, (n, call_peak - 8 * 2 * c)
 
 
 _WINDOW_ORDERS = list(range(1, 3301)) + list(range(3301, 200_001, 1999)) + [10**6]
 
 
 def test_four_one_window_keeps_every_term():
-    # 4_1 reads only the prefix up to _four_one_count and its reflections.
-    # Against the whole table, filtered and summed here: the window's
-    # entries are the table's bits, it keeps the same entries, and every
-    # value and direct-mode refusal is the same bits.  Orders to 3300
-    # cover both sides of count = h - 1 (the window is the whole table up
-    # to N = 3272)
+    # 4_1 reads only the reflections of the prefix start <= j <= count,
+    # starting at the Euler-Maclaurin P(start) when start > 0.  Against the
+    # whole table, built and summed here: every entry whose term is at
+    # least e^-T of the largest, T = log(4N/eps), lies in the window, and
+    # no window term leaves the normal range; P(start) is within its bound
+    # of the table's entry; both float modes are within their estimate of
+    # the whole table's sum; and direct mode refuses with the same message
+    first_start = None
     for n in _WINDOW_ORDERS:
         h = (n + 1) // 2
-        count = _four_one_count(n)
-        full = pochhammer_table(n).log_mag
-        hi, lo = float(full.max()), float(full.min())
-        window, *extremes, _ = _log_window(n, count)
-        start = 0 if count == h - 1 else n - 1 - count
-        assert window.tobytes() == full[start:].tobytes(), n
-        assert extremes == [hi, lo], n
+        start, count = _four_one_window(n)
+        table = pochhammer_table(n)
+        full = table.log_mag
+        hi, lo = table.log_max, table.log_min
+        keep = np.flatnonzero(2.0 * (full - hi) >= -math.log(4.0 * n / 2.0**-53))
+        if count == h - 1:
+            assert start == 0, n
+        else:
+            assert n - 1 - count <= keep.min() and keep.max() <= n - 1 - start, n
+        window, w_hi, w_lo, _ = _log_window(n, start, count)
+        assert 2.0 * (window.min() - w_hi) > -708.0, n
+        if start:
+            first_start = first_start or n
+            p0, p0_err = _euler_maclaurin_start(n, start)
+            assert abs(p0 - full[start]) <= p0_err + table.err, n
         for mode in ("logscale", "direct"):
             direct = mode == "direct"
             if direct:
@@ -245,14 +253,23 @@ def test_four_one_window_keeps_every_term():
                     assert str(exc.value) == str(refusal), n
                     continue
             m = 0.0 if direct else 2.0 * hi
-            kept = _kept(full, m)
-            assert np.array_equal(_kept(window, m), kept), (n, mode)
-            s = float(np.exp(2.0 * kept - m).sum())
-            log = LogComplex(m + math.log(s), 0.0)
-            image = log.to_complex() if log.log_mag <= 709.0 else None
+            log_ref = m + math.log(float(np.exp(2.0 * full - m).sum()))
             v = quantum_invariant(KnotId.FOUR_ONE, n, mode)
-            assert v.value_log == log, (n, mode)
-            assert v.value_complex == (s if direct else image), (n, mode)
+            assert abs(v.value_log.log_mag - log_ref) <= v.accum_error_estimate, (n, mode)
+    # the Euler-Maclaurin start is taken from N = 919 on, in direct mode too
+    assert first_start == 919
+
+
+@pytest.mark.parametrize("order", [919, 20_000, 100_000, 10**6])
+def test_four_one_start_matches_high_precision_sum(order):
+    # P(start) from its Euler-Maclaurin form against a 30-digit running
+    # sum, from N = 919, the first order that takes it (see
+    # test_four_one_window_keeps_every_term)
+    start, _ = _four_one_window(order)
+    assert start > 0
+    p0, p0_err = _euler_maclaurin_start(order, start)
+    ref = _mp_log_mag(order, [start])[start]
+    assert abs(float(ref - p0)) <= p0_err, (float(ref - p0), p0_err)
 
 
 # --- summation rounding bounds ---
@@ -725,6 +742,7 @@ def _mp_five_two(order, dps):
     [
         (KnotId.FOUR_ONE, 20_000, _mp_four_one),
         (KnotId.FOUR_ONE, 20_001, _mp_four_one),
+        (KnotId.FOUR_ONE, 50_000, _mp_four_one),
         (KnotId.FIVE_TWO, 640, _mp_five_two),
     ],
 )
@@ -803,12 +821,15 @@ def test_four_one_matches_its_refined_expansion():
     vol = knotvol.hyperbolic_volume(KnotId.FOUR_ONE).volume
     k1 = 11.0 / (72.0 * math.sqrt(3.0))
     k2 = 697.0 / (2.0 * (72.0 * math.sqrt(3.0)) ** 2)
-    for order in (4000, 16_000, 64_000):
+    for order in (4000, 16_000, 64_000, 256_000, 10**6):
         h = 2.0 * PI / order
-        got = growth_point(KnotId.FOUR_ONE, order)[1]
-        got -= 1.5 * math.log(order) + order * vol / (2.0 * PI)
+        log_abs = growth_point(KnotId.FOUR_ONE, order)[1]
+        got = log_abs - (1.5 * math.log(order) + order * vol / (2.0 * PI))
         want = -0.25 * math.log(3.0) + math.log1p(k1 * h + k2 * h * h)
-        assert abs(got - want) <= 1e-10, (order, got - want)
+        # past N = 64 000 four ulps of log |<4_1>| (0.23e-9 at N = 10^6)
+        # may pass 1e-10
+        tol = 1e-10 if order <= 64_000 else max(1e-10, 4.0 * math.ulp(log_abs))
+        assert abs(got - want) <= tol, (order, got - want)
 
 
 @pytest.mark.parametrize(
