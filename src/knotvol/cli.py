@@ -77,10 +77,11 @@ def _complex_arg(text: str) -> complex:
 # the options that take a number.  argparse reads a token that starts with
 # "-" as that option's value only if it is a plain negative decimal such
 # as -1.5, so `--theta -1e3`, `--z -1e3,0` and `--theta -inf` are passed
-# to it as `--theta=-1e3` and so on
-_NUMBER_OPTIONS = frozenset(
-    {"--n", "--n-min", "--n-max", "--step", "--threads", "--z", "--theta",
-     "--gamma", "--p", "--truncation"}
+# to it as `--theta=-1e3` and so on; no other option starts like one of
+# these, so an abbreviation such as `--thet` is joined too
+_NUMBER_OPTIONS = (
+    "--n", "--n-min", "--n-max", "--step", "--threads", "--z", "--theta",
+    "--gamma", "--p", "--truncation",
 )
 
 
@@ -92,7 +93,9 @@ def _join_number_values(argv: list[str]) -> list[str]:
     while i < len(argv):
         arg = argv[i]
         if (
-            arg in _NUMBER_OPTIONS
+            len(arg) > 2
+            and arg.startswith("--")
+            and any(name.startswith(arg) for name in _NUMBER_OPTIONS)
             and i + 1 < len(argv)
             and argv[i + 1].startswith("-")
             and not argv[i + 1].startswith("--")

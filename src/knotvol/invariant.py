@@ -307,8 +307,8 @@ def _log_window(order: int, start: int, count: int):
     np.multiply(factors, _LOG_GRID, out=factors)
     np.subtract(log_f, factors, out=log_f)
     # P(start) is split on the grid too; both parts are exact
-    grid[0] = round(p0 / _LOG_GRID) * _LOG_GRID
-    prefix[0] = p0 - grid[0]
+    grid[0] = p0_grid = round(p0 / _LOG_GRID) * _LOG_GRID
+    prefix[0] = p0 - p0_grid
     # np.add.accumulate, not np.cumsum, which keeps a little memory per call
     np.add.accumulate(grid, out=grid)
     np.add.accumulate(prefix, out=prefix)

@@ -228,6 +228,10 @@ def test_lobachevsky_command(capsys):
         (("lobachevsky", "--theta", "1e300"), "theta = 1e+300 is too large"),
         (("lobachevsky", "--theta", "nan"), "theta must be finite, got nan"),
         (("lobachevsky", "--theta=-inf"), "theta must be finite, got -inf"),
+        # a negative inf after the option is read as its value too
+        (("lobachevsky", "--theta", "-inf"), "theta must be finite, got -inf"),
+        (("dilog", "--z", "-inf,0"), "z must be finite, got (-inf+0j)"),
+        (("faddeev", "--gamma", "-inf", "--p", "0.3,0.1"), "gamma must be positive, got -inf"),
         (("dilog", "--z", "inf,0"), "z must be finite, got (inf+0j)"),
         (("dilog", "--z", "0.5,nan"), "z must be finite"),
     ],
@@ -243,6 +247,7 @@ def test_arguments_without_digits_exit_one(capsys, argv, message):
     [
         (("lobachevsky", "--theta", "-1e3"), "theta: -1000.0"),
         (("lobachevsky", "--theta", "-.5"), "theta: -0.5"),
+        (("lobachevsky", "--thet", "-1E3"), "theta: -1000.0"),
         (("dilog", "--z", "-1e3,0"), "z: (-1000+0j)"),
         (("dilog", "--z", "-0.5,-2E-1"), "z: (-0.5-0.2j)"),
         (("faddeev", "--gamma", "0.3", "--p", "-0.3,0.1"), "p: (-0.3+0.1j)"),
@@ -259,20 +264,6 @@ def test_negative_number_values_are_values(capsys, argv, value):
     for token in tokens:
         joined.append(f"{token}={next(tokens)}" if token.startswith("--") else token)
     assert run(capsys, *joined)[1] == out
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("lobachevsky", "--theta", "-inf"),
-        ("dilog", "--z", "-inf,0"),
-        ("faddeev", "--gamma", "-inf", "--p", "0.3,0.1"),
-    ],
-)
-def test_negative_infinity_reaches_the_library(capsys, argv):
-    # a negative inf is read as a value, which the library then refuses
-    code, out, err = run(capsys, *argv)
-    assert code == 1 and out == "" and err.startswith("error:"), err
 
 
 def test_faddeev_command(capsys):

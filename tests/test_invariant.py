@@ -236,7 +236,7 @@ def test_four_one_window_keeps_every_term():
             assert start == 0, n
         else:
             assert n - 1 - count <= keep.min() and keep.max() <= n - 1 - start, n
-        window, w_hi, w_lo, _ = _log_window(n, start, count)
+        window, w_hi, _, _ = _log_window(n, start, count)
         assert 2.0 * (window.min() - w_hi) > -708.0, n
         if start:
             first_start = first_start or n
