@@ -228,12 +228,12 @@ def test_lobachevsky_command(capsys):
         (("lobachevsky", "--theta", "1e300"), "theta = 1e+300 is too large"),
         (("lobachevsky", "--theta", "nan"), "theta must be finite, got nan"),
         (("lobachevsky", "--theta=-inf"), "theta must be finite, got -inf"),
+        (("dilog", "--z", "inf,0"), "z must be finite, got (inf+0j)"),
+        (("dilog", "--z", "0.5,nan"), "z must be finite"),
         # a negative inf after the option is read as its value too
         (("lobachevsky", "--theta", "-inf"), "theta must be finite, got -inf"),
         (("dilog", "--z", "-inf,0"), "z must be finite, got (-inf+0j)"),
         (("faddeev", "--gamma", "-inf", "--p", "0.3,0.1"), "gamma must be positive, got -inf"),
-        (("dilog", "--z", "inf,0"), "z must be finite, got (inf+0j)"),
-        (("dilog", "--z", "0.5,nan"), "z must be finite"),
     ],
 )
 def test_arguments_without_digits_exit_one(capsys, argv, message):
