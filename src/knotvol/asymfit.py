@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .invariant import growth_point
+from .invariant import _check_order, growth_point
 from .knots import KnotId
 from .saddle import hyperbolic_volume
 
@@ -39,20 +39,19 @@ class GrowthSeries:
     """Points (N, log|<L>|) for one knot, held sorted by N.
 
     Construction sorts the points, so downstream fits cannot depend on
-    input order; duplicate or non-finite entries are rejected.
+    input order; duplicate or non-finite entries are rejected, and so is
+    an order that is not an integer >= 1, as `quantum_invariant` refuses it.
     """
 
     knot: KnotId
     points: tuple[tuple[int, float], ...]
 
     def __post_init__(self) -> None:
-        pts = tuple(sorted((int(n), float(y)) for n, y in self.points))
+        pts = tuple(sorted((_check_order(n), float(y)) for n, y in self.points))
         for (n1, y1), (n2, _) in zip(pts, pts[1:]):
             if n1 == n2:
                 raise ValueError(f"duplicate order N = {n1}")
         for n, y in pts:
-            if n < 1:
-                raise ValueError(f"order must be >= 1, got {n}")
             if not math.isfinite(y):
                 raise ValueError(f"non-finite log_abs at N = {n}")
         object.__setattr__(self, "points", pts)

@@ -25,14 +25,24 @@ The moduli |(omega)_k| swing like exp(+-0.16 N), so besides the plain
 term as (log magnitude, argument) and sums with a running rescale, and an
 "exact" mode that delegates to cyclotomic field arithmetic.  The 5_2 and
 6_1 pair sums are one correlation on one scale: each row of their index
-triangle is summed by one BLAS dot, serially, and the N rows' terms by
-one pairwise sum.  The 6_1 row sums C(s) are correlations too, one dot a
+triangle is summed by one BLAS dot, serially, and the rows' terms by one
+pairwise sum.  The 6_1 row sums C(s) are correlations too, one dot a
 row.  Nothing is split over workers, and no dot is long enough for
 OpenBLAS to split it over threads, so results are the same bits on every
-run.  The 4_1 sum, N positive terms, is one pairwise sum of those that
-are not negligible.  They lie in a window of O(sqrt N) entries around the
-peak near k = 5N/6, and 4_1 builds only that window, starting its running
-log sum at the window's edge from the sum's Euler-Maclaurin form.
+run.
+
+The terms that are not negligible lie near the stationary points: the
+table's log magnitudes are least near k = N/6 and largest near 5N/6, and
+a term's weight falls like exp(-c (k - k0)^2/N) away from them.  4_1, N
+positive terms peaking near 5N/6, builds only a window of O(sqrt N)
+entries there, starting its running log sum at the window's edge from
+the sum's Euler-Maclaurin form.  5_2 sums only the block of its pairs
+whose rows lie near N/6 and columns near 5N/6, O(sqrt(N log N)) of each,
+from N = 225 on: the same kind of window, narrowed by the table's values
+(see _block).  Every pair it drops weighs below e^-T of the largest,
+with T chosen so that all of them together add at most eps/4 of sum |t|
+(see _windows).  6_1 sums its whole
+triangle: its row sums cancel, so a dropped share needs its own bound.
 
 No pair reads its phase by index.  With zeta = exp(i pi/N), so that
 omega = zeta^2, and -2rc = (c-r)^2 - r^2 - c^2, both pair exponents
@@ -71,7 +81,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import cyclo, qdilog
-from .knots import SUMMAND_FACTORS, KnotId, pair_exponent
+from .knots import SUMMAND_FACTORS, KnotId
 
 __all__ = [
     "MODES",
@@ -173,10 +183,12 @@ class PochhammerTable:
     and each entry's share of the rounding when a summand is formed from
     entries.
 
-    5_2 and 6_1 read the whole log table, and their phases from the xi
-    table (see _phase_exponents).  4_1 builds none: it reads the
-    reflections of a short stretch of the prefix (see _four_one_window),
-    and its err counts only that stretch's factors and its start value.
+    6_1 reads the whole log table, and its phases from the xi table (see
+    _phase_exponents).  4_1 and 5_2 take their entries from _log_window
+    instead: the whole table only while their windows are whole (4_1 up to
+    about N = 204, 5_2's rows to about 446), else a short stretch of the prefix
+    and its reflections (see _windows), whose err counts only that
+    stretch's factors and its start value.
     log_max and log_min, the largest and smallest log_mag[k], set the pair
     sums' scales (see _log_window).
 
@@ -263,25 +275,25 @@ def _euler_maclaurin_start(order: int, start: int) -> tuple[float, float]:
 
 
 def _log_window(order: int, start: int, count: int):
-    """log |(omega)_k| from the prefix P(j) = log_mag[j], start <= j <= count.
+    """The prefix P(j) = log_mag[j], start <= j <= count, of the log table.
 
     P(j) is the running sum of the factors log |1 - omega^i| = log(2 sin(pi
     i/N)), i <= j, count < N/2; since (omega)_{N-1} = N, the entries
     k >= N - 1 - count are its reflections log N - P(N-1-k).  With start =
-    0 and count = h - 1, h = ceil(N/2), that is the whole table: the first
-    h entries and the reflections of the rest.  Otherwise it is only the
-    window N - 1 - count <= k <= N - 1 - start (what 4_1 sums, see
-    _four_one_window), reflected in place over the prefix, and for
-    start > 0 the running sum begins at P(start) from
-    _euler_maclaurin_start.
+    0 and count = h - 1, h = ceil(N/2), that is the whole table, and the
+    reflections of the rest follow the first h entries.  Otherwise it is
+    only the prefix window (see _window); its reader forms the reflections
+    it needs, with the same subtraction.  For start > 0 the running sum
+    begins at P(start) from _euler_maclaurin_start.
 
     Returns (log_mag, hi, lo, err): the entries in the order of k; the
     largest, hi = log N - lo, the reflection of the smallest, lo, which is
     in the prefix (every reflection is near log N/2 or more), at some j <=
-    N/6 (the prefix falls while 2 sin(pi j/N) < 1), so reflected in the
-    window, and no prefix entry passes log N/2 (log_mag[h-1] + log_mag[N-h]
-    = log N); and err as in PochhammerTable, counting only the factors read
-    and the start value's error.
+    N/6 (the prefix falls while 2 sin(pi j/N) < 1), so inside every window,
+    and no prefix entry passes log N/2 (log_mag[h-1] + log_mag[N-h] =
+    log N); and err as in PochhammerTable, counting only the factors read
+    and the start value's error, and the rounding of a reflection formed
+    from any of them.
     """
     n = order
     h = (n + 1) // 2
@@ -317,8 +329,6 @@ def _log_window(order: int, start: int, count: int):
     log_n = math.log(n)
     if whole:
         np.subtract(log_n, log_mag[: n - h][::-1], out=log_mag[h:])
-    else:
-        log_mag = np.subtract(log_n, prefix, out=prefix)[::-1]
     hi = log_n - lo
     # in units of _EPS, with c prefix entries: per factor, 5 for the sine
     # (its argument rounds three times) and 2|log| for the log; the fine
@@ -415,9 +425,11 @@ def _xi_powers(order: int) -> np.ndarray:
     return xi
 
 
-def _phase_exponents(knot: KnotId, order: int) -> np.ndarray:
+def _phase_exponents(
+    knot: KnotId, order: int, r: np.ndarray, c: np.ndarray, d: np.ndarray
+) -> np.ndarray:
     """Exponents mod 4N of xi = exp(i pi/(2N)) for every phase a pair
-    term reads.
+    term reads, at the int64 rows r, columns c and lags d.
 
     The phase of a summand is that of its table entries, xi^a(k) for
     (omega)_k and xi^-a(k) for 1/(omega)_k (see _arg_exponents), times
@@ -427,23 +439,28 @@ def _phase_exponents(knot: KnotId, order: int) -> np.ndarray:
 
         4e(r, c) = 2(c-r)^2 + 2(1 - (r+1)^2) + 2(2e(0, c) - c^2).
 
-    Returns one int64 array of four rows, built and reduced exactly into
-    [0, 4N) in one pass: inv[k] = -a(k), the phase of 1/(omega)_k; row[r],
-    the phase of rho(r) / (omega)_r^*, a(r) + 2(1 - (r+1)^2) =
-    -r(r+N+3); col[c], that of kappa(c) X(c), 2(2e(0, c) - c^2) plus 2a(c)
-    for 5_2, whose X(c) is (omega)_c^2 (the 6_1 row sum C(c) carries its
-    own phase); and the conjugate chirp -2d^2, d < N.
+    Returns one int64 array, built and reduced exactly into [0, 4N) in one
+    pass: for 6_1, whose rows are all k < N, first inv[k] = -a(k), the
+    phase of 1/(omega)_k inside its row sums; then row[r], the phase of
+    rho(r) / (omega)_r^*, a(r) + 2(1 - (r+1)^2) = -r(r+N+3); col[c], that
+    of kappa(c) X(c), 2(2e(0, c) - c^2) plus 2a(c) for 5_2, whose X(c) is
+    (omega)_c^2 (the 6_1 row sum C(c) carries its own phase); and the
+    conjugate chirp -2d^2.
     """
-    k = np.arange(order, dtype=np.int64)
-    exps = np.empty((4, order), dtype=np.int64)
-    inv, row, col, chirp = exps
-    np.multiply(k, (order - 1) - k, out=inv)
-    np.multiply(k, -(order + 3) - k, out=row)
-    np.multiply(k, -2 * k, out=chirp)
-    np.add(4 * pair_exponent(knot, 0, k), chirp, out=col)
+    n = order
+    k = len(r) if knot is KnotId.SIX_ONE else 0
+    j = k + len(r)
+    exps = np.empty(j + len(c) + len(d), dtype=np.int64)
+    inv, row, col, chirp = exps[:k], exps[k:j], exps[j : j + len(c)], exps[j + len(c) :]
+    if k:
+        np.multiply(r, (n - 1) - r, out=inv)
+    np.multiply(r, -(n + 3) - r, out=row)
     if knot is KnotId.FIVE_TWO:
-        col -= 2 * inv
-    exps %= 4 * order
+        np.multiply(c, 2 * (1 - n), out=col)  # e(0, c) = 0: -2c^2 + 2a(c)
+    else:
+        np.multiply(c, 2 * c + 4, out=col)  # e(0, c) = c(c+1)
+    np.multiply(d, -2 * d, out=chirp)
+    exps %= 4 * n
     return exps
 
 
@@ -466,9 +483,9 @@ _DOT_ROUNDINGS = math.sqrt(2.0)
 # OpenBLAS (0.3.31) splits a complex dot of more than 10 000 terms over its
 # threads, which changes the bits with OPENBLAS_NUM_THREADS and can stall a
 # call; every dot stays at or below this many terms.  A row cut into
-# windows of columns adds the windows' dots in turn, and each window holds
-# at least one of the row's terms, so a product still meets at most L + 1
-# roundings.
+# windows of columns adds the windows' dots in turn, one addition per
+# window that holds any of the row's terms (a window of zeros adds an exact
+# zero), so a product still meets at most L + 1 roundings.
 _DOT_TERMS = 8192
 # shifted logs below this leave exp subnormal: such a factor is only known
 # to within 2^-1074, and a product of factors of at most 1 to within 2^-1073
@@ -477,25 +494,23 @@ _SUBNORMAL_ERR = 2.0**-1073
 
 
 def _chirp_rows(u: np.ndarray, chirp_conj: np.ndarray, rows: int) -> np.ndarray:
-    """z[i] = sum_{d<L} chirp[d] u[i + d] for i < rows <= L = len(chirp_conj).
+    """z[i] = sum_{d<L} chirp[d] u[i + d] for i < rows, L = len(chirp_conj).
 
-    u holds L terms and then at least rows - 1 zeros; z takes the dtype of
-    u and the chirp, both complex or both real.  Each row is one BLAS dot
-    per window of at most _DOT_TERMS columns (np.correlate conjugates its
-    second argument, hence the conjugate chirp); a window after the first
-    is skipped for the rows whose part of it is all zeros.
+    u holds at least L + rows - 1 entries; z takes the dtype of u and the
+    chirp, both complex or both real.  Each row is one BLAS dot per window
+    of at most _DOT_TERMS columns (np.correlate conjugates its second
+    argument, hence the conjugate chirp).
     """
     width = len(chirp_conj)
     d1 = min(width, _DOT_TERMS)
     z = np.correlate(u[: d1 + rows - 1], chirp_conj[:d1], "valid")
     for d0 in range(d1, width, _DOT_TERMS):
         d1 = min(width, d0 + _DOT_TERMS)
-        live = min(rows, width - d0)
-        z[:live] += np.correlate(u[d0 : d1 + live - 1], chirp_conj[d0:d1], "valid")
+        z += np.correlate(u[d0 : d1 + rows - 1], chirp_conj[d0:d1], "valid")
     return z
 
 
-def _row_sums(table: PochhammerTable, inv_phase: np.ndarray, direct: bool):
+def _row_sums(log_mag: np.ndarray, hi: float, lo: float, inv_phase: np.ndarray, direct: bool):
     """The 6_1 row sums C(s) = sum_{m>=s} |(omega)_m|^2 / (omega)_{m-s}.
 
     With k = m - s as the column, all N row sums are one correlation of
@@ -518,12 +533,13 @@ def _row_sums(table: PochhammerTable, inv_phase: np.ndarray, direct: bool):
     to about 0.48 N below the one scale, so whole rows leave the double
     range from N = 1561, long after cancellation has taken every digit.
 
+    log_mag is the whole table, hi and lo its largest and smallest entry.
     Returns the rows' one log shift, and each row's sum on that scale and
     its error bound.
     """
-    n = table.order
-    top_a, top_b = (0.0, 0.0) if direct else (2.0 * table.log_max, -table.log_min)
-    xa, xb = 2.0 * table.log_mag - top_a, -table.log_mag - top_b
+    n = len(log_mag)
+    top_a, top_b = (0.0, 0.0) if direct else (2.0 * hi, -lo)
+    xa, xb = 2.0 * log_mag - top_a, -log_mag - top_b
     a = np.zeros(2 * n)
     np.exp(xa, out=a[:n])
     b = np.exp(xb)
@@ -537,12 +553,15 @@ def _row_sums(table: PochhammerTable, inv_phase: np.ndarray, direct: bool):
     additions = np.arange(n - 1, -1, -1)
     err = _DOT_ROUNDINGS * _EPS * additions * mods
     # the smallest xa and xb, from the table's extremes
-    if (2.0 * table.log_min - top_a) - (table.log_max + top_b) < _NORMAL_LOG:
+    if (2.0 * lo - top_a) - (hi + top_b) < _NORMAL_LOG:
         err += _SUBNORMAL_ERR * (additions + 1)
     return top_a + top_b, total, err
 
 
-def _pair_sum(knot: KnotId, table: PochhammerTable, direct: bool):
+def _pair_sum(
+    knot: KnotId, order: int, log_mag: np.ndarray, hi: float, lo: float,
+    rows, cols, direct: bool,
+):
     """The 5_2 or 6_1 state sum at one order, as one pass over its rows.
 
     Both run over the pairs of the triangle r <= c < N,
@@ -571,30 +590,63 @@ def _pair_sum(knot: KnotId, table: PochhammerTable, direct: bool):
     rounding of m, so a pair whose weight is in the normal range has both
     in it.  Direct mode leaves the magnitudes unshifted, lam = m = 0, so
     every C(s) and every pair term is a partial sum of the triple sum's
-    own terms and obeys its magnitude bound.  The z(r) are one
-    correlation of U, zero-padded, with the chirp: np.correlate, one BLAS
-    dot per row of at most _DOT_TERMS terms (see _chirp_rows).  The N
-    terms V(r) z(r) are added by one pairwise sum, and sum |t| and the
-    error bound are the sums of the rows' shares, from suffix sums of
-    |U(c)| and of its errors.  Returns (m, s, a, err): the sum is
-    exp(m) * s, with sum |t| = exp(m) * a and err bounding its rounding on
-    the scale of s (see _four_one_sum).
+    own terms and obeys its magnitude bound.
+
+    rows and cols are the prefix ranges of _windows, and log_mag is
+    _log_window(N, *rows).  6_1, and 5_2 while its columns are whole, sum
+    the whole triangle: the z(r) are one correlation of U, zero-padded,
+    with the chirp, one dot of N - r terms per row r.  6_1 always does:
+    its row sums C(s) cancel, so the share of sum |t| a block would leave
+    out is not bounded by the weights alone (see _windows).  Otherwise 5_2
+    sums only the block of rows r0 <= r <= r1 and columns c0 <= c <= c1
+    (see _block), built from the prefix, and z(r) is one dot of U with
+    the chirp at the lags c - r, zero for c < r: the correlation of the
+    chirp over the lags c0 - r1 ... c1 - r0 with U, (c1 - c0 + 1) terms a
+    row, O(N log N) pairs in all.  Every pair it leaves out weighs below e^-T
+    of the largest, T = log(2N(N+1)/eps), so together they add at most
+    eps/4 of sum |t|.  The dots are np.correlate, one BLAS dot per row of
+    at most _DOT_TERMS terms (see _chirp_rows).  The rows' terms V(r) z(r)
+    are added by one pairwise sum, and sum |t| and the error bound are the
+    sums of the rows' shares, from suffix sums of |U(c)| and of its
+    errors; the block adds the eps/4 share of sum |t| that it drops.
+    Returns (m, s, a, err): the sum is exp(m) * s, with
+    sum |t| = exp(m) * a and err bounding its rounding on the scale of s
+    (see _four_one_sum).
     """
-    n = table.order
-    log_mag, hi, lo = table.log_mag, table.log_max, table.log_min
-    inv_phase, row_phase, col_phase, chirp = _xi_powers(n)[_phase_exponents(knot, n)]
-    # U(c), zero-padded for the correlation, and per column |U(c)| and its
-    # error in units of eps: the rounding of its exp argument (col_log and
-    # the shift lam), that of a subnormal U(c) and the error of C(c)
-    padded = np.zeros(2 * n, complex)
-    cols = np.empty((2, n))
-    u_abs, u_err = cols
+    n = order
+    whole = cols[1] == (n - 1) // 2
+    r0, r1, c0, c1 = _block(n, log_mag, lo, rows, cols)
+    if whole:
+        row_mag = col_mag = log_mag
+        r = c = d = np.arange(n)
+    else:
+        # log_mag is the prefix from j = rows[0]; every column is a
+        # reflection
+        p = rows[0]
+        row_mag = log_mag[r0 - p : r1 - p + 1]
+        col_mag = np.subtract(math.log(n), log_mag[n - 1 - c1 - p : n - c0 - p])[::-1]
+        # the block's lags c - r, from c0 - r1 to c1 - r0
+        r, c, d = np.arange(r0, r1 + 1), np.arange(c0, c1 + 1), np.arange(c0 - r1, c1 - r0 + 1)
+    nrows, ncols = r1 - r0 + 1, c1 - c0 + 1
+    phases = _xi_powers(n)[_phase_exponents(knot, n, r, c, d)]
+    if knot is KnotId.SIX_ONE:
+        inv_phase, phases = phases[:n], phases[n:]
+    row_phase, col_phase = phases[:nrows], phases[nrows : nrows + ncols]
+    chirp = phases[nrows + ncols :]
+    # U(c), zero-padded for the whole triangle's correlation, and per
+    # column |U(c)| and its error in units of eps: the rounding of its exp
+    # argument (col_log and the shift lam), that of a subnormal U(c) and
+    # the error of C(c); these two are zero for r0 <= c < c0, so that
+    # their suffix sums from r are those over the columns of row r
+    u = np.zeros(2 * n if whole else ncols, complex)
+    col_abs = np.zeros((2, c1 - r0 + 1))
+    u_abs, u_err = col_abs[:, c0 - r0 :]
     if knot is KnotId.FIVE_TWO:
-        col_log = 2.0 * log_mag
+        col_log = 2.0 * col_mag
         lam = 0.0 if direct else 2.0 * hi
         xu = col_log - lam
         np.exp(xu, out=u_abs)
-        np.multiply(u_abs, col_phase, out=padded[:n])
+        np.multiply(u_abs, col_phase, out=u[:ncols])
         np.abs(xu, out=u_err)
         u_err += np.abs(col_log)
         u_err *= u_abs
@@ -602,22 +654,32 @@ def _pair_sum(knot: KnotId, table: PochhammerTable, direct: bool):
             u_err += (xu < _NORMAL_LOG) * (2.0 * _SUBNORMAL_ERR / _EPS)
     else:
         # lam is the row sums' one shift, so U(c) = kappa(c) C(c)
-        lam, row_sums, col_err = _row_sums(table, inv_phase, direct)
-        np.multiply(row_sums, col_phase, out=padded[:n])
+        lam, row_sums, c_err = _row_sums(log_mag, hi, lo, inv_phase, direct)
+        np.multiply(row_sums, col_phase, out=u[:n])
         np.abs(row_sums, out=u_abs)
         np.multiply(u_abs, abs(lam), out=u_err)
-        u_err += col_err / _EPS
+        u_err += c_err / _EPS
     m = 0.0 if direct else lam - lo
     shift = lam - m
-    xv = shift - log_mag
+    xv = shift - row_mag
     v = np.exp(xv)
-    terms = v * row_phase * _chirp_rows(padded, chirp, n)
+    if whole:
+        z = _chirp_rows(u, chirp, n)
+    else:
+        # entry i is conj z(r1 - i); the rows past c0 read zeros at the
+        # negative lags
+        chirp[: max(0, r1 - c0)] = 0.0
+        z = _chirp_rows(chirp, u, nrows)[::-1].conj()
+    terms = v * row_phase * z
     # per row: its share of sum |t| and of the error bound, from the suffix
-    # sums over c >= r; row r's dot has N - r terms
-    u_sum, u_err_sum = np.add.accumulate(cols[:, ::-1], axis=1)[:, ::-1]
+    # sums over c >= r; row r's dot has min(c1 - r + 1, ncols) terms
+    u_sum, u_err_sum = np.add.accumulate(col_abs[:, ::-1], axis=1)[:, : -nrows - 1 : -1]
     share = v * u_sum
     a = float(np.add.reduce(share))
-    rounds = np.arange(n + 1.0, 1.0, -1.0) * _DOT_ROUNDINGS
+    rounds = np.arange(c1 - r0 + 2.0, c1 - r1 + 1.0, -1.0)
+    if not whole:
+        np.minimum(rounds, ncols + 1.0, out=rounds)
+    rounds *= _DOT_ROUNDINGS
     rounds += np.abs(xv)
     rounds *= u_sum
     rounds += u_err_sum
@@ -625,26 +687,25 @@ def _pair_sum(knot: KnotId, table: PochhammerTable, direct: bool):
     err = _EPS * (float(np.add.reduce(rounds)) + (abs(shift) + _PAIR_ROUNDINGS) * a)
     if shift - hi < _NORMAL_LOG:  # the smallest xv
         err += _SUBNORMAL_ERR * float(((xv < _NORMAL_LOG) * u_sum).sum())
-    # the N terms are added pairwise
-    err += _sum_error_factor(n) * a
+    # the rows' terms are added pairwise
+    err += _sum_error_factor(nrows) * a
+    if not whole:
+        err += _EPS / 4.0 * a
     return m, complex(np.add.reduce(terms)), a, err
 
 
-# 4_1 starts its running sum at the Euler-Maclaurin P(start) from this start
-# on, where that form's remainder, at most 1/(840 start^7) = 2.7e-16, is a
-# fraction of an ulp of P(start) (about -120 at start = 64, N = 1000)
+# a window of the prefix starts its running sum at the Euler-Maclaurin
+# P(start) from this start on, where that form's remainder, at most
+# 1/(840 start^7) = 2.7e-16, is a fraction of an ulp of P(start) (about
+# -120 at start = 64, N = 1000)
 _EM_MIN_START = 64
 
 
-def _four_one_window(order: int) -> tuple[int, int]:
-    """The prefix range start <= j <= count whose reflections hold every
-    term of <4_1> that is not negligible.
+def _window(order: int, cut: float) -> tuple[int, int]:
+    """The prefix range start <= j <= count outside which P(j) - min P > cut.
 
-    <4_1> = sum_k exp(2 log_mag[k]) peaks near k = 5N/6, the reflection
-    of the minimum of P(j) = log_mag[j] near j = N/6.  A term is dropped
-    only if it is below e^-T of the largest, T = log(4N/eps), so the at
-    most N dropped terms add at most eps/4 of the sum (_four_one_sum counts
-    that share).  f(t) = log(2 sin t) is concave, 0 at pi/6 and log 2 at
+    P(j) = log_mag[j], the running sum of f(pi i/N), f(t) = log(2 sin t),
+    has its minimum near j = N/6.  f is concave, 0 at pi/6 and log 2 at
     pi/2, with slope sqrt(3) at pi/6.  Above its chord, f(pi i/N) >=
     (3 log 2/N)(i - N/6) on N/6 <= i <= N/2; below its tangent, -f(pi i/N)
     >= (sqrt(3) pi/N)(N/6 - i) for i < N/6.  Summing over the i between j
@@ -653,38 +714,118 @@ def _four_one_window(order: int) -> tuple[int, int]:
         P(j) - min P >= (3 log 2/(2N)) (j - N/6)^2       for j >= N/6,
         P(j) - min P >= (sqrt(3) pi/(2N)) (N/6 - j - 1)^2 for j < N/6,
 
-    which passes T/2 for every j > count and every j < start, since
-    count - N/6 > sqrt(N T/(3 log 2)) and N/6 - start - 1 > sqrt(N T/
-    (sqrt(3) pi)), each with a unit of margin.  Entries k < N/2, which are
-    not reflections, are at most log N/2 (see _log_window), no more than
-    the reflection of j = h - 1, so they are dropped too unless count =
-    h - 1 (N <= 204), when the window is the whole table.  Below N = 919
-    start would fall under _EM_MIN_START and is 0.  Every term a window
-    keeps is far inside exp's range: at least about e^-(2.6 T) of the
-    largest when start > 0 (the slope of f at pi/6 is 2.6 times the
-    chord's, and the left edge lies nearer), e^-(0.33 N) when start = 0
-    and e^-(0.65 N) for the whole table.
+    which passes cut for every j > count and every j < start, since
+    count - N/6 > sqrt(2N cut/(3 log 2)) and N/6 - start - 1 > sqrt(2N cut/
+    (sqrt(3) pi)), each with a unit of margin.  P rises from N/6 to the
+    last prefix entry h - 1, h = ceil(N/2), and every entry past the prefix
+    is a reflection, at least log N/2 >= P(h-1) (see _log_window), so
+    those lie above min P + cut too unless count = h - 1, when the range
+    is the whole prefix and the table is whole.  start is 0 then, and
+    wherever it would fall under _EM_MIN_START; from there on the running
+    sum starts at the Euler-Maclaurin P(start).
     """
     n = order
     h = (n + 1) // 2
-    cut = math.log(4.0 * n / _EPS)
-    count = min(h - 1, math.ceil(n / 6 + math.sqrt(n * cut / (3.0 * math.log(2.0)))) + 1)
-    start = math.floor(n / 6 - math.sqrt(n * cut / (math.sqrt(3.0) * math.pi))) - 2
+    count = min(h - 1, math.ceil(n / 6 + math.sqrt(2.0 * n * cut / (3.0 * math.log(2.0)))) + 1)
+    start = math.floor(n / 6 - math.sqrt(2.0 * n * cut / (math.sqrt(3.0) * math.pi))) - 2
     if start < _EM_MIN_START or count == h - 1:
         start = 0
     return start, count
 
 
-def _four_one_sum(log_mag: np.ndarray, hi: float, direct: bool):
+def _windows(knot: KnotId, order: int):
+    """The prefix ranges (rows, cols) of P(j) = log_mag[j] a knot's sum reads.
+
+    Each is a _window, or the whole prefix (0, h - 1), h = ceil(N/2): the
+    rows are the entries k = j the sum reads directly, the columns the
+    reflections k = N - 1 - j.  The cuts keep every term that is not
+    negligible, and hi = log N - min P, min P = lo, is the largest entry.
+
+    4_1 sums exp(2 log_mag[k]), which peaks at the reflection of the
+    minimum.  A term is dropped only if it is below e^-T of the largest, T
+    = log(4N/eps), so where P(j) - min P > T/2 at its mirror j: both ranges
+    are _window(N, T/2), and the at most N dropped terms add at most eps/4
+    of the sum (_four_one_sum counts that share).  Its window holds about
+    8 sqrt(N) entries; it is the whole table up to N = 202 and at N = 204,
+    and starts at the Euler-Maclaurin P(start) from N = 919.
+
+    5_2 sums the pairs r <= c of weight exp(-log_mag[r] + 2 log_mag[c]),
+    at most exp(2 hi - lo), the weight of the pair of the minimum and its
+    reflection.  The pair's row factor exp(lo - log_mag[r]) is below e^-T
+    unless P(r) - min P <= T, and its column factor exp(2 (log_mag[c] -
+    hi)) is below e^-T unless c reflects a j with P(j) - min P <= T/2 (the
+    entries past the prefix are no nearer, see _window).  So with rows
+    _window(N, T), columns _window(N, T/2) and T = log(2N(N+1)/eps), every
+    dropped pair weighs below e^-T of the largest, which the block keeps,
+    and the at most N(N+1)/2 dropped pairs add at most eps/4 of sum |t|
+    (_pair_sum counts that share).  The columns are the whole table up to
+    N = 224 and at N = 226, and the rows up to N = 444 and at N = 446; the
+    rows start at the Euler-Maclaurin P(start) from N = 1364.  _block
+    narrows the ranges to the rows and columns the table shows are needed.
+
+    6_1 reads the whole table: its window would be whole up to about N =
+    300, past its float cliff near N = 171, and its row sums C(s) cancel,
+    so a dropped share of sum |t| needs its own bound.
+    """
+    n = order
+    whole = (0, (n - 1) // 2)
+    if knot is KnotId.FOUR_ONE:
+        window = _window(n, math.log(4.0 * n / _EPS) / 2.0)
+        return window, window
+    if knot is KnotId.FIVE_TWO:
+        cut = _five_two_cut(n)
+        return _window(n, cut), _window(n, cut / 2.0)
+    return whole, whole
+
+
+def _five_two_cut(order: int) -> float:
+    """T = log(2N(N+1)/eps): the N(N+1)/2 pairs of <5_2>, each below e^-T
+    of the largest, add at most eps/4 of it."""
+    return math.log(2.0 * order * (order + 1) / _EPS)
+
+
+def _block(order: int, log_mag: np.ndarray, lo: float, rows, cols):
+    """The rows r0 <= r <= r1 and columns c0 <= c <= c1 of the 5_2 pairs
+    that _pair_sum sums, from the prefix ranges (rows, cols) of _windows.
+
+    log_mag is _log_window(N, *rows): the prefix from j = rows[0], the
+    whole table while the rows are whole; lo is its smallest entry.  While
+    the columns are whole the block is the whole triangle.  Otherwise the
+    columns are the reflections c = N - 1 - j of the j in cols whose
+    P(j) - min P, as the table reads it, is at most (T + 1)/2, and the rows
+    the r among rows (every r <= c1 while the rows are whole) where it is
+    at most T + 1, T = _five_two_cut(N).  An entry's error, far below 1,
+    moves none of them across the cut T (or T/2) of _windows, so every pair
+    left out still weighs below e^-T of the largest.  The bounds of _window
+    are loose: the ranges allow 224 rows by 181 columns at N = 450 (of
+    450), 449 by 285 at N = 1208 and 1308 by 927 at N = 12 000, and the
+    block keeps 187 by 131, 307 by 217 and 1005 by 711.
+    """
+    n = order
+    if cols[1] == (n - 1) // 2:
+        return 0, n - 1, 0, n - 1
+    p = rows[0]
+    cut = _five_two_cut(n) + 1.0
+    j = np.flatnonzero(log_mag[cols[0] - p : cols[1] - p + 1] <= lo + cut / 2.0)
+    c0, c1 = n - 1 - cols[0] - int(j[-1]), n - 1 - cols[0] - int(j[0])
+    last = c1 if rows[1] == (n - 1) // 2 else rows[1]
+    i = np.flatnonzero(log_mag[: last - p + 1] <= lo + cut)
+    return p + int(i[0]), min(p + int(i[-1]), c1), c0, c1
+
+
+def _four_one_sum(order: int, log_mag: np.ndarray, hi: float, direct: bool):
     """<4_1> = sum_k |(omega)_k|^2 = sum_k exp(2 log_mag[k]), in one pass.
 
-    log_mag holds the entries of a _log_window, hi the largest.  Returns
-    (m, s, a, err): the sum is exp(m) * s with sum |term| = exp(m) * a,
-    and err bounds its summation rounding on the scale of s, with the
-    eps/4 share the window may drop (see _four_one_window).  Logscale
+    log_mag holds a _log_window, the whole table or a window of the prefix,
+    whose reflections log N - P(j) it sums, in place; hi is the largest
+    entry.  Returns (m, s, a, err): the sum is exp(m) * s with sum |term| =
+    exp(m) * a, and err bounds its summation rounding on the scale of s,
+    with the eps/4 share the window may drop (see _windows).  Logscale
     shifts by the largest term; direct mode, whose refusals keep every
     term finite, does not.
     """
+    if len(log_mag) < order:
+        log_mag = np.subtract(math.log(order), log_mag, out=log_mag)[::-1]
     m = 0.0 if direct else 2.0 * hi
     terms = np.multiply(log_mag, 2.0)
     terms -= m
@@ -725,11 +866,11 @@ class InvariantValue:
     terms (their phases, weights and products), and from the rounding in
     the Pochhammer table: each summand is a product of 2 (4_1), 3 (5_2) or 4
     (6_1) table entries, so the table adds that many PochhammerTable.err
-    per unit of sum |summand|.  For 4_1 that err counts only the factors
-    of the stretch of the prefix its window reflects, O(sqrt N) of them
-    rather than N/2, and the error of its Euler-Maclaurin start; the
-    estimate also holds the eps/4 share of the terms the window leaves
-    out.  For 6_1 the summands are the pair terms
+    per unit of sum |summand|.  For 4_1 and 5_2 that err counts only the
+    factors of the stretch of the prefix their windows read, O(sqrt N) of
+    them rather than N/2, and the error of its Euler-Maclaurin start; the
+    estimate also holds the eps/4 share of sum |summand| that the windows
+    leave out (see _windows).  For 6_1 the summands are the pair terms
     C(s)/(omega)_l^*, so cancellation inside a row sum C(s) weighs in its
     summation rounding but not its share of the table rounding.
     """
@@ -778,7 +919,7 @@ def quantum_invariant(
     and never overflows, though cancellation in the 5_2 and 6_1 sums
     costs digits as N grows (see accum_error_estimate); "exact" works in
     the cyclotomic field and is meant for small N oracle checks.  The 5_2
-    and 6_1 sums take one BLAS dot per row, serially, and add the N rows'
+    and 6_1 sums take one BLAS dot per row, serially, and add the rows'
     terms by one pairwise sum, so the result is the same bits for every
     OpenBLAS thread count.  threads and chunk_size have no effect; each
     must still be at least 1.
@@ -797,17 +938,18 @@ def quantum_invariant(
     # the sum is exp(m) * s, with sum |term| = exp(m) * a; direct mode
     # keeps m = 0, so s is the plain sum
     direct = mode == "direct"
-    if knot is KnotId.FOUR_ONE:
-        log_mag, hi, lo, table_err = _log_window(order, *_four_one_window(order))
-    else:
+    rows, cols = _windows(knot, order)
+    if knot is KnotId.SIX_ONE:
         table = pochhammer_table(order)
-        hi, lo, table_err = table.log_max, table.log_min, table.err
+        log_mag, hi, lo, table_err = table.log_mag, table.log_max, table.log_min, table.err
+    else:
+        log_mag, hi, lo, table_err = _log_window(order, *rows)
     if direct:
         _refuse_direct(knot, hi, lo)
     if knot is KnotId.FOUR_ONE:
-        m, s, a, err = _four_one_sum(log_mag, hi, direct)
+        m, s, a, err = _four_one_sum(order, log_mag, hi, direct)
     else:
-        m, s, a, err = _pair_sum(knot, table, direct)
+        m, s, a, err = _pair_sum(knot, order, log_mag, hi, lo, rows, cols, direct)
     err += SUMMAND_FACTORS[knot] * table_err * a
     count = cyclo.exact_term_count(knot, order)
     if s == 0:

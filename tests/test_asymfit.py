@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from knotvol import asymfit
@@ -62,6 +63,20 @@ def test_series_sorts_and_validates():
         _series([(0, 1.0)])
     with pytest.raises(ValueError):
         _series([(10, math.inf)])
+
+
+def test_series_refuses_non_integer_orders():
+    # an order is taken whole or refused, never truncated: 2.7 is not
+    # read as N = 2, so it cannot pass for a duplicate of N = 2 either
+    with pytest.raises(TypeError, match="order must be an integer, got 2.7"):
+        _series([(2.7, 1.0), (2, 2.0)])
+    with pytest.raises(TypeError):
+        _series([(10.0, 1.0)])
+    with pytest.raises(TypeError):
+        _series([("10", 1.0)])
+    s = _series([(np.int64(20), 2.0), (1, 0.5)])
+    assert s.points == ((1, 0.5), (20, 2.0))
+    assert all(type(n) is int for n, _ in s.points)
 
 
 def test_series_subset():

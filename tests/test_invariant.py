@@ -23,15 +23,16 @@ from knotvol.invariant import (
     InvariantValue,
     LogComplex,
     _arg_exponents,
+    _block,
     _chirp_rows,
     _euler_maclaurin_start,
-    _four_one_window,
     _log_window,
     _pair_sum,
     _phase_exponents,
     _refuse_direct,
     _row_sums,
     _sum_error_factor,
+    _windows,
     _xi_powers,
     alexander_check,
     growth_point,
@@ -194,7 +195,7 @@ def test_table_and_four_one_peak_memory():
     # views, ufunc calls) add about 1.4 KB on top.  An O(N) prefix would
     # take 8 N/6 bytes or more
     for n in (100_000, 10**6):
-        start, count = _four_one_window(n)
+        (start, count), _ = _windows(KnotId.FOUR_ONE, n)
         c = count - start + 1
         assert 2 * c < n / 6
         quantum_invariant(KnotId.FOUR_ONE, n)
@@ -227,7 +228,7 @@ def test_four_one_window_keeps_every_term():
     first_start = None
     for n in _WINDOW_ORDERS:
         h = (n + 1) // 2
-        start, count = _four_one_window(n)
+        (start, count), _ = _windows(KnotId.FOUR_ONE, n)
         table = pochhammer_table(n)
         full = table.log_mag
         hi, lo = table.log_max, table.log_min
@@ -237,6 +238,8 @@ def test_four_one_window_keeps_every_term():
         else:
             assert n - 1 - count <= keep.min() and keep.max() <= n - 1 - start, n
         window, w_hi, _, _ = _log_window(n, start, count)
+        if count < h - 1:  # a window of the prefix: 4_1 sums its reflections
+            window = math.log(n) - window
         assert 2.0 * (window.min() - w_hi) > -708.0, n
         if start:
             first_start = first_start or n
@@ -265,11 +268,81 @@ def test_four_one_start_matches_high_precision_sum(order):
     # P(start) from its Euler-Maclaurin form against a 30-digit running
     # sum, from N = 919, the first order that takes it (see
     # test_four_one_window_keeps_every_term)
-    start, _ = _four_one_window(order)
+    (start, _), _ = _windows(KnotId.FOUR_ONE, order)
     assert start > 0
     p0, p0_err = _euler_maclaurin_start(order, start)
     ref = _mp_log_mag(order, [start])[start]
     assert abs(float(ref - p0)) <= p0_err, (float(ref - p0), p0_err)
+
+
+_FIVE_TWO_WINDOW_ORDERS = list(range(1, 701)) + list(range(997, 12_001, 997))
+
+
+def test_five_two_window_keeps_every_term():
+    # 5_2 reads the rows r and the reflected columns c = N - 1 - j of
+    # _windows's prefix ranges, and sums the block _block narrows them to.
+    # Against the whole table, built here: every row and every column with
+    # a pair r <= c whose weight exp(-log_mag[r] + 2 log_mag[c]) is at
+    # least e^-T of the largest, T = log(2N(N+1)/eps), lies in both, so
+    # every such pair does.  Both float modes are within the two estimates
+    # of the whole triangle's sum, which `_pair_sum` forms from the whole
+    # table when given the whole prefix ranges, and the same bits wherever
+    # the columns are whole; direct mode refuses with the same message
+    whole_cols = whole_rows = 0
+    for n in _FIVE_TWO_WINDOW_ORDERS:
+        h = (n + 1) // 2
+        rows, cols = _windows(KnotId.FIVE_TWO, n)
+        table = pochhammer_table(n)
+        full, hi, lo = table.log_mag, table.log_max, table.log_min
+        cut = math.log(2.0 * n * (n + 1) / 2.0**-53)
+        row_w, col_w = lo - full, 2.0 * (full - hi)
+        best_col = np.maximum.accumulate(col_w[::-1])[::-1]
+        best_row = np.maximum.accumulate(row_w)
+        keep_rows = np.flatnonzero(row_w + best_col >= -cut)
+        keep_cols = np.flatnonzero(col_w + best_row >= -cut)
+        whole = cols[1] == h - 1
+        if whole:
+            assert rows[1] == h - 1 and rows[0] == cols[0] == 0, n
+            whole_cols = n
+        else:
+            if rows[1] == h - 1:
+                assert rows[0] == 0, n
+                whole_rows = n
+            else:
+                assert rows[0] <= keep_rows.min() and keep_rows.max() <= rows[1], n
+            assert n - 1 - cols[1] <= keep_cols.min() and keep_cols.max() <= n - 1 - cols[0], n
+            # and the block _pair_sum sums, narrowed by the table's values
+            log_mag, _, w_lo, _ = _log_window(n, *rows)
+            r0, r1, c0, c1 = _block(n, log_mag, w_lo, rows, cols)
+            assert r0 <= keep_rows.min() and keep_rows.max() <= r1, n
+            assert c0 <= keep_cols.min() and keep_cols.max() <= c1, n
+        for mode in ("logscale", "direct"):
+            direct = mode == "direct"
+            if direct:
+                try:
+                    _refuse_direct(KnotId.FIVE_TWO, hi, lo)
+                except OverflowError as refusal:
+                    with pytest.raises(OverflowError) as exc:
+                        quantum_invariant(KnotId.FIVE_TWO, n, mode)
+                    assert str(exc.value) == str(refusal), n
+                    continue
+            all_pairs = (0, h - 1)
+            m, s, a, err = _pair_sum(
+                KnotId.FIVE_TWO, n, full, hi, lo, all_pairs, all_pairs, direct
+            )
+            ref_log = m + math.log(abs(s))
+            ref_arg = LogComplex.from_complex(s).arg
+            ref_est = (err + 3.0 * table.err * a) / abs(s)
+            v = quantum_invariant(KnotId.FIVE_TWO, n, mode)
+            if whole:
+                assert v.value_log.log_mag == ref_log, (n, mode)
+                assert v.value_log.arg == ref_arg, (n, mode)
+                assert v.accum_error_estimate == ref_est, (n, mode)
+            d_log = abs(v.value_log.log_mag - ref_log)
+            d_arg = abs(math.remainder(v.value_log.arg - ref_arg, 2.0 * PI))
+            assert max(d_log, d_arg) <= v.accum_error_estimate + ref_est, (n, mode)
+    # the columns stop being whole past N = 226, the rows past N = 446
+    assert (whole_cols, whole_rows) == (226, 446)
 
 
 # --- summation rounding bounds ---
@@ -379,11 +452,11 @@ print(v.value_log.log_mag.hex(), v.value_log.arg.hex(), v.accum_error_estimate.h
 
 def test_openblas_threads_never_change_bits():
     # OpenBLAS threads a complex dot of more than 10 000 terms, and a
-    # threaded dot adds in another order.  5_2 at N = 12 000 has rows of
-    # 12 000 terms, but its weights peak so sharply that a split of its
-    # dots shifts no bit of the value, so the same kernel also sums flat
-    # random rows of that length, complex and real.  6_1 at N = 9000 has
-    # row sums longer than a window, so its dots are cut.
+    # threaded dot adds in another order.  5_2 at N = 12 000 sums only the
+    # block near its saddle, rows of 711 terms, so the flat random rows of
+    # 12 000 terms, complex and real, and 6_1 at N = 9000, whose row sums
+    # are longer than a window and have their dots cut, are what exercise
+    # _DOT_TERMS.
     src = str(os.path.dirname(os.path.dirname(knotvol.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     outs = []
@@ -455,7 +528,9 @@ def test_six_one_row_sums_match_loops():
         for direct in (True, False):
             # the double products A(m) B(m - s) that C(s) adds
             inv_phase, a, inv_val = _split_factors(table, direct)
-            shift, col_val, col_err = _row_sums(table, inv_phase, direct)
+            shift, col_val, col_err = _row_sums(
+                table.log_mag, table.log_max, table.log_min, inv_phase, direct
+            )
             assert shift == 0.0 if direct else shift > 0.0, (n, direct)
             got = np.exp(shift) * col_val
             for s in range(n):
@@ -485,21 +560,38 @@ def test_pair_sum_takes_one_scale(knot):
     cases = [(n, direct) for n in range(1, 601) for direct in (True, False)]
     cases += [(n, False) for n in (800, 1208, 2000, 3000)]
     for n, direct in cases:
-        table = pochhammer_table(n)
-        m = _pair_sum(knot, table, direct)[0]
+        rows, cols = _windows(knot, n)
+        log_mag, hi, lo, _ = _log_window(n, *rows)
+        m = _pair_sum(knot, n, log_mag, hi, lo, rows, cols, direct)[0]
         if direct:
             assert m == 0.0, n
             continue
-        row_log, col_log = -table.log_mag, 2.0 * table.log_mag
+        row_log, col_log = _block_logs(n, log_mag, lo, rows, cols)
         if knot is KnotId.SIX_ONE:
-            inv_phase = _split_factors(table, direct)[0]
-            col_log = np.full(n, _row_sums(table, inv_phase, direct)[0])
+            inv_phase = _split_factors(pochhammer_table(n), direct)[0]
+            col_log = np.full(n, _row_sums(log_mag, hi, lo, inv_phase, direct)[0])
         suffix = np.maximum.accumulate(col_log[::-1])[::-1]
         assert m == (row_log + suffix).max(), (n, direct)
         lam = col_log.max()
         assert np.exp(col_log - lam).max() <= 1.0, (n, direct)
         v_max = np.exp(row_log + (lam - m)).max()
         assert v_max <= 1.0 + 2.0**-52 * (1.0 + m), (n, direct)
+
+
+def _block_logs(n, log_mag, lo, rows, cols):
+    # row_log = -log_mag[r] and col_log = 2 log_mag[c] over the rows and
+    # columns of the block a pair sum reads, from its _log_window, and -inf
+    # elsewhere: the whole table, or the prefix from rows[0], whose columns
+    # are reflections
+    if cols[1] == (n - 1) // 2:
+        return -log_mag, 2.0 * log_mag
+    r0, r1, c0, c1 = _block(n, log_mag, lo, rows, cols)
+    p = rows[0]
+    row_log, col_log = np.full(n, -np.inf), np.full(n, -np.inf)
+    row_log[r0 : r1 + 1] = -log_mag[r0 - p : r1 - p + 1]
+    reflected = math.log(n) - log_mag[n - 1 - c1 - p : n - c0 - p]
+    col_log[c0 : c1 + 1] = 2.0 * reflected[::-1]
+    return row_log, col_log
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 7, 64, 101])
@@ -516,16 +608,33 @@ def test_split_phase_exponents_are_exact(order):
     poch = _fresh_pochhammer(order)
     for k in range(order):
         assert abs(xi[a[k]] - poch[k] / abs(poch[k])) <= 1e-12, k
+    k = np.arange(order)
     for knot in (KnotId.FIVE_TWO, KnotId.SIX_ONE):
-        inv, row, col, chirp = (v.tolist() for v in _phase_exponents(knot, order))
-        assert inv == [-x % n4 for x in a], knot
-        assert all(0 <= x < n4 for x in inv + row + col + chirp), knot
+        exps = _phase_exponents(knot, order, k, k, k).tolist()
+        assert all(0 <= x < n4 for x in exps), knot
+        if knot is KnotId.SIX_ONE:
+            inv, exps = exps[:order], exps[order:]
+            assert inv == [-x % n4 for x in a], knot
+        else:
+            assert len(exps) == 3 * order, knot  # no 1/(w)_k phases
+        row, col, chirp = exps[:order], exps[order : 2 * order], exps[2 * order :]
         for r in range(order):
             for c in range(r, order):
                 split = row[r] + col[c] - chirp[c - r]
                 table = a[r] + (2 * a[c] if knot is KnotId.FIVE_TWO else 0)
                 e = pair_exponent(knot, r, c)
                 assert split % n4 == (4 * e + table) % n4, (knot, r, c)
+    # a 5_2 block of rows r0..r1 and columns c0..c1 reads the chirp at the
+    # lags c - r from c0 - r1
+    r0, r1, c0, c1 = order // 5, order // 2, order // 3, order - 1
+    r, c, d = np.arange(r0, r1 + 1), np.arange(c0, c1 + 1), np.arange(c0 - r1, c1 - r0 + 1)
+    exps = _phase_exponents(KnotId.FIVE_TWO, order, r, c, d).tolist()
+    row, col, chirp = exps[: len(r)], exps[len(r) : len(r) + len(c)], exps[len(r) + len(c) :]
+    for i in range(r0, r1 + 1):
+        for j in range(max(i, c0), c1 + 1):
+            split = row[i - r0] + col[j - c0] - chirp[j - i - (c0 - r1)]
+            e = pair_exponent(KnotId.FIVE_TWO, i, j)
+            assert split % n4 == (4 * e + a[i] + 2 * a[j]) % n4, (i, j)
 
 
 def test_xi_powers_within_three_eps():
