@@ -816,9 +816,9 @@ def _block(order: int, log_mag: np.ndarray, lo: float, rows, cols):
 def _four_one_sum(order: int, log_mag: np.ndarray, hi: float, direct: bool):
     """<4_1> = sum_k |(omega)_k|^2 = sum_k exp(2 log_mag[k]), in one pass.
 
-    log_mag holds a _log_window, the whole table or a window of the prefix,
-    whose reflections log N - P(j) it sums, in place; hi is the largest
-    entry.  Returns (m, s, a, err): the sum is exp(m) * s with sum |term| =
+    log_mag holds a _log_window: the whole table, or a window of the
+    prefix, whose reflections log N - P(j) it forms in place and sums; hi
+    is the largest entry.  Returns (m, s, a, err): the sum is exp(m) * s with sum |term| =
     exp(m) * a, and err bounds its summation rounding on the scale of s,
     with the eps/4 share the window may drop (see _windows).  Logscale
     shifts by the largest term; direct mode, whose refusals keep every
