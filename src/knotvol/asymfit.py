@@ -102,19 +102,14 @@ def collect_series(
 ) -> GrowthSeries:
     """One logscale growth point per N in [n_min, n_max] with the given step.
 
-    Different N values are independent, so with threads > 1 they are
-    evaluated concurrently (each inner evaluation stays single-threaded).
+    The orders are evaluated one after another, so a series is the same
+    points on every run.  threads has no effect, as in
+    `quantum_invariant`; it must still be at least 1.
     """
     orders = _orders(n_min, n_max, step)
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    if threads == 1:
-        points = [growth_point(knot, n) for n in orders]
-    else:
-        # imported here, since the pool and the logging it loads take import time
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            points = list(pool.map(lambda n: growth_point(knot, n), orders))
+    points = [growth_point(knot, n) for n in orders]
     return GrowthSeries(knot, tuple(points))
 
 
@@ -179,7 +174,6 @@ def main_claim_report(
     n_max: int,
     step: int = 10,
     model: str = "linear_plus_log",
-    threads: int = 1,
 ) -> MainClaimReport:
     """Test 2*pi*log|<L>| ~ N*V(L) on [n_min, n_max].
 
@@ -187,7 +181,8 @@ def main_claim_report(
     refits on the sub-window N >= 2*n_min of the same data to report
     whether the relative gap shrinks as the window moves out.  The
     sub-window, and so the window, is checked for enough points before
-    any point is computed.
+    any point is computed; the points come from `collect_series`, one
+    order after another.
     """
     required = _required_points(model)
     shifted_count = sum(n >= 2 * n_min for n in _orders(n_min, n_max, step))
@@ -197,7 +192,7 @@ def main_claim_report(
             f"{step} holds {shifted_count} points; {model} needs >= "
             f"{required}"
         )
-    series = collect_series(knot, n_min, n_max, step, threads=threads)
+    series = collect_series(knot, n_min, n_max, step)
     fit = fit_growth(series, model)
     volume = hyperbolic_volume(knot).volume
     gap = abs(fit.volume_estimate - volume)

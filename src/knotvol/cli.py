@@ -80,8 +80,8 @@ def _complex_arg(text: str) -> complex:
 # to it as `--theta=-1e3` and so on; no other option starts like one of
 # these, so an abbreviation such as `--thet` is joined too
 _NUMBER_OPTIONS = (
-    "--n", "--n-min", "--n-max", "--step", "--threads", "--z", "--theta",
-    "--gamma", "--p", "--truncation",
+    "--n", "--n-min", "--n-max", "--step", "--z", "--theta", "--gamma",
+    "--p", "--truncation",
 )
 
 
@@ -135,11 +135,10 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--knot", type=_knot_arg)
     fit.add_argument("--n-min", type=_positive_int)
     fit.add_argument("--n-max", type=_positive_int)
-    fit.add_argument("--step", type=_positive_int, default=1)
+    fit.add_argument("--step", type=_positive_int)
     fit.add_argument("--model", choices=asymfit.MODELS, default="linear_plus_log")
-    fit.add_argument("--threads", type=_positive_int, default=1)
     fit.add_argument("--format", dest="fmt", choices=("text", "csv"), default="text")
-    fit.add_argument("--in", dest="infile", metavar="CSV", help="read growth points from a CSV written by `invariant --format csv`")
+    fit.add_argument("--in", dest="infile", metavar="CSV", help="read growth points from a CSV written by `invariant --format csv`, those in --n-min..--n-max if given")
 
     dil = sub.add_parser("dilog", help="evaluate the dilogarithm li2")
     dil.add_argument("--z", type=_complex_arg, required=True, metavar="RE,IM")
@@ -219,7 +218,9 @@ def _csv_number(row: dict, column: str, kind, where: str):
         raise ValueError(f"{where}: bad {column} value {text!r}") from None
 
 
-def _series_from_csv(path: str, knot_filter: KnotId | None) -> asymfit.GrowthSeries:
+def _series_from_csv(
+    path: str, knot_filter: KnotId | None, n_min: int | None, n_max: int | None
+) -> asymfit.GrowthSeries:
     points: list[tuple[int, float]] = []
     knots_seen: set[KnotId] = set()
     first_lines: dict[tuple[KnotId, int], int] = {}
@@ -243,6 +244,8 @@ def _series_from_csv(path: str, knot_filter: KnotId | None) -> asymfit.GrowthSer
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from None
             order = _csv_number(row, "N", int, where)
+            if order < (n_min or order) or order > (n_max or order):
+                continue  # outside the window of --n-min/--n-max
             first = first_lines.setdefault((knot, order), reader.line_num)
             if first != reader.line_num:
                 raise ValueError(
@@ -290,14 +293,15 @@ def _print_fit(fit: asymfit.FitResult, knot: KnotId, count: int, fmt: str) -> No
 
 def _cmd_fit(args, parser: argparse.ArgumentParser) -> int:
     if args.infile:
-        series = _series_from_csv(args.infile, args.knot)
+        if args.step is not None:
+            parser.error("fit --in fits the orders in the file; it takes no --step")
+        series = _series_from_csv(args.infile, args.knot, args.n_min, args.n_max)
     else:
         missing = args.knot is None or args.n_min is None or args.n_max is None
         if missing:
             parser.error("fit needs either --in CSV or --knot/--n-min/--n-max")
-        series = asymfit.collect_series(
-            args.knot, args.n_min, args.n_max, args.step, threads=args.threads
-        )
+        step = 1 if args.step is None else args.step
+        series = asymfit.collect_series(args.knot, args.n_min, args.n_max, step)
     fit = asymfit.fit_growth(series, args.model)
     _print_fit(fit, series.knot, len(series.points), args.fmt)
     return 0
@@ -329,6 +333,23 @@ def _cmd_faddeev(args) -> int:
     print(f"log S_gamma(p): {log_s!r}")
     print(f"S_gamma(p): {cmath.exp(log_s)!r}")
     return 0
+
+
+def _mode_item(name: str, mode: str, n_max: int):
+    """(name, passed, detail) for the worst relative deviation of one mode
+    from logscale over every knot and N = 1..n_max, tolerance 1e-9."""
+    worst = 0.0
+    for knot in KnotId:
+        for order in range(1, n_max + 1):
+            value = invariant.quantum_invariant(knot, order, mode).value_complex
+            logscale = invariant.quantum_invariant(knot, order, "logscale")
+            assert value is not None and logscale.value_complex is not None
+            worst = max(worst, abs(value - logscale.value_complex) / abs(value))
+    return (
+        name,
+        worst <= 1e-9,
+        f"worst relative deviation {worst:.3e} (tol 1e-9)",
+    )
 
 
 def _verify_items():
@@ -371,39 +392,10 @@ def _verify_items():
         f"worst relative deviation {worst:.3e} (tol 1e-6)",
     )
 
-    worst = 0.0
-    for knot in KnotId:
-        for order in range(1, 101):
-            direct = invariant.quantum_invariant(knot, order, "direct")
-            logscale = invariant.quantum_invariant(knot, order, "logscale")
-            assert direct.value_complex is not None
-            assert logscale.value_complex is not None
-            rel = abs(direct.value_complex - logscale.value_complex) / abs(
-                direct.value_complex
-            )
-            worst = max(worst, rel)
-    yield (
-        "direct/logscale mode equivalence (all knots, N <= 100)",
-        worst <= 1e-9,
-        f"worst relative deviation {worst:.3e} (tol 1e-9)",
+    yield _mode_item(
+        "direct/logscale mode equivalence (all knots, N <= 100)", "direct", 100
     )
-
-    worst = 0.0
-    for knot in KnotId:
-        for order in range(1, 21):
-            exact = invariant.quantum_invariant(knot, order, "exact")
-            logscale = invariant.quantum_invariant(knot, order, "logscale")
-            assert exact.value_complex is not None
-            assert logscale.value_complex is not None
-            rel = abs(exact.value_complex - logscale.value_complex) / abs(
-                exact.value_complex
-            )
-            worst = max(worst, rel)
-    yield (
-        "cyclotomic exact oracle (all knots, N <= 20)",
-        worst <= 1e-9,
-        f"worst relative deviation {worst:.3e} (tol 1e-9)",
-    )
+    yield _mode_item("cyclotomic exact oracle (all knots, N <= 20)", "exact", 20)
 
 
 def _cmd_verify() -> int:

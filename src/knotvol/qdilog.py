@@ -6,7 +6,8 @@ Four layers, each feeding the next:
 * ``lobachevsky``  Lobachevsky's function Lambda(theta) = -int_0^theta
   log|2 sin t| dt, which carries the imaginary part of li2,
 * ``im_li2_polar`` the closed form for Im li2 at r*exp(i*theta) built from
-  Lambda, used to cross-check li2 and to assemble hyperbolic volumes,
+  Lambda: an independent route to Im li2, checked against li2 by
+  acceptance criterion 8 (the volumes in `saddle` come from li2 itself),
 * ``faddeev_s``    the noncompact quantum dilogarithm S_gamma(p), defined by
   a contour integral and evaluated by real-line quadrature; its ratios
   ``f_gamma`` / ``f_bar_gamma`` analytically continue the root-of-unity
@@ -364,20 +365,18 @@ def faddeev_log_s(params: QdParams, p: complex) -> complex:
             f"reach the strip; the walk is limited to {_MAX_SHIFTS}"
         )
     shift = 0j
-    # S(p) = S(p - 2 gamma) / (1 + exp(i (p - gamma)))
-    while p.real >= _PI:
-        factor = 1.0 + cmath.exp(1j * (p - gamma))
-        if abs(factor) < 1e-12:
-            raise PoleError(f"argument {p - 2 * gamma} hits the zero lattice")
-        shift -= cmath.log(factor)
-        p -= 2.0 * gamma
-    # S(p) = S(p + 2 gamma) * (1 + exp(i (p + gamma)))
-    while p.real <= -_PI:
-        factor = 1.0 + cmath.exp(1j * (p + gamma))
-        if abs(factor) < 1e-12:
-            raise PoleError(f"argument {p + 2 * gamma} hits the pole lattice")
-        shift += cmath.log(factor)
-        p += 2.0 * gamma
+    # s = 1 walks down, S(p) = S(p - 2 gamma) / (1 + exp(i (p - gamma))),
+    # then s = -1 walks up, S(p) = S(p + 2 gamma) * (1 + exp(i (p + gamma)))
+    for s in (1.0, -1.0):
+        while s * p.real >= _PI:
+            factor = 1.0 + cmath.exp(1j * (p - s * gamma))
+            if abs(factor) < 1e-12:
+                lattice = "zero" if s > 0 else "pole"
+                raise PoleError(
+                    f"argument {p - 2 * s * gamma} hits the {lattice} lattice"
+                )
+            shift -= s * cmath.log(factor)
+            p -= 2.0 * s * gamma
     return shift + _quadrature_log_s(params, p)
 
 

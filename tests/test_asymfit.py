@@ -189,5 +189,5 @@ def test_main_claim_checks_sub_window_before_computing(monkeypatch):
         main_claim_report(KnotId.FIVE_TWO, 100, 200, 10, "linear")
     with pytest.raises(ValueError, match="model must be one of"):
         main_claim_report(KnotId.FIVE_TWO, 10, 100, 10, "cubic")
-    with pytest.raises(ValueError, match="threads must be >= 1"):
-        main_claim_report(KnotId.FIVE_TWO, 10, 100, 10, threads=0)
+    with pytest.raises(TypeError, match="threads"):
+        main_claim_report(KnotId.FIVE_TWO, 10, 100, 10, threads=1)

@@ -73,6 +73,8 @@ def test_usage_errors_exit_two(capsys):
     assert run(capsys)[0] == 2
     assert run(capsys, "no-such-command")[0] == 2
     assert run(capsys, "fit", "--knot", "4_1")[0] == 2  # window flags missing
+    # fit takes no --threads: its orders are evaluated one after another
+    assert run(capsys, "fit", "--knot", "4_1", "--n-min", "50", "--n-max", "90", "--threads", "2")[0] == 2
     assert run(capsys, "dilog")[0] == 2
 
 
@@ -132,6 +134,34 @@ def test_fit_from_csv_matches_direct_fit(capsys, tmp_path):
     )
     assert code == 0
     assert from_file == direct  # repr round trip keeps every bit
+
+
+def test_fit_from_csv_keeps_the_window(capsys, tmp_path):
+    parts = []
+    for n in (50, 60, 70, 80, 90, 100, 200):
+        _, out, _ = run(capsys, "invariant", "--knot", "4_1", "--n", str(n), "--format", "csv")
+        parts.append(out)
+    path = tmp_path / "series.csv"
+    path.write_text("".join(parts))
+
+    code, from_file, _ = run(
+        capsys, "fit", "--in", str(path), "--n-min", "60", "--n-max", "100"
+    )
+    assert code == 0
+    code, direct, _ = run(
+        capsys, "fit", "--knot", "4_1", "--n-min", "60", "--n-max", "100", "--step", "10"
+    )
+    assert code == 0
+    assert from_file == direct  # the rows outside 60..100 are not fitted
+    assert _fields(from_file)["window"] == "60..100"
+
+    code, out, _ = run(capsys, "fit", "--in", str(path), "--n-min", "60")
+    assert code == 0
+    assert _fields(out)["window"] == "60..200" and _fields(out)["points"] == "6"
+
+    # the file's rows are the orders, so a step is a usage error
+    code, out, err = run(capsys, "fit", "--in", str(path), "--step", "2")
+    assert code == 2 and out == "" and "--step" in err
 
 
 def test_fit_from_csv_rejects_mixed_knots(capsys, tmp_path):
