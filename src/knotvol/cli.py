@@ -139,6 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--model", choices=asymfit.MODELS, default="linear_plus_log")
     fit.add_argument("--format", dest="fmt", choices=("text", "csv"), default="text")
     fit.add_argument("--in", dest="infile", metavar="CSV", help="read growth points from a CSV written by `invariant --format csv`, those in --n-min..--n-max if given")
+    fit.set_defaults(fit_parser=fit)  # _cmd_fit's usage errors print fit's usage line
 
     dil = sub.add_parser("dilog", help="evaluate the dilogarithm li2")
     dil.add_argument("--z", type=_complex_arg, required=True, metavar="RE,IM")
@@ -419,7 +420,7 @@ def main(argv=None) -> int:
         if args.command == "volume":
             return _cmd_volume(args)
         if args.command == "fit":
-            return _cmd_fit(args, parser)
+            return _cmd_fit(args, args.fit_parser)
         if args.command == "dilog":
             return _cmd_dilog(args)
         if args.command == "lobachevsky":

@@ -8,16 +8,18 @@ inverse.  One long division (`_poly_divmod`) and one product
 
 The state sums need no inverse: (omega)_{N-1} = N makes every reciprocal
 of a partial product another partial product over N.  So `exact_invariant`
-works in the ring Z[x]/(x^N - 1), with integer coefficient lists of length
-N: a partial product is a shift and a subtraction, a power of omega a
-rotation, conjugation the index map i -> -i mod N, and a product one
-integer multiplication (Kronecker substitution).  5_2 and 6_1 are one
-pair loop over `knots.pair_exponent`, the exponent the float engine's
-phase split reads.  The digit width of the packed integers comes from the
-same sum run over l1 norms, which bound every coefficient of the result.
-Phi_N divides x^N - 1, so reducing mod Phi_N is a ring homomorphism onto
-Z[omega], done once, at the end.  This module is the exact oracle the
-float engine in `invariant` is checked against.
+works in the ring Z[x]/(x^N - 1), packed into the integers mod
+M = 2^(bN) - 1 (`_PackedRing`): each partial product is one rotation and
+one subtraction of the one before it, for (omega)_k and for its
+conjugate alike, a power of omega is a shift, and a product one integer
+multiplication (Kronecker substitution).  5_2 and 6_1 are one pair loop
+over `knots.pair_exponent`, the exponent the float engine's phase split
+reads.  The digit width b comes from the same sum over the l1 norms of
+the partial products, which bounds every coefficient of the result;
+rotations and conjugation keep norms, so that sum has a closed form and
+needs no second pair loop.  Phi_N divides x^N - 1, so reducing mod Phi_N
+is a ring homomorphism onto Z[omega], done once, at the end.  This module
+is the exact oracle the float engine in `invariant` is checked against.
 """
 
 from __future__ import annotations
@@ -25,11 +27,12 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
-from .knots import SUMMAND_FACTORS, KnotId, pair_exponent
+from .knots import SUMMAND_FACTORS, KnotId, check_knot, pair_exponent
 
 __all__ = [
     "EXACT_TERM_BUDGET",
@@ -237,7 +240,8 @@ def exact_term_count(knot: KnotId, order: int) -> int:
 
 
 def _pochhammer_rows(order: int) -> list[list[int]]:
-    """(omega)_k for k < N as coefficient lists of length N in Z[x]/(x^N - 1).
+    """(omega)_k for k < N as coefficient lists of length N in Z[x]/(x^N - 1),
+    read for their l1 norms (`_coefficient_bound`).
 
     Multiplying by 1 - x^k subtracts the list rotated by k places.
     """
@@ -277,6 +281,11 @@ class _PackedRing:
         return 0 if z == self.mod else z
 
     def pack(self, coeffs: list[int]) -> int:
+        """The residue of the element with coefficients `coeffs`, one
+        `to_bytes` digit each.  The exact sum builds its elements in the
+        ring and never packs one; the tests read this as the reference
+        for those elements, and a big-float engine can pack its digits
+        with the same biased bytes."""
         w, bias = self.width, self.bias
         data = b"".join((c + bias).to_bytes(w, "little") for c in coeffs)
         z = int.from_bytes(data, "little") - self.offset
@@ -301,20 +310,48 @@ class _PackedRing:
         ]
 
 
-class _L1Norms:
-    """`_PackedRing`'s stand-in that maps each element to its l1 norm.  The
-    norm is subadditive and submultiplicative in Z[x]/(x^N - 1), and
-    rotations and conjugation keep it, so `_ring_sum` over norms bounds
-    every coefficient of the sum it forms over a `_PackedRing`."""
+def _partial_products(ring: _PackedRing, sign: int) -> list[int]:
+    """The residues of (omega)_k (sign 1) or (omega)_k^* (sign -1), k < N,
+    by z_k = z_(k-1) - x^(sign k) z_(k-1): one rotation and one
+    subtraction mod M a step."""
+    z, out = 1, [1]
+    for k in range(1, ring.order):
+        z -= ring.rotate(z, sign * k)
+        if z < 0:
+            z += ring.mod
+        out.append(z)
+    return out
 
-    pack = staticmethod(lambda coeffs: sum(map(abs, coeffs)))
-    reduce = staticmethod(lambda z: z)
-    rotate = staticmethod(lambda z, exponent: z)
+
+def _columns(knot: KnotId, poch: list[int], conj: list[int], reduce) -> list[int]:
+    """col[c] of the 5_2 or 6_1 pair sum (see `exact_invariant`), from the
+    images of (omega)_k and (omega)_k^*: each product goes through `reduce`,
+    the ring's, or `int` when the images are l1 norms."""
+    if knot is KnotId.FIVE_TWO:
+        return [reduce(p * p) for p in poch]
+    absq = [reduce(p * c) for p, c in zip(poch, conj)]
+    conj_rev = conj[::-1]  # C(s) pairs |(omega)_(k+s)|^2 with (omega)_(N-1-k)^*
+    return [reduce(sum(map(operator.mul, absq[s:], conj_rev))) for s in range(len(absq))]
 
 
 def _coefficient_bound(knot: KnotId, rows: list[list[int]]) -> int:
-    """A bound on every coefficient of `_ring_sum`: that sum over l1 norms."""
-    return _ring_sum(knot, rows, _L1Norms)
+    """A bound on every coefficient of `_ring_sum`: that sum formed over the
+    l1 norms of the rows, in closed form.
+
+    The norm is subadditive and submultiplicative in Z[x]/(x^N - 1), and
+    rotations and conjugation keep it, so over norms row r's inner sum
+    over c >= r is the suffix sum of the column norms.  That is O(N) for
+    4_1 and 5_2 and O(N^2) products of small integers for 6_1's C(s).
+    """
+    norms = [sum(map(abs, row)) for row in rows]
+    if knot is KnotId.FOUR_ONE:
+        return sum(a * a for a in norms)
+    col = _columns(knot, norms, norms, int)
+    total = suffix = 0
+    for r in range(len(norms) - 1, -1, -1):
+        suffix += col[r]
+        total += norms[-1 - r] * suffix
+    return total
 
 
 def exact_invariant(knot: KnotId, order: int) -> CycElement:
@@ -324,20 +361,22 @@ def exact_invariant(knot: KnotId, order: int) -> CycElement:
     1/(omega)_k^* = (omega)_{N-1-k}/N and 1/(omega)_k = (omega)_{N-1-k}^*/N,
     so N^d <knot> (d = 0, 1, 2) is a sum of products of partial products
     and omega powers.  It is computed in Z[x]/(x^N - 1), which maps into
-    Q(omega) by reduction mod Phi_N: the partial products by shifts and
-    subtractions, omega powers as rotations, each product as one integer
-    product (see `_PackedRing`).  5_2 and 6_1 are one pair sum, with
-    e(r, c) from `knots.pair_exponent`; each row's rotations are summed
-    before its one product:
+    Q(omega) by reduction mod Phi_N, packed as the integers mod M (see
+    `_PackedRing`): the partial products come from their recursion in
+    the packed ring, omega powers are shifts, and each product is one
+    integer product.  5_2 and 6_1 are one pair sum, with e(r, c) from
+    `knots.pair_exponent`; each row's shifted columns are summed before
+    its one product:
 
         N^d <knot> = sum_r (omega)_{N-1-r} sum_{c>=r} x^e(r, c) col[c],
         col[c]     = (omega)_c^2 (5_2) or C(c) (6_1),
         C(s)       = sum_{k<=N-1-s} |(omega)_{k+s}|^2 (omega)_{N-1-k}^*.
 
-    The digit width comes from the same sum over l1 norms
-    (`_coefficient_bound`).  The integer result is reduced mod Phi_N once,
-    and scaled by 1/N^d.
+    The digit width comes from the same sum over l1 norms, in closed
+    form (`_coefficient_bound`).  The integer result is reduced mod Phi_N
+    once, and scaled by 1/N^d.
     """
+    knot = check_knot(knot)
     count = exact_term_count(knot, order)
     if count > EXACT_TERM_BUDGET:
         raise ExactBudgetError(
@@ -357,26 +396,23 @@ def exact_invariant(knot: KnotId, order: int) -> CycElement:
     return CycElement(n, tuple(coeffs) + (Fraction(0),) * (deg - len(coeffs)))
 
 
-def _ring_sum(knot: KnotId, rows: list[list[int]], ring) -> int:
-    """N^d <knot> in Z[x]/(x^N - 1) (see `exact_invariant`), as its image in
-    `ring`, reduced: a `_PackedRing`, or `_L1Norms` for a bound on its
-    coefficients."""
+def _ring_sum(knot: KnotId, rows: list[list[int]], ring: _PackedRing) -> int:
+    """N^d <knot> (see `exact_invariant`) as its residue in `ring`, for the
+    N = len(rows) partial products `_pochhammer_rows` lists.
+
+    Their residues come from `_partial_products`, not from the rows.
+    x^e z is z << be, congruent mod M to the rotation, so a pair costs one
+    shift and each row's sum is folded once by `ring.reduce`.
+    """
     n = len(rows)
-    poch = [ring.pack(row) for row in rows]
-    # conjugation, x -> x^-1, moves coefficient i to -i mod N
-    conj = [ring.pack(row[:1] + row[:0:-1]) for row in rows]
+    poch = _partial_products(ring, 1)
+    conj = _partial_products(ring, -1)
     if knot is KnotId.FOUR_ONE:
         return ring.reduce(sum(p * c for p, c in zip(poch, conj)))
-    if knot is KnotId.FIVE_TWO:
-        col = [ring.reduce(p * p) for p in poch]
-    else:
-        absq = [ring.reduce(p * c) for p, c in zip(poch, conj)]
-        col = [
-            ring.reduce(sum(absq[k + s] * conj[n - 1 - k] for k in range(n - s)))
-            for s in range(n)
-        ]
+    col = _columns(knot, poch, conj, ring.reduce)
+    bits = ring.bits
     total = 0
     for r in range(n):
-        acc = sum(ring.rotate(col[c], pair_exponent(knot, r, c)) for c in range(r, n))
+        acc = sum(col[c] << bits * (pair_exponent(knot, r, c) % n) for c in range(r, n))
         total += ring.reduce(acc) * poch[n - 1 - r]
     return ring.reduce(total)

@@ -81,7 +81,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import cyclo, qdilog
-from .knots import SUMMAND_FACTORS, KnotId
+from .knots import SUMMAND_FACTORS, KnotId, check_knot
 
 __all__ = [
     "MODES",
@@ -924,6 +924,7 @@ def quantum_invariant(
     OpenBLAS thread count.  threads and chunk_size have no effect; each
     must still be at least 1.
     """
+    knot = check_knot(knot)
     order = _check_order(order)
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")

@@ -24,6 +24,15 @@ class KnotId(enum.Enum):
         return self.value
 
 
+def check_knot(knot) -> KnotId:
+    """`knot`, refused with a TypeError unless it is a KnotId."""
+    if not isinstance(knot, KnotId):
+        raise TypeError(
+            f"knot must be a KnotId, got {knot!r}; KnotId.parse turns a name into one"
+        )
+    return knot
+
+
 # partial products (omega)_k, or their reciprocals, in one summand of each
 # knot's state sum: |(omega)_k|^2, (omega)_l^2/(omega)_k^*, and for 6_1
 # |(omega)_m|^2/((omega)_k (omega)_l^*)

@@ -78,6 +78,15 @@ def test_usage_errors_exit_two(capsys):
     assert run(capsys, "dilog")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "argv", [("fit", "--in", "a.csv", "--step", "2"), ("fit", "--knot", "4_1")]
+)
+def test_fit_usage_errors_print_the_fit_usage(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "usage: knotvol fit" in err
+
+
 def test_computational_errors_exit_one(capsys):
     code, _, err = run(
         capsys, "invariant", "--knot", "6_1", "--n", "300", "--mode", "exact"

@@ -13,13 +13,14 @@ from knotvol.cyclo import (
     ExactBudgetError,
     _PackedRing,
     _coefficient_bound,
+    _partial_products,
     _pochhammer_rows,
     _ring_sum,
     cyclotomic_polynomial,
     exact_invariant,
     exact_term_count,
 )
-from knotvol.knots import SUMMAND_FACTORS, KnotId
+from knotvol.knots import SUMMAND_FACTORS, KnotId, pair_exponent
 
 
 # --- tiny independent polynomial toolbox (coefficients constant-first) ---
@@ -234,6 +235,71 @@ def test_coefficient_bound_is_no_looser(knot, bits):
     for order, expected in zip((20, 60, 100), bits):
         bound = _coefficient_bound(knot, _pochhammer_rows(order))
         assert _PackedRing(order, bound).bits == expected, order
+
+
+class _L1Norms:
+    # a stand-in for _PackedRing that maps each element to its l1 norm;
+    # rotations and conjugation keep the norm
+    pack = staticmethod(lambda coeffs: sum(map(abs, coeffs)))
+    reduce = staticmethod(lambda z: z)
+    rotate = staticmethod(lambda z, exponent: z)
+
+
+def _stand_in_ring_sum(knot, rows, ring):
+    # the state sum run pair by pair over a ring given as pack, reduce and
+    # rotate, each row packed digit by digit: over _L1Norms it is the
+    # coefficient bound term by term, over a _PackedRing the sum itself
+    n = len(rows)
+    poch = [ring.pack(row) for row in rows]
+    conj = [ring.pack(row[:1] + row[:0:-1]) for row in rows]
+    if knot is KnotId.FOUR_ONE:
+        return ring.reduce(sum(p * c for p, c in zip(poch, conj)))
+    if knot is KnotId.FIVE_TWO:
+        col = [ring.reduce(p * p) for p in poch]
+    else:
+        absq = [ring.reduce(p * c) for p, c in zip(poch, conj)]
+        col = [
+            ring.reduce(sum(absq[k + s] * conj[n - 1 - k] for k in range(n - s)))
+            for s in range(n)
+        ]
+    total = 0
+    for r in range(n):
+        acc = sum(ring.rotate(col[c], pair_exponent(knot, r, c)) for c in range(r, n))
+        total += ring.reduce(acc) * poch[n - 1 - r]
+    return ring.reduce(total)
+
+
+def test_coefficient_bound_is_the_pair_sum_over_norms():
+    # the closed form is the l1 sum run pair by pair, to the last unit
+    for knot in KnotId:
+        for order in range(1, 41):
+            rows = _pochhammer_rows(order)
+            want = _stand_in_ring_sum(knot, rows, _L1Norms)
+            assert _coefficient_bound(knot, rows) == want, (knot, order)
+
+
+def test_ring_sum_matches_the_packed_pair_sum():
+    # partial products from the recursion and shifts for rotations give
+    # the residue that packed rows and rotations give
+    for knot in KnotId:
+        for order in range(1, 31):
+            rows = _pochhammer_rows(order)
+            ring = _PackedRing(order, _coefficient_bound(knot, rows))
+            want = _stand_in_ring_sum(knot, rows, ring)
+            assert _ring_sum(knot, rows, ring) == want, (knot, order)
+
+
+def test_partial_products_match_packed_rows():
+    # the recursion in the packed ring gives the residues that packing
+    # the rows and their conjugates gives, in a tight ring and a wide one
+    for order in range(1, 31):
+        rows = _pochhammer_rows(order)
+        conj = [row[:1] + row[:0:-1] for row in rows]
+        tight = max(abs(c) for row in rows for c in row)
+        for bound in (tight, _coefficient_bound(KnotId.SIX_ONE, rows)):
+            ring = _PackedRing(order, bound)
+            assert _partial_products(ring, 1) == [ring.pack(r) for r in rows], order
+            assert _partial_products(ring, -1) == [ring.pack(r) for r in conj], order
 
 
 def _oracle_term_count(knot, order):

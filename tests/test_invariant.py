@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import knotvol
+from knotvol import cyclo
 from knotvol.cyclo import ExactBudgetError
 from knotvol.invariant import (
     MODES,
@@ -956,6 +957,21 @@ def test_logscale_matches_exact_past_twenty(knot, order):
 def test_exact_mode_budget_refusal():
     with pytest.raises(ExactBudgetError):
         quantum_invariant(KnotId.SIX_ONE, 200, "exact")
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        pytest.param(quantum_invariant, id="quantum_invariant"),
+        pytest.param(lambda knot, order: quantum_invariant(knot, order, "exact"), id="exact_mode"),
+        pytest.param(cyclo.exact_invariant, id="exact_invariant"),
+    ],
+)
+@pytest.mark.parametrize("name", ["4_1", "5_2", "6_1"])
+def test_knot_names_are_refused_for_parse(entry, name):
+    # a knot is a KnotId: its name is refused with a pointer to KnotId.parse
+    with pytest.raises(TypeError, match="KnotId.parse"):
+        entry(name, 10)
 
 
 def test_input_validation():
