@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .invariant import _check_order, growth_point
-from .knots import KnotId
+from .invariant import growth_point
+from .knots import KnotId, check_order
 from .saddle import hyperbolic_volume
 
 __all__ = [
@@ -47,7 +47,7 @@ class GrowthSeries:
     points: tuple[tuple[int, float], ...]
 
     def __post_init__(self) -> None:
-        pts = tuple(sorted((_check_order(n), float(y)) for n, y in self.points))
+        pts = tuple(sorted((check_order(n), float(y)) for n, y in self.points))
         for (n1, y1), (n2, _) in zip(pts, pts[1:]):
             if n1 == n2:
                 raise ValueError(f"duplicate order N = {n1}")

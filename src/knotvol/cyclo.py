@@ -14,12 +14,15 @@ one subtraction of the one before it, for (omega)_k and for its
 conjugate alike, a power of omega is a shift, and a product one integer
 multiplication (Kronecker substitution).  5_2 and 6_1 are one pair loop
 over `knots.pair_exponent`, the exponent the float engine's phase split
-reads.  The digit width b comes from the same sum over the l1 norms of
-the partial products, which bounds every coefficient of the result;
-rotations and conjugation keep norms, so that sum has a closed form and
-needs no second pair loop.  Phi_N divides x^N - 1, so reducing mod Phi_N
-is a ring homomorphism onto Z[omega], done once, at the end.  This module
-is the exact oracle the float engine in `invariant` is checked against.
+reads, taken for row 0 and shifted by r(c+1) for row r.  The digit width
+b comes from the same sum over the l1 norms of the partial products,
+which bounds every coefficient of the result; rotations and conjugation
+keep norms, so that sum has a closed form and needs no second pair loop.
+Phi_N divides x^N - 1, so reducing mod Phi_N is a ring homomorphism onto
+Z[omega], done once, at the end (`_exact_residue`); the exact mode of
+`invariant.quantum_invariant` takes its float image from those integers
+and builds no Fraction.  This module is the exact oracle the float
+engine in `invariant` is checked against.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 
-from .knots import SUMMAND_FACTORS, KnotId, check_knot, pair_exponent
+from .knots import SUMMAND_FACTORS, KnotId, check_knot, check_order, pair_exponent
 
 __all__ = [
     "EXACT_TERM_BUDGET",
@@ -162,6 +165,8 @@ class CycElement:
 
     @classmethod
     def omega_power(cls, order: int, exponent: int) -> "CycElement":
+        if order < 1:
+            raise ValueError(f"order must be >= 1, got {order}")
         e = exponent % order
         return cls.from_coeffs(order, [Fraction(0)] * e + [Fraction(1)])
 
@@ -223,19 +228,27 @@ class CycElement:
 
     def evaluate_numeric(self) -> complex:
         """Image under omega -> exp(2*pi*i/N), by Horner evaluation."""
-        omega = cmath.exp(2j * math.pi / self.order)
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * omega + float(c)
-        return acc
+        return _horner([float(c) for c in self.coeffs], self.order)
+
+
+def _horner(coeffs: list[float], order: int) -> complex:
+    """sum_j coeffs[j] omega^j at omega = exp(2*pi*i/order), by Horner's
+    rule from the top coefficient down: one complex product and one
+    addition a coefficient.  The one float image of a field element,
+    for `CycElement.evaluate_numeric` and the exact mode of
+    `invariant.quantum_invariant` alike."""
+    omega = cmath.exp(2j * math.pi / order)
+    acc = 0j
+    for c in reversed(coeffs):
+        acc = acc * omega + c
+    return acc
 
 
 def exact_term_count(knot: KnotId, order: int) -> int:
     """Size of the state sum's index set: N, N(N+1)/2 or N(N+1)(N+2)/6,
     C(N + f - 2, f - 1) for a summand of f factors (k; k <= l; k + l <= m)."""
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    f = SUMMAND_FACTORS[knot]
+    f = SUMMAND_FACTORS[check_knot(knot)]
+    order = check_order(order)
     return math.comb(order + f - 2, f - 1)
 
 
@@ -248,7 +261,7 @@ def _pochhammer_rows(order: int) -> list[list[int]]:
     row = [1] + [0] * (order - 1)
     rows = [row]
     for k in range(1, order):
-        row = [a - b for a, b in zip(row, row[-k:] + row[:-k])]
+        row = list(map(operator.sub, row, row[-k:] + row[:-k]))
         rows.append(row)
     return rows
 
@@ -364,9 +377,9 @@ def exact_invariant(knot: KnotId, order: int) -> CycElement:
     Q(omega) by reduction mod Phi_N, packed as the integers mod M (see
     `_PackedRing`): the partial products come from their recursion in
     the packed ring, omega powers are shifts, and each product is one
-    integer product.  5_2 and 6_1 are one pair sum, with e(r, c) from
-    `knots.pair_exponent`; each row's shifted columns are summed before
-    its one product:
+    integer product.  5_2 and 6_1 are one pair sum, with
+    e(r, c) = e(0, c) - r(c+1) (`knots.pair_exponent`); each row's
+    shifted columns are summed before its one product:
 
         N^d <knot> = sum_r (omega)_{N-1-r} sum_{c>=r} x^e(r, c) col[c],
         col[c]     = (omega)_c^2 (5_2) or C(c) (6_1),
@@ -374,45 +387,58 @@ def exact_invariant(knot: KnotId, order: int) -> CycElement:
 
     The digit width comes from the same sum over l1 norms, in closed
     form (`_coefficient_bound`).  The integer result is reduced mod Phi_N
-    once, and scaled by 1/N^d.
+    once (`_exact_residue`), and each coefficient divided by N^d.
     """
     knot = check_knot(knot)
+    order = check_order(order)
+    coeffs, scale = _exact_residue(knot, order)
+    return CycElement(order, tuple(Fraction(c, scale) for c in coeffs))
+
+
+def _exact_residue(knot: KnotId, order: int) -> tuple[list[int], int]:
+    """N^d <knot> reduced mod Phi_N, and the scale N^d: the deg Phi_N
+    integer coefficients c_j, constant term first, with
+    <knot> = sum_j c_j omega^j / N^d (see `exact_invariant`).
+
+    Raises ExactBudgetError past `EXACT_TERM_BUDGET` terms.  The float
+    image of exact mode is read from these integers, with no Fraction.
+    """
     count = exact_term_count(knot, order)
     if count > EXACT_TERM_BUDGET:
         raise ExactBudgetError(
             f"{knot} at N={order} needs {count} exact terms; "
             f"budget is {EXACT_TERM_BUDGET}"
         )
-    n = order
-    rows = _pochhammer_rows(n)
-    ring = _PackedRing(n, _coefficient_bound(knot, rows))
-    lifted = ring.unpack(_ring_sum(knot, rows, ring))
-    phi = cyclotomic_polynomial(n)
+    ring = _PackedRing(order, _coefficient_bound(knot, _pochhammer_rows(order)))
+    lifted = ring.unpack(_ring_sum(knot, ring))
+    phi = cyclotomic_polynomial(order)
     rem = _poly_divmod(lifted, phi)[1]
-    deg = len(phi) - 1
     # each reciprocal in a summand became a partial product over N
-    scale = n ** (SUMMAND_FACTORS[knot] - 2)
-    coeffs = [Fraction(c, scale) for c in rem]
-    return CycElement(n, tuple(coeffs) + (Fraction(0),) * (deg - len(coeffs)))
+    scale = order ** (SUMMAND_FACTORS[knot] - 2)
+    return rem + [0] * (len(phi) - 1 - len(rem)), scale
 
 
-def _ring_sum(knot: KnotId, rows: list[list[int]], ring: _PackedRing) -> int:
-    """N^d <knot> (see `exact_invariant`) as its residue in `ring`, for the
-    N = len(rows) partial products `_pochhammer_rows` lists.
+def _ring_sum(knot: KnotId, ring: _PackedRing) -> int:
+    """N^d <knot> (see `exact_invariant`) as its residue in `ring`, N =
+    `ring.order`.
 
-    Their residues come from `_partial_products`, not from the rows.
-    x^e z is z << be, congruent mod M to the rotation, so a pair costs one
-    shift and each row's sum is folded once by `ring.reduce`.
+    The partial products come from `_partial_products`.  x^e z is
+    z << be, congruent mod M to the rotation, so a pair costs one shift
+    and each row's sum is folded once by `ring.reduce`.  Row r's shifts
+    are b (e(0, c) - r(c+1) mod N): `knots.pair_exponent` is read N
+    times, for row 0, not once a pair.
     """
-    n = len(rows)
+    n = ring.order
     poch = _partial_products(ring, 1)
     conj = _partial_products(ring, -1)
     if knot is KnotId.FOUR_ONE:
         return ring.reduce(sum(p * c for p, c in zip(poch, conj)))
     col = _columns(knot, poch, conj, ring.reduce)
     bits = ring.bits
+    head = [pair_exponent(knot, 0, c) for c in range(n)]
     total = 0
     for r in range(n):
-        acc = sum(col[c] << bits * (pair_exponent(knot, r, c) % n) for c in range(r, n))
+        shifts = [bits * ((e - r * (c + 1)) % n) for c, e in enumerate(head[r:], r)]
+        acc = sum(map(operator.lshift, col[r:], shifts))
         total += ring.reduce(acc) * poch[n - 1 - r]
     return ring.reduce(total)

@@ -74,14 +74,13 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import cyclo, qdilog
-from .knots import SUMMAND_FACTORS, KnotId, check_knot
+from .knots import SUMMAND_FACTORS, KnotId, check_knot, check_order
 
 __all__ = [
     "MODES",
@@ -109,17 +108,6 @@ _EXP_OVERFLOW_LOG = 709.0
 def _wrap_angle(a: float) -> float:
     """Wrap an angle into (-pi, pi]."""
     return math.pi - (math.pi - a) % (2.0 * math.pi)
-
-
-def _check_order(order) -> int:
-    """order as an int, refused unless it is an integer >= 1."""
-    try:
-        order = operator.index(order)
-    except TypeError:
-        raise TypeError(f"order must be an integer, got {order!r}") from None
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    return order
 
 
 @dataclass(frozen=True)
@@ -350,7 +338,7 @@ def _log_window(order: int, start: int, count: int):
 
 
 def pochhammer_table(order: int) -> PochhammerTable:
-    order = _check_order(order)
+    order = check_order(order)
     log_mag, hi, lo, err = _log_window(order, 0, (order - 1) // 2)
     return PochhammerTable(order, log_mag, err, hi, lo)
 
@@ -885,14 +873,22 @@ class InvariantValue:
 
 
 def _exact_value(knot: KnotId, order: int) -> InvariantValue:
-    element = cyclo.exact_invariant(knot, order)
-    z = element.evaluate_numeric()
+    """Exact mode: the float image of `cyclo.exact_invariant`, taken from
+    its integer residue.
+
+    c / N^d is int true division, correctly rounded, so each coefficient
+    is the float of Fraction(c, N^d) with no gcd, and the image and the
+    bound are those of the field element, bit for bit.
+    """
+    coeffs, scale = cyclo._exact_residue(knot, order)
+    image = [c / scale for c in coeffs]
+    z = cyclo._horner(image, order)
     log = LogComplex.from_complex(z)
-    # the field element is exact; only its float image rounds: Horner's
-    # rule takes a complex product and an addition per coefficient, each
+    # the residue is exact; only its float image rounds: Horner's rule
+    # takes a complex product and an addition per coefficient, each
     # step's error carried by the powers of omega that follow
-    spread = sum(abs(float(c)) for c in element.coeffs)
-    steps = 6.0 * len(element.coeffs) + 1.0
+    spread = sum(map(abs, image))
+    steps = 6.0 * len(image) + 1.0
     err = steps * _EPS * spread / abs(z) if z != 0 else 0.0
     return InvariantValue(
         knot,
@@ -925,7 +921,7 @@ def quantum_invariant(
     must still be at least 1.
     """
     knot = check_knot(knot)
-    order = _check_order(order)
+    order = check_order(order)
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if threads < 1:

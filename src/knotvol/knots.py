@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import operator
 
 
 class KnotId(enum.Enum):
@@ -33,6 +34,17 @@ def check_knot(knot) -> KnotId:
     return knot
 
 
+def check_order(order) -> int:
+    """order as an int, refused unless it is an integer >= 1."""
+    try:
+        order = operator.index(order)
+    except TypeError:
+        raise TypeError(f"order must be an integer, got {order!r}") from None
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    return order
+
+
 # partial products (omega)_k, or their reciprocals, in one summand of each
 # knot's state sum: |(omega)_k|^2, (omega)_l^2/(omega)_k^*, and for 6_1
 # |(omega)_m|^2/((omega)_k (omega)_l^*)
@@ -44,7 +56,10 @@ def pair_exponent(knot: KnotId, r: int, c: int) -> int:
 
         sum_{r<=c} X(c) / (omega)_r^* * omega^e(r, c),
 
-    with X(c) = (omega)_c^2 for 5_2 and the row sum C(c) for 6_1.
+    with X(c) = (omega)_c^2 for 5_2 and the row sum C(c) for 6_1.  Both
+    split as e(r, c) = e(0, c) - r(c+1): e(0, c) is 0 for 5_2 and c(c+1)
+    for 6_1, so a row's exponents follow from row 0's, which the exact
+    pair loop and the float phase split both use.
     """
     if knot is KnotId.FIVE_TWO:
         return -r * (c + 1)

@@ -214,7 +214,7 @@ def test_coefficient_bound_covers_the_sum():
             rows = _pochhammer_rows(order)
             bound = _coefficient_bound(knot, rows)
             ring = _PackedRing(order, bound << 64)
-            coeffs = ring.unpack(_ring_sum(knot, rows, ring))
+            coeffs = ring.unpack(_ring_sum(knot, ring))
             assert max(map(abs, coeffs)) <= bound, (knot, order)
             l1 = max(sum(map(abs, row)) for row in rows)
             old = exact_term_count(knot, order) * l1 ** SUMMAND_FACTORS[knot]
@@ -286,7 +286,7 @@ def test_ring_sum_matches_the_packed_pair_sum():
             rows = _pochhammer_rows(order)
             ring = _PackedRing(order, _coefficient_bound(knot, rows))
             want = _stand_in_ring_sum(knot, rows, ring)
-            assert _ring_sum(knot, rows, ring) == want, (knot, order)
+            assert _ring_sum(knot, ring) == want, (knot, order)
 
 
 def test_partial_products_match_packed_rows():
@@ -497,5 +497,22 @@ def test_budget_refusal():
 
 
 def test_bad_order_rejected():
-    with pytest.raises(ValueError):
-        exact_invariant(KnotId.FOUR_ONE, 0)
+    # every entry refuses order 0 with the same ValueError, omega_power
+    # before it reduces its exponent mod 0
+    for entry in (
+        lambda: exact_invariant(KnotId.FOUR_ONE, 0),
+        lambda: exact_term_count(KnotId.FOUR_ONE, 0),
+        lambda: CycElement.from_coeffs(0, [1]),
+        lambda: CycElement.omega_power(0, 3),
+    ):
+        with pytest.raises(ValueError, match="order must be >= 1, got 0"):
+            entry()
+    # an order is an integer, as quantum_invariant takes it
+    for order in (5.0, "5"):
+        with pytest.raises(TypeError, match="order must be an integer, got"):
+            exact_invariant(KnotId.FOUR_ONE, order)
+        with pytest.raises(TypeError, match="order must be an integer, got"):
+            exact_term_count(KnotId.FOUR_ONE, order)
+    element = exact_invariant(KnotId.SIX_ONE, True)
+    assert type(element.order) is int and element == CycElement.one(1)
+    assert exact_term_count(KnotId.SIX_ONE, True) == 1

@@ -954,6 +954,22 @@ def test_logscale_matches_exact_past_twenty(knot, order):
     assert err <= logscale.accum_error_estimate + exact.accum_error_estimate
 
 
+def test_exact_mode_is_the_image_of_the_field_element():
+    # exact mode reads its float image from the integer residue; it must
+    # round as the Fraction element's evaluate_numeric does, to the bit,
+    # and its estimate must be the bound over that element's coefficients
+    for knot in KnotId:
+        for order in range(1, 41):
+            value = quantum_invariant(knot, order, "exact")
+            element = cyclo.exact_invariant(knot, order)
+            z = element.evaluate_numeric()
+            assert value.value_complex == z, (knot, order)
+            spread = sum(abs(float(c)) for c in element.coeffs)
+            steps = 6.0 * len(element.coeffs) + 1.0
+            bound = steps * 2.0**-53 * spread / abs(z)
+            assert value.accum_error_estimate == bound, (knot, order)
+
+
 def test_exact_mode_budget_refusal():
     with pytest.raises(ExactBudgetError):
         quantum_invariant(KnotId.SIX_ONE, 200, "exact")
@@ -965,6 +981,7 @@ def test_exact_mode_budget_refusal():
         pytest.param(quantum_invariant, id="quantum_invariant"),
         pytest.param(lambda knot, order: quantum_invariant(knot, order, "exact"), id="exact_mode"),
         pytest.param(cyclo.exact_invariant, id="exact_invariant"),
+        pytest.param(cyclo.exact_term_count, id="exact_term_count"),
     ],
 )
 @pytest.mark.parametrize("name", ["4_1", "5_2", "6_1"])
