@@ -80,8 +80,7 @@ def _complex_arg(text: str) -> complex:
 # to it as `--theta=-1e3` and so on; no other option starts like one of
 # these, so an abbreviation such as `--thet` is joined too
 _NUMBER_OPTIONS = (
-    "--n", "--n-min", "--n-max", "--step", "--z", "--theta", "--gamma",
-    "--p", "--truncation",
+    "--n", "--n-min", "--n-max", "--step", "--z", "--theta", "--gamma", "--p",
 )
 
 
@@ -150,8 +149,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fad = sub.add_parser("faddeev", help="evaluate the quantum dilogarithm S_gamma")
     fad.add_argument("--gamma", type=float, required=True)
     fad.add_argument("--p", type=_complex_arg, required=True, metavar="RE,IM")
-    fad.add_argument("--step", type=float, default=0.05)
-    fad.add_argument("--truncation", type=float, default=120.0)
 
     sub.add_parser("verify", help="run the identity suite and report pass/fail")
     return parser
@@ -325,10 +322,7 @@ def _cmd_lobachevsky(args) -> int:
 
 
 def _cmd_faddeev(args) -> int:
-    params = qdilog.QdParams(
-        gamma=args.gamma, step=args.step, truncation=args.truncation
-    )
-    log_s = qdilog.faddeev_log_s(params, args.p)
+    log_s = qdilog.faddeev_log_s(qdilog.QdParams(gamma=args.gamma), args.p)
     print(f"gamma: {args.gamma!r}")
     print(f"p: {args.p!r}")
     print(f"log S_gamma(p): {log_s!r}")

@@ -430,7 +430,7 @@ def _ring_sum(knot: KnotId, ring: _PackedRing) -> int:
     """
     n = ring.order
     poch = _partial_products(ring, 1)
-    conj = _partial_products(ring, -1)
+    conj = None if knot is KnotId.FIVE_TWO else _partial_products(ring, -1)
     if knot is KnotId.FOUR_ONE:
         return ring.reduce(sum(p * c for p, c in zip(poch, conj)))
     col = _columns(knot, poch, conj, ring.reduce)

@@ -9,7 +9,8 @@ Four layers, each feeding the next:
   Lambda: an independent route to Im li2, checked against li2 by
   acceptance criterion 8 (the volumes in `saddle` come from li2 itself),
 * ``faddeev_s``    the noncompact quantum dilogarithm S_gamma(p), defined by
-  a contour integral and evaluated by real-line quadrature; its ratios
+  a contour integral and evaluated by real-line quadrature on a grid sized
+  for each argument, at any gamma = pi/N up to about N = 5000; its ratios
   ``f_gamma`` / ``f_bar_gamma`` analytically continue the root-of-unity
   symbols (omega)_k and their conjugates.
 """
@@ -18,11 +19,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+
+from .knots import check_order
 
 __all__ = [
     "PolarPoint",
@@ -231,37 +233,24 @@ def im_li2_polar(r: float, theta: float) -> float:
 
 @dataclass(frozen=True)
 class QdParams:
-    """Quadrature configuration for the quantum dilogarithm integral.
+    """The deformation parameter gamma of the quantum dilogarithm, pi/N in
+    the root-of-unity application.
 
-    gamma is the deformation parameter (pi/N in the root-of-unity
-    application); step and truncation discretize the real line to the
-    uniform grid [-truncation, truncation].  The contour's dip around the
-    origin is accounted for analytically (see `_quadrature_log_s`), so it
-    takes no parameter.
+    The quadrature takes no other parameter: `_quadrature_log_s` sizes its
+    grid for each argument, and the contour's dip around the origin is
+    accounted for analytically.
     """
 
     gamma: float
-    step: float = 0.05
-    truncation: float = 120.0
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.gamma) and self.gamma > 0.0):
             raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if not (math.isfinite(self.step) and self.step > 0.0):
-            raise ValueError(f"step must be positive, got {self.step}")
-        if not (math.isfinite(self.truncation) and self.truncation > self.step):
-            raise ValueError("truncation must exceed the step size")
 
     @classmethod
-    def for_order(cls, order: int, **overrides) -> "QdParams":
+    def for_order(cls, order: int) -> "QdParams":
         """Parameters for the root-of-unity setting gamma = pi/order."""
-        try:
-            order = operator.index(order)
-        except TypeError:
-            raise TypeError(f"order must be an integer, got {order!r}") from None
-        if order < 1:
-            raise ValueError(f"order must be >= 1, got {order}")
-        return cls(gamma=_PI / order, **overrides)
+        return cls(gamma=_PI / check_order(order))
 
 
 # |S_gamma(p)| is pole/zero free on |Re p| < pi + gamma; extension beyond
@@ -271,23 +260,34 @@ _TAIL_TOL = 1e-12
 # the longest walk of shifts faddeev_log_s takes back into the strip
 _MAX_SHIFTS = 100_000
 _STEP_DOUBLING_TOL = 1e-8
+# the quadrature grid's step, and its fewest and most steps from 0 to its
+# end: 120, and 2^20 + 1 points in all (about N = 5000 at lattice p)
+_STEP = 0.05
+_MIN_HALF = 2400
+_MAX_HALF = 2**19
 
 
 def _quadrature_log_s(params: QdParams, p: complex) -> complex:
     """log S_gamma(p) for p inside the strip, by trapezoid quadrature.
 
-    The integrand exp(p x) / (4 x sinh(pi x) sinh(gamma x)) has a third
-    order pole at the origin.  The contour's dip around 0 is traded for an
-    explicit subtraction: the Laurent part
+    The integrand exp(p x) / (4 x sinh(pi x) sinh(gamma x)), formed as
+    exp(p x - (pi + gamma)|x|) / (x expm1(-2 pi |x|) expm1(-2 gamma |x|))
+    so that it cannot overflow, has a third order pole at the origin.
+    The contour's dip around 0 is traded for an explicit subtraction: the
+    Laurent part
         (1/x^3 + p/x^2 + c1/x) / (pi gamma),
         c1 = p^2/2 - (pi^2 + gamma^2)/6,
     is removed, integrated in closed form over the dipped contour (only the
     tails of the even p/x^2 term beyond the grid's end and the
     half-residue of the odd 1/x term survive), and added back.  The
-    remainder is smooth, so the trapezoid rule on the uniform grid, with
-    the end term of the Laurent part, converges geometrically in the step
-    size; a step-doubling comparison guards against a grid too coarse for
-    the given gamma.
+    remainder is smooth, so the trapezoid rule with step 0.05, with the
+    end term of the Laurent part, converges geometrically; a step-doubling
+    comparison refuses an integrand the step cannot resolve, such as one
+    with a large Im p.  The grid [-X, X] ends at the first multiple X >= 120
+    of the step where the estimated tail exp(-margin X + |Im p|) /
+    (pi gamma margin X), margin = pi + gamma - |Re p|, is below 1e-12.  X
+    grows like 1/gamma near the strip's edge; past 2^20 + 1 grid points
+    QuadratureError is raised.
     """
     gamma = params.gamma
     pg = _PI * gamma
@@ -297,47 +297,53 @@ def _quadrature_log_s(params: QdParams, p: complex) -> complex:
     margin = _PI + gamma - abs(p.real)
     if margin <= 0.0:
         raise ValueError("argument outside the quadrature strip")
-    t = params.truncation
-    h = params.step
-    # the grid ends at x_end, the truncation rounded to a whole number of
-    # steps, which lies below t when t/h rounds down; the dropped tail is
-    # estimated from there
-    half = int(round(t / h))
-    x_end = half * h
-    tail = math.exp(-margin * x_end + abs(p.imag)) / (pg * margin * x_end)
-    if tail > _TAIL_TOL:
-        raise QuadratureError(
-            f"truncation {t} leaves an estimated tail {tail:.2e} for "
-            f"Re p = {p.real:.4f}; increase the truncation"
-        )
+    h = _STEP
+    # log(tail / _TAIL_TOL) is convex and decreasing in X: Newton steps from
+    # 120 stay below its root, so they stop at the first multiple past it
+    offset = abs(p.imag) - math.log(pg) - math.log(margin) - math.log(_TAIL_TOL)
+    half = _MIN_HALF
+    while True:
+        x_end = half * h
+        excess = offset - margin * x_end - math.log(x_end)
+        if excess <= 0.0:
+            break
+        x_next = x_end + excess / (margin + 1.0 / x_end)
+        if not x_next <= _MAX_HALF * h:
+            raise QuadratureError(
+                f"p = {p} at gamma = {gamma!r} needs a quadrature grid of at "
+                f"least {2.0 * x_next / h:.3g} points; the cap is {2 * _MAX_HALF + 1}"
+            )
+        half = max(half + 1, math.ceil(x_next / h))
 
     x = np.arange(-half, half + 1) * h
+    ax = np.abs(x)
     # the x = 0 entry divides by zero here and is replaced just below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        full = np.exp(p * x) / (x * np.sinh(_PI * x) * np.sinh(gamma * x))
+        full = 4.0 * np.exp(p * x - (_PI + gamma) * ax) / (
+            x * np.expm1(-2.0 * _PI * ax) * np.expm1(-2.0 * gamma * ax)
+        )
         laurent = (1.0 / x**3 + p / x**2 + c1 / x) / pg
         smooth = full - laurent
     # value at x = 0 by the Taylor expansion of the regular part
     smooth[half] = (p**3 / 6.0 + p * beta2) / pg
-    if not np.all(np.isfinite(smooth)):
-        raise QuadratureError("integrand overflow on the quadrature grid")
 
     integral = np.trapezoid(smooth, dx=h)
     coarse = np.trapezoid(smooth[::2], dx=2.0 * h)
     scale = max(1.0, abs(integral))
-    if abs(integral - coarse) > _STEP_DOUBLING_TOL * scale:
+    # written so that a non-finite integral, which only a gamma near the
+    # smallest doubles can give, is refused too
+    if not abs(integral - coarse) <= _STEP_DOUBLING_TOL * scale:
         raise QuadratureError(
             f"step doubling moved the integral by "
-            f"{abs(integral - coarse):.2e}; decrease the step"
+            f"{abs(integral - coarse):.2e}: the grid cannot resolve p = {p}"
         )
 
     # closed-form pieces of the Laurent part over the dipped contour: the
-    # even p/x^2 term contributes its tails beyond the grid's end X (the
-    # truncation rounded to a whole number of steps), the odd 1/x term the
-    # half-residue picked up by passing above the origin.  Past X the
-    # remainder is minus the Laurent part, so the trapezoid rule also
-    # needs its Euler-Maclaurin end term -h^2/12 [f'(X) - f'(-X)] =
-    # -h^2 p/(3 pi gamma X^3).
+    # even p/x^2 term contributes its tails beyond the grid's end X, the
+    # odd 1/x term the half-residue picked up by passing above the origin.
+    # Past X the remainder is minus the Laurent part, so the trapezoid
+    # rule also needs its Euler-Maclaurin end term -h^2/12 [f'(X) - f'(-X)]
+    # = -h^2 p/(3 pi gamma X^3).
     tails = 2.0 * p / (pg * x_end) * (1.0 + h * h / (6.0 * x_end * x_end))
     integral += -tails - 1j * _PI * c1 / pg
     return complex(integral / 4.0)
@@ -418,7 +424,7 @@ def funeq_residual(params: QdParams, p: complex) -> float:
         |(1 + exp(i p)) S(p + gamma) - S(p - gamma)| / |S(p - gamma)|
 
     Zero for the true function; for the quadrature it measures the
-    combined discretization, truncation and dip error.
+    combined discretization and truncation error of the two values.
     """
     lo = faddeev_log_s(params, complex(p) - params.gamma)
     hi = faddeev_log_s(params, complex(p) + params.gamma)

@@ -312,6 +312,22 @@ def test_faddeev_command(capsys):
     assert "log S_gamma(p)" in fields and "S_gamma(p)" in fields
 
 
+def test_faddeev_at_the_strip_edge_of_order_100(capsys):
+    # gamma - pi at gamma = pi/100: the tail from x = 120 on is 7e-4, so
+    # the quadrature must extend its grid
+    gamma = PI / 100
+    code, out, err = run(capsys, "faddeev", "--gamma", repr(gamma), f"--p={gamma - PI!r},0")
+    assert code == 0 and err == ""
+    assert "S_gamma(p)" in _fields(out)
+
+
+@pytest.mark.parametrize("flag", [("--step", "0.1"), ("--truncation", "200")])
+def test_faddeev_grid_flags_are_gone(capsys, flag):
+    # the quadrature sizes its own grid; the old flags are usage errors
+    code, out, err = run(capsys, "faddeev", "--gamma", repr(PI / 5), "--p", "0.3,0.1", *flag)
+    assert code == 2 and out == "" and "unrecognized arguments" in err
+
+
 def test_faddeev_pole_exits_one(capsys):
     code, _, err = run(
         capsys, "faddeev", "--gamma", repr(PI / 5), "--p", repr(PI + PI / 5) + ",0"

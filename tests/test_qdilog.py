@@ -250,16 +250,11 @@ def test_params_validation():
         QdParams(gamma=0.0)
     with pytest.raises(ValueError):
         QdParams(gamma=-1.0)
-    with pytest.raises(ValueError):
-        QdParams(gamma=PI / 5, step=0.0)
-    with pytest.raises(ValueError):
-        QdParams(gamma=PI / 5, truncation=0.01)
 
 
 def test_params_for_order():
     assert QdParams.for_order(10).gamma == PI / 10
-    assert QdParams.for_order(5, step=0.1).step == 0.1
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="order must be >= 1, got 0"):
         QdParams.for_order(0)
     # gamma = pi/N needs an integer N; a float, even a whole one, is refused
     for order in (2.5, 5.0):
@@ -345,15 +340,30 @@ def test_lattice_values_match_pochhammer_symbols():
         assert abs(f_bar_gamma(params, p) - symbol.conjugate()) <= 1e-6 * abs(symbol)
 
 
-@pytest.mark.parametrize("step", [0.05, 0.07, 0.09])
-def test_steps_that_miss_the_truncation_agree(step):
-    # 120 is no whole number of steps of 0.07 or 0.09: the closed-form tail
-    # term must be taken at the grid's end, not at the truncation; with the
-    # trapezoid rule's end term no step leaves an h^2 error behind
-    params = QdParams(gamma=PI / 5, step=step)
-    fine = QdParams(gamma=PI / 5, step=0.025)
-    for p in (0.3, -1.2 + 0.4j, 2.0, 0.5j, 3.5):
-        assert abs(faddeev_log_s(params, p) - faddeev_log_s(fine, p)) <= 1e-12
+@pytest.mark.parametrize("order", [30, 100, 200])
+def test_lattice_values_at_large_order(order):
+    # the grid end grows like 1/gamma as p nears the strip's edge; from
+    # N = 30 on, a grid ending at 120 leaves a tail above 1e-12 at k = 0
+    from knotvol.invariant import pochhammer_table
+
+    params = QdParams.for_order(order)
+    table = pochhammer_table(order)
+    for k in sorted({0, 1, order // 3, order // 2, order - 2, order - 1}):
+        p = -PI + params.gamma * (1 + 2 * k)
+        symbol = complex(table.values[k])
+        assert abs(f_gamma(params, p) - symbol) <= 1e-9 * abs(symbol), k
+        assert abs(f_bar_gamma(params, p) - symbol.conjugate()) <= 1e-9 * abs(symbol), k
+
+
+@pytest.mark.parametrize("order", [50, 100])
+def test_shift_relation_near_the_strip_edges(order):
+    # S is taken at p - gamma and p + gamma, and the one nearer an edge
+    # lies within 2 gamma of |Re| = pi, where the margin is down to gamma
+    params = QdParams.for_order(order)
+    g = params.gamma
+    for f in (0.01, 0.5, 1.0, 1.5, 1.99):
+        for p in (PI - g - f * g, -(PI - g - f * g), PI - g - f * g + 0.2j):
+            assert funeq_residual(params, p) <= 1e-9, (f, p)
 
 
 @pytest.mark.parametrize(
@@ -366,27 +376,24 @@ def test_unreachable_arguments_raise(p):
         faddeev_log_s(QdParams(gamma=0.3), p)
 
 
-def test_truncation_refusal():
-    params = QdParams(gamma=PI / 10, truncation=20.0)
-    with pytest.raises(QuadratureError):
-        faddeev_log_s(params, 2.9)
-
-
-@pytest.mark.parametrize("p", [3.089366, -3.089366])
-def test_tail_is_estimated_at_the_grid_end(p):
-    # with step 0.09 the grid ends at x_end = 1333 * 0.09 = 119.97, below
-    # the truncation 120: the tail estimate is 9.97e-13 at 120 but 1.004e-12
-    # at x_end, where the dropped tail starts, so the call is refused; at
-    # the default step the grid ends at 120 and the same argument is taken
-    with pytest.raises(QuadratureError, match="increase the truncation"):
-        faddeev_log_s(QdParams.for_order(20, step=0.09), p)
-    assert cmath.isfinite(faddeev_log_s(QdParams.for_order(20), p))
+@pytest.mark.parametrize(
+    "gamma, p", [(1e-4, 1e-4 - PI), (PI / 6000, PI / 6000 - PI), (0.3, 0.3 + 1e6j)]
+)
+def test_grid_cap_refusal(gamma, p):
+    # a small margin or a large Im p asks for more than 2^20 + 1 grid
+    # points; the refusal names the size before any grid is built
+    cap = r"needs a quadrature grid of at least .* points; the cap is 1048577"
+    with pytest.raises(QuadratureError, match=cap):
+        faddeev_log_s(QdParams(gamma=gamma), p)
 
 
 def test_step_refusal():
-    params = QdParams(gamma=PI / 10, step=0.8)
-    with pytest.raises(QuadratureError):
-        faddeev_log_s(params, 0.3)
+    # an Im p the fixed step cannot resolve is refused, with no advice
+    # about a step that can no longer be set
+    params = QdParams.for_order(10)
+    with pytest.raises(QuadratureError, match="step doubling") as info:
+        faddeev_log_s(params, 0.3 + 150j)
+    assert "decrease" not in str(info.value)
 
 
 def test_pole_lattice_refusal():
@@ -398,8 +405,8 @@ def test_pole_lattice_refusal():
 
 
 def test_imaginary_argument_outside_strip_refused():
-    # the integrand gains exp(|Im p| x) growth; the tail bound must catch
-    # arguments whose imaginary part defeats the truncation
+    # the integrand oscillates like exp(i Im(p) x), 10 radians a step at
+    # 200j: the step-doubling comparison must catch it
     params = QdParams.for_order(5)
     with pytest.raises(QuadratureError):
         faddeev_log_s(params, 200j)
