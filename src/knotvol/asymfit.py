@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .invariant import growth_point
-from .knots import KnotId, check_order
+from .knots import KnotId, check_knot, check_order
 from .saddle import hyperbolic_volume
 
 __all__ = [
@@ -39,14 +39,16 @@ class GrowthSeries:
     """Points (N, log|<L>|) for one knot, held sorted by N.
 
     Construction sorts the points, so downstream fits cannot depend on
-    input order; duplicate or non-finite entries are rejected, and so is
-    an order that is not an integer >= 1, as `quantum_invariant` refuses it.
+    input order; duplicate or non-finite entries are rejected, and so are
+    a knot that is not a KnotId and an order that is not an integer >= 1,
+    as `quantum_invariant` refuses them.
     """
 
     knot: KnotId
     points: tuple[tuple[int, float], ...]
 
     def __post_init__(self) -> None:
+        check_knot(self.knot)
         pts = tuple(sorted((check_order(n), float(y)) for n, y in self.points))
         for (n1, y1), (n2, _) in zip(pts, pts[1:]):
             if n1 == n2:

@@ -19,6 +19,10 @@ the potential there is the hyperbolic volume of the knot complement:
 
 All logs and Li2 are on principal branches; for 4_1, where no selection
 condition is stated, the root giving positive volume is chosen.
+
+The solutions are found as the roots of one univariate polynomial per
+knot, the system with all but z eliminated: each root is polished by
+Newton steps on that polynomial and lifted to a full coordinate tuple.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .knots import KnotId
+from .knots import KnotId, check_knot
 from .qdilog import li2
 
 __all__ = [
@@ -45,9 +49,11 @@ __all__ = [
 ]
 
 _RESIDUAL_TOL = 1e-12
-_NEWTON_STEP_TOL = 1e-14
-_NEWTON_MAX_ITER = 100
 _CUT_TOL = 1e-12
+# Newton steps on the eliminated polynomial after numpy.roots: two keep
+# all three volumes on the bits of a Newton polish of the full system,
+# one moves 6_1 by 4 ulp
+_POLISH_STEPS = 2
 
 
 class BranchCutWarning(UserWarning):
@@ -85,6 +91,7 @@ def potential(knot: KnotId, point: Sequence[complex]) -> complex:
     1e-12 of its cut; on the Li2 cut itself the real principal value is
     used, so the 4_1 potential stays real on the real interval (0, 1).
     """
+    knot = check_knot(knot)
     point = tuple(complex(c) for c in point)
     if knot is KnotId.FOUR_ONE:
         (z,) = point
@@ -115,6 +122,7 @@ def potential_gradient(knot: KnotId, point: Sequence[complex]) -> tuple[complex,
     stationarity equations, so away from branch-crossing defects the
     gradient vanishes precisely on the solution set of `solve_stationary`.
     """
+    knot = check_knot(knot)
     point = tuple(complex(c) for c in point)
     if knot is KnotId.FOUR_ONE:
         (z,) = point
@@ -177,55 +185,14 @@ def _system(knot: KnotId, point: np.ndarray) -> np.ndarray:
     )
 
 
-def _jacobian(knot: KnotId, point: np.ndarray) -> np.ndarray:
-    if knot is KnotId.FOUR_ONE:
-        (z,) = point
-        return np.array([[2.0 * z - 1.0]])
-    if knot is KnotId.FIVE_TWO:
-        z, u = point
-        return np.array(
-            [
-                [1.0 - u, 1.0 - z],
-                [2.0 * (1.0 - z), 1.0],
-            ]
-        )
-    z, u, v = point
-    return np.array(
-        [
-            [(1.0 - z) * (1.0 - 3.0 * z), 2.0 * u * v, u * u],
-            [2.0 * z * (1.0 - u), -z * z - 2.0 * u * v, -u * u],
-            [1.0 - v, v, u - z],
-        ]
-    )
-
-
-def newton_polish(knot: KnotId, start: Sequence[complex]) -> np.ndarray | None:
-    """Newton iteration on the full algebraic system from `start`.
-
-    Returns the converged point, or None when the iteration fails to meet
-    the step tolerance within the iteration cap or hits a singular
-    Jacobian (both possible for arbitrary starts; the elimination seeds
-    always converge).
-    """
-    point = np.asarray(start, dtype=complex)
-    for _ in range(_NEWTON_MAX_ITER):
-        residual = _system(knot, point)
-        try:
-            step = np.linalg.solve(_jacobian(knot, point), residual)
-        except np.linalg.LinAlgError:
-            return None
-        point = point - step
-        if not np.all(np.isfinite(point.view(float))):
-            return None
-        if float(np.linalg.norm(step)) < _NEWTON_STEP_TOL:
-            return point
-    return None
-
-
 # univariate eliminations of the stationarity systems, leading coeff first:
 #   5_2: substitute u = (1-z)^2 into u + z = uz
 #   6_1: adding the first two equations forces u = (z^2-z+1)/z, the third
 #        gives v = z^2/(z-1); substitution into the first yields the quartic
+# Every root lifts to a finite point with nonzero coordinates: the constant
+# terms are nonzero, so z != 0; z = 1 is not a root, so the 5_2 u = (1-z)^2
+# is nonzero and the 6_1 v = z^2/(z-1) finite and nonzero; and the 6_1
+# u = 0 would need z^2 - z + 1 = 0, where the quartic equals z != 0.
 _ELIMINATED = {
     KnotId.FOUR_ONE: [1.0, -1.0, 1.0],
     KnotId.FIVE_TWO: [1.0, -3.0, 2.0, -1.0],
@@ -256,21 +223,19 @@ def _is_selected(knot: KnotId, point: tuple[complex, ...]) -> bool:
 def solve_stationary(knot: KnotId) -> list[SaddleSolution]:
     """All stationary points with nonzero coordinates, residual <= 1e-12.
 
-    Roots of the hard-coded univariate elimination (companion matrix via
-    numpy.roots) are lifted to full coordinate tuples and polished by
-    Newton on the original system.
+    The roots of the knot's univariate elimination (numpy.roots) are
+    polished by Newton steps on that polynomial and lifted to full
+    coordinate tuples; each lifted point's residual on the original
+    system is checked.
     """
-    roots = np.roots(_ELIMINATED[knot])
-    if len(roots) != len(_ELIMINATED[knot]) - 1:
-        raise ArithmeticError(f"elimination degeneracy for {knot}")
+    coeffs = _ELIMINATED[check_knot(knot)]
+    slope = np.polyder(coeffs)
+    roots = np.roots(coeffs)
+    for _ in range(_POLISH_STEPS):
+        roots = roots - np.polyval(coeffs, roots) / np.polyval(slope, roots)
     solutions = []
     for z in sorted(roots, key=lambda w: (round(w.real, 9), w.imag)):
-        polished = newton_polish(knot, _lift(knot, complex(z)))
-        if polished is None:
-            raise ArithmeticError(f"Newton polish failed for {knot} at {z}")
-        point = tuple(complex(c) for c in polished)
-        if any(abs(c) < 1e-12 for c in point):
-            continue
+        point = _lift(knot, complex(z))
         residual = float(np.max(np.abs(_system(knot, np.asarray(point)))))
         if residual > _RESIDUAL_TOL:
             raise ArithmeticError(
@@ -301,6 +266,7 @@ def select_geometric(
 def hyperbolic_volume(knot: KnotId) -> VolumeResult:
     """Hyperbolic volume of the knot complement, -Im of the potential
     at the geometric stationary point."""
+    knot = check_knot(knot)
     solution = select_geometric(solve_stationary(knot), knot)
     value = potential(knot, solution.point)
     volume = -value.imag

@@ -79,6 +79,12 @@ def test_series_refuses_non_integer_orders():
     assert all(type(n) is int for n, _ in s.points)
 
 
+def test_series_refuses_knot_names():
+    # a knot is a KnotId, as quantum_invariant takes it; a name is refused
+    with pytest.raises(TypeError, match="KnotId.parse"):
+        GrowthSeries("4_1", ((10, 1.0),))
+
+
 def test_series_subset():
     s = _series([(10, 1.0), (20, 2.0), (30, 3.0)])
     assert [n for n, _ in s.subset(15).points] == [20, 30]

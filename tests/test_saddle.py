@@ -14,8 +14,9 @@ from knotvol.saddle import (
     BranchCutWarning,
     SaddleSolution,
     VolumeResult,
+    _lift,
+    _system,
     hyperbolic_volume,
-    newton_polish,
     potential,
     potential_gradient,
     select_geometric,
@@ -201,25 +202,41 @@ def test_gradient_matches_finite_differences_off_saddle():
                 assert abs(fd - grad[i]) <= 1e-5 * (1 + abs(grad[i]))
 
 
-def test_newton_from_random_starts_lands_on_returned_solutions():
-    rng = random.Random(20260819)
-    for knot, dim in ((KnotId.FOUR_ONE, 1), (KnotId.FIVE_TWO, 2), (KnotId.SIX_ONE, 3)):
-        targets = [s.point for s in solve_stationary(knot)]
-        hits = 0
-        for _ in range(100):
-            start = [
-                complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(dim)
-            ]
-            end = newton_polish(knot, start)
-            if end is None or any(abs(c) <= 1e-8 for c in end):
-                continue
-            dist = min(
-                max(abs(a - b) for a, b in zip(end, t)) for t in targets
-            )
-            assert dist <= 1e-8
-            hits += 1
-        # the basins of the listed solutions dominate the search box
-        assert hits >= 20
+def test_lift_reduces_the_system_to_the_eliminated_polynomial():
+    # on the lifted point the system is the eliminated polynomial times a
+    # nonzero factor, with the other equations identically zero; since a
+    # solution with nonzero coordinates is fixed by z through the lift,
+    # the lifted roots are exactly those solutions
+    rng = random.Random(20261020)
+    for _ in range(50):
+        z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+        (eq,) = _system(KnotId.FOUR_ONE, np.asarray(_lift(KnotId.FOUR_ONE, z)))
+        assert abs(eq - _poly_value(KnotId.FOUR_ONE, z)) <= 1e-14 * (1 + abs(z)) ** 2
+        eq1, eq2 = _system(KnotId.FIVE_TWO, np.asarray(_lift(KnotId.FIVE_TWO, z)))
+        assert abs(eq1 + _poly_value(KnotId.FIVE_TWO, z)) <= 1e-14 * (1 + abs(z)) ** 3
+        assert abs(eq2) <= 1e-14 * (1 + abs(z)) ** 2
+        eq1, eq2, eq3 = _system(KnotId.SIX_ONE, np.asarray(_lift(KnotId.SIX_ONE, z)))
+        scale = 1e-14 * (1 + abs(z)) ** 4 / min(1.0, abs(z), abs(z - 1)) ** 2
+        assert abs((z - 1) * eq1 - _poly_value(KnotId.SIX_ONE, z)) <= scale
+        assert abs(eq1 + eq2) <= scale
+        assert abs(eq3) <= scale
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        pytest.param(lambda knot: potential(knot, [0.5 + 0.5j, 1 + 1j, 2 - 1j]), id="potential"),
+        pytest.param(lambda knot: potential_gradient(knot, [0.5 + 0.5j]), id="potential_gradient"),
+        pytest.param(solve_stationary, id="solve_stationary"),
+        pytest.param(hyperbolic_volume, id="hyperbolic_volume"),
+    ],
+)
+@pytest.mark.parametrize("name", ["4_1", "5_2", "6_1"])
+def test_knot_names_are_refused_for_parse(entry, name):
+    # a knot name is refused with a pointer to KnotId.parse, and never
+    # falls through to another knot's formula
+    with pytest.raises(TypeError, match="KnotId.parse"):
+        entry(name)
 
 
 def test_invalid_point_shapes_rejected():
