@@ -9,8 +9,9 @@ Four layers, each feeding the next:
   Lambda: an independent route to Im li2, checked against li2 by
   acceptance criterion 8 (the volumes in `saddle` come from li2 itself),
 * ``faddeev_s``    the noncompact quantum dilogarithm S_gamma(p), defined by
-  a contour integral and evaluated by real-line quadrature on a grid sized
-  for each argument, at any gamma = pi/N up to about N = 5000; its ratios
+  a contour integral and evaluated by the trapezoid rule on a line parallel
+  to the real one, clear of the integrand's poles, on a grid sized for
+  each argument, at any gamma = pi/N up to about N = 5000; its ratios
   ``f_gamma`` / ``f_bar_gamma`` analytically continue the root-of-unity
   symbols (omega)_k and their conjugates.
 """
@@ -236,9 +237,8 @@ class QdParams:
     """The deformation parameter gamma of the quantum dilogarithm, pi/N in
     the root-of-unity application.
 
-    The quadrature takes no other parameter: `_quadrature_log_s` sizes its
-    grid for each argument, and the contour's dip around the origin is
-    accounted for analytically.
+    The quadrature takes no other parameter: `_quadrature_log_s` works out
+    its line and step from gamma and sizes its grid for each argument.
     """
 
     gamma: float
@@ -260,104 +260,99 @@ _TAIL_TOL = 1e-12
 # the longest walk of shifts faddeev_log_s takes back into the strip
 _MAX_SHIFTS = 100_000
 _STEP_DOUBLING_TOL = 1e-8
-# the quadrature grid's step, and its fewest and most steps from 0 to its
-# end: 120, and 2^20 + 1 points in all (about N = 5000 at lattice p)
-_STEP = 0.05
-_MIN_HALF = 2400
+# the quadrature grid's least end, and its most steps from 0 to the end:
+# 2^20 + 1 points in all (about N = 5000 at lattice p)
+_MIN_END = 120.0
 _MAX_HALF = 2**19
 
 
 def _quadrature_log_s(params: QdParams, p: complex) -> complex:
-    """log S_gamma(p) for p inside the strip, by trapezoid quadrature.
+    """log S_gamma(p), |Re p| <= max(pi, gamma), by the trapezoid rule.
 
-    The integrand exp(p x) / (4 x sinh(pi x) sinh(gamma x)), formed as
-    exp(p x - (pi + gamma)|x|) / (x expm1(-2 pi |x|) expm1(-2 gamma |x|))
-    so that it cannot overflow, has a third order pole at the origin.
-    The contour's dip around 0 is traded for an explicit subtraction: the
-    Laurent part
-        (1/x^3 + p/x^2 + c1/x) / (pi gamma),
-        c1 = p^2/2 - (pi^2 + gamma^2)/6,
-    is removed, integrated in closed form over the dipped contour (only the
-    tails of the even p/x^2 term beyond the grid's end and the
-    half-residue of the odd 1/x term survive), and added back.  The
-    remainder is smooth, so the trapezoid rule with step 0.05, with the
-    end term of the Laurent part, converges geometrically; a step-doubling
-    comparison refuses an integrand the step cannot resolve, such as one
-    with a large Im p.  The grid [-X, X] ends at the first multiple X >= 120
-    of the step where the estimated tail exp(-margin X + |Im p|) /
-    (pi gamma margin X), margin = pi + gamma - |Re p|, is below 1e-12.  X
-    grows like 1/gamma near the strip's edge; past 2^20 + 1 grid points
-    QuadratureError is raised.
+    log S is a quarter of the integral of g(z) = exp(p z) / (z sinh(pi z)
+    sinh(gamma z)) over a contour passing above g's pole at 0, whose
+    residue is c1 / (pi gamma), c1 = p^2/2 - (pi^2 + gamma^2)/6.  The
+    contour moves to the line z = x + i delta, delta = min(1, pi/gamma)/2
+    (half way to the poles at i and i pi/gamma) with the sign of Im p, so
+    |exp(i p delta)| <= 1; a line below 0 has crossed the pole, whose
+    2 pi i c1 / (pi gamma) is taken off.  With w = sign(x) z, Re w = |x|,
+    g = 4 exp(p z - (pi + gamma) w) / (z expm1(-2 pi w) expm1(-2 gamma w))
+    cannot overflow.  The step h = |delta|/10 (0.05 at gamma <= pi) gives
+    an error near exp(-2 pi |delta|/h) = exp(-62.8) for any gamma
+    (Trefethen and Weideman, SIAM Review 2014).
+
+    The grid [-X, X] ends at the first multiple X >= 120 of h where
+    exp(-margin X + |Im p|) / (pi gamma margin X) < 1e-12, margin = pi +
+    gamma - |Re p| >= min(pi, gamma).  On the line |sinh(a + ib)| >=
+    sinh|a| and |exp(p z)| <= exp(Re(p) x), so the two dropped tails of
+    log S are at most (1 + 1/(2 gamma X)) (exp(-margin X) / (margin X) +
+    e^-370): the estimate or less where pi gamma + pi/(2X) <= 1 (gamma <=
+    0.31), and below 1e-17 at larger gamma, where margin > 0.31.  Past
+    2^20 + 1 points, or when the sum at 2h differs by more than 1e-8
+    (absolute where |integral| < 1, else relative), QuadratureError is
+    raised: the step cannot resolve p, or the sum is not finite, as at a
+    subnormal gamma.
     """
     gamma = params.gamma
-    pg = _PI * gamma
-    beta2 = -(_PI * _PI + gamma * gamma) / 6.0
-    c1 = 0.5 * p * p + beta2
+    delta = 0.5 * min(1.0, _PI / gamma)
+    h = 0.1 * delta  # 0.05 at gamma <= pi
+    if p.imag < 0.0:
+        delta = -delta
 
     margin = _PI + gamma - abs(p.real)
-    if margin <= 0.0:
-        raise ValueError("argument outside the quadrature strip")
-    h = _STEP
     # log(tail / _TAIL_TOL) is convex and decreasing in X: Newton steps from
     # 120 stay below its root, so they stop at the first multiple past it
-    offset = abs(p.imag) - math.log(pg) - math.log(margin) - math.log(_TAIL_TOL)
-    half = _MIN_HALF
+    offset = abs(p.imag) - math.log(_PI * gamma) - math.log(margin) - math.log(_TAIL_TOL)
+    x_next, half = _MIN_END, 0
     while True:
-        x_end = half * h
-        excess = offset - margin * x_end - math.log(x_end)
-        if excess <= 0.0:
-            break
-        x_next = x_end + excess / (margin + 1.0 / x_end)
         if not x_next <= _MAX_HALF * h:
             raise QuadratureError(
                 f"p = {p} at gamma = {gamma!r} needs a quadrature grid of at "
                 f"least {2.0 * x_next / h:.3g} points; the cap is {2 * _MAX_HALF + 1}"
             )
         half = max(half + 1, math.ceil(x_next / h))
+        x_end = half * h
+        excess = offset - margin * x_end - math.log(x_end)
+        if excess <= 0.0:
+            break
+        x_next = x_end + excess / (margin + 1.0 / x_end)
 
-    x = np.arange(-half, half + 1) * h
-    ax = np.abs(x)
-    # the x = 0 entry divides by zero here and is replaced just below
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        full = 4.0 * np.exp(p * x - (_PI + gamma) * ax) / (
-            x * np.expm1(-2.0 * _PI * ax) * np.expm1(-2.0 * gamma * ax)
-        )
-        laurent = (1.0 / x**3 + p / x**2 + c1 / x) / pg
-        smooth = full - laurent
-    # value at x = 0 by the Taylor expansion of the regular part
-    smooth[half] = (p**3 / 6.0 + p * beta2) / pg
-
-    integral = np.trapezoid(smooth, dx=h)
-    coarse = np.trapezoid(smooth[::2], dx=2.0 * h)
-    scale = max(1.0, abs(integral))
-    # written so that a non-finite integral, which only a gamma near the
-    # smallest doubles can give, is refused too
-    if not abs(integral - coarse) <= _STEP_DOUBLING_TOL * scale:
+    z = np.arange(-half, half + 1) * h + 1j * delta
+    w = z.copy()
+    w[:half] *= -1.0  # w = sign(x) z; the first half of the grid is x < 0
+    # in place, at most four arrays of the grid at once; a subnormal gamma
+    # overflows g, and the check below refuses it
+    with np.errstate(all="ignore"):
+        g = 4.0 * np.exp(p * z - (_PI + gamma) * w)
+        e = np.multiply(w, -2.0 * _PI)
+        z *= np.expm1(e, out=e)
+        w *= -2.0 * gamma
+        z *= np.expm1(w, out=w)
+        g /= z
+        del z, w, e
+        integral = np.trapezoid(g, dx=h)
+        coarse = np.trapezoid(g[::2], dx=2.0 * h)
+    if not abs(integral - coarse) <= _STEP_DOUBLING_TOL * max(1.0, abs(integral)):
         raise QuadratureError(
             f"step doubling moved the integral by "
             f"{abs(integral - coarse):.2e}: the grid cannot resolve p = {p}"
         )
-
-    # closed-form pieces of the Laurent part over the dipped contour: the
-    # even p/x^2 term contributes its tails beyond the grid's end X, the
-    # odd 1/x term the half-residue picked up by passing above the origin.
-    # Past X the remainder is minus the Laurent part, so the trapezoid
-    # rule also needs its Euler-Maclaurin end term -h^2/12 [f'(X) - f'(-X)]
-    # = -h^2 p/(3 pi gamma X^3).
-    tails = 2.0 * p / (pg * x_end) * (1.0 + h * h / (6.0 * x_end * x_end))
-    integral += -tails - 1j * _PI * c1 / pg
+    if delta < 0.0:
+        c1 = 0.5 * p * p - (_PI * _PI + gamma * gamma) / 6.0
+        integral -= 2j * c1 / gamma
     return complex(integral / 4.0)
 
 
 def faddeev_log_s(params: QdParams, p: complex) -> complex:
     """log S_gamma(p), continued to arguments outside the strip.
 
-    Inside |Re p| < pi + gamma this is the quadrature of the defining
-    integral; outside, the shift relation
+    The defining integral converges on |Re p| < pi + gamma; it is taken
+    by quadrature where |Re p| <= max(pi, gamma), at least min(pi, gamma)
+    inside that strip.  Elsewhere the shift relation
         (1 + exp(i p)) S_gamma(p + gamma) = S_gamma(p - gamma)
-    walks the argument back into the strip, accumulating the logarithms of
-    the shift factors.  The returned branch is continuous in the integral
-    representation, not reduced mod 2*pi*i.
+    walks the argument back in steps of 2 gamma, accumulating the
+    logarithms of the shift factors.  The returned branch is continuous in
+    the integral representation, not reduced mod 2*pi*i.
     """
     p = complex(p)
     if not cmath.isfinite(p):
@@ -370,11 +365,13 @@ def faddeev_log_s(params: QdParams, p: complex) -> complex:
             f"argument {p} needs about {walk:.3g} shifts of 2 gamma to "
             f"reach the strip; the walk is limited to {_MAX_SHIFTS}"
         )
+    # from gamma = 2 pi on, a walk to |Re p| < pi could leave the strip
+    edge = max(_PI, gamma)
     shift = 0j
     # s = 1 walks down, S(p) = S(p - 2 gamma) / (1 + exp(i (p - gamma))),
     # then s = -1 walks up, S(p) = S(p + 2 gamma) * (1 + exp(i (p + gamma)))
     for s in (1.0, -1.0):
-        while s * p.real >= _PI:
+        while s * p.real >= edge:
             factor = 1.0 + cmath.exp(1j * (p - s * gamma))
             if abs(factor) < 1e-12:
                 lattice = "zero" if s > 0 else "pole"

@@ -7,6 +7,7 @@ closed-form identities computed inside this file.
 import cmath
 import math
 import random
+import warnings
 
 from fractions import Fraction
 
@@ -387,12 +388,14 @@ def test_grid_cap_refusal(gamma, p):
         faddeev_log_s(QdParams(gamma=gamma), p)
 
 
-def test_step_refusal():
-    # an Im p the fixed step cannot resolve is refused, with no advice
-    # about a step that can no longer be set
-    params = QdParams.for_order(10)
-    with pytest.raises(QuadratureError, match="step doubling") as info:
-        faddeev_log_s(params, 0.3 + 150j)
+def test_subnormal_gamma_refused():
+    # the integrand overflows near x = 0, and the step-doubling comparison
+    # refuses the non-finite sum, with no numpy warning on the way and no
+    # advice about a step that cannot be set
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError, match="step doubling") as info:
+            faddeev_log_s(QdParams(gamma=1e-310), 0)
     assert "decrease" not in str(info.value)
 
 
@@ -404,9 +407,96 @@ def test_pole_lattice_refusal():
         faddeev_log_s(params, -PI - params.gamma)
 
 
-def test_imaginary_argument_outside_strip_refused():
-    # the integrand oscillates like exp(i Im(p) x), 10 radians a step at
-    # 200j: the step-doubling comparison must catch it
-    params = QdParams.for_order(5)
-    with pytest.raises(QuadratureError):
-        faddeev_log_s(params, 200j)
+def _inversion_exponent(gamma, p):
+    # log S(p) + log S(-p)
+    return -1j * p * p / (4 * gamma) + 1j * (PI * PI + gamma * gamma) / (12 * gamma)
+
+
+@pytest.mark.parametrize(
+    "order, p", [(10, 0.3 + 150j), (5, 200j)], ids=["0.3+150j", "200j"]
+)
+def test_large_imaginary_argument(order, p):
+    # the line sits on the side of Im p, where |exp(i p delta)| <= 1: above
+    # the real axis S is 1 to far below an ulp, below it the residue at 0
+    # is all that is left, and the two keep the inversion relation
+    params = QdParams.for_order(order)
+    for q in (p, p.conjugate()):
+        upper = q if q.imag > 0 else -q
+        assert abs(faddeev_log_s(params, upper)) <= 1e-30, q
+        want = _inversion_exponent(params.gamma, q)
+        got = faddeev_log_s(params, q) + faddeev_log_s(params, -q)
+        assert abs(got - want) <= 1e-12 * abs(want), q
+
+
+def _mpmath_log_s(mp, gamma, p):
+    # a quarter of the integral of exp(p z) / (z sinh(pi z) sinh(gamma z))
+    # along Im z = 0.3 min(1, pi/gamma), which passes above the pole at 0
+    # and below those at i and i pi/gamma as the defining contour does, but
+    # at another height than the quadrature's line and with no residue
+    # term: 30-digit Gauss-Legendre on pieces a few per oscillation, out
+    # to where the integrand is below e^-70
+    with mp.workdps(30):
+        g, p = mp.mpf(gamma), mp.mpc(p)
+        height = mp.mpf(3) / 10 * min(1, mp.pi / g)
+        end = 70 / (mp.pi + g - abs(p.real))
+        pieces = int(end * (1 + abs(p.imag) / 20)) + 1
+
+        def integrand(x):
+            z = mp.mpc(x, height)
+            return mp.exp(p * z) / (z * mp.sinh(mp.pi * z) * mp.sinh(g * z))
+
+        nodes = mp.linspace(-end, end, 2 * pieces + 1)
+        return complex(mp.quad(integrand, nodes, method="gauss-legendre") / 4)
+
+
+@pytest.mark.parametrize(
+    "gamma, p",
+    [(PI / 10, 0.3 + 40j), (PI / 10, 0.3 - 40j)]
+    + [(g, p) for g in (4.0, 10.0) for p in (0.7, 0.7 + 0.5j, -1.3 - 0.4j)],
+)
+def test_values_match_mpmath(gamma, p):
+    # 1e-12, absolute where |log S| < 1 and relative elsewhere; at gamma
+    # > pi the line's height and the step are pi/gamma times those at
+    # gamma <= pi
+    mp = pytest.importorskip("mpmath")
+    want = _mpmath_log_s(mp, gamma, p)
+    got = faddeev_log_s(QdParams(gamma=gamma), p)
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+@pytest.mark.parametrize("gamma", [4.0, 10.0])
+def test_shift_relation_for_gamma_above_pi(gamma):
+    # a step of 2 gamma is wider than |Re p| < pi, and from gamma = 2 pi on
+    # a walk there could end outside the strip, as 15 did at gamma = 10.
+    # The walk now ends in |Re p| <= gamma, so of p - gamma and p + gamma
+    # one walks onto the other and the shift relation checks the walk; the
+    # inversion relation ties two quadratures together, up to whole turns
+    # of the shift factors' logarithms
+    params = QdParams(gamma=gamma)
+    for p in (0.7, -2.0, 3.0, 0.3 + 0.4j, -1.1 - 0.2j, 5.0, 15.0, -9.0 + 0.3j):
+        assert funeq_residual(params, p) <= 1e-12, p
+        want = _inversion_exponent(gamma, p)
+        turns = (faddeev_log_s(params, p) + faddeev_log_s(params, -p) - want) / (2j * PI)
+        assert abs(turns - round(turns.real)) * 2 * PI <= 1e-12 * max(1.0, abs(want)), p
+
+
+def test_grid_cap_refusal_at_large_gamma():
+    # past gamma = pi the step is 0.05 pi/gamma, and the grid's least end
+    # 120 alone asks for more than 2^20 + 1 points above gamma = 686
+    cap = r"needs a quadrature grid of at least .* points; the cap is 1048577"
+    for gamma in (687.0, 1e300, 1.7e308):
+        with pytest.raises(QuadratureError, match=cap):
+            faddeev_log_s(QdParams(gamma=gamma), 0.3)
+
+
+@pytest.mark.parametrize("order", [2, 10, 100, 1000, 4000])
+def test_value_at_the_strip_edge(order):
+    # f_gamma's constant: the inversion relation at p = pi - gamma and
+    # f_gamma(pi - gamma) = (omega)_{N-1} = N give log S(gamma - pi) in
+    # closed form, read from the largest grid of any lattice argument
+    g = PI / order
+    want = 0.5 * math.log(order) + 0.5j * (
+        (PI * PI + g * g) / (12 * g) - (PI - g) ** 2 / (4 * g)
+    )
+    got = faddeev_log_s(QdParams(gamma=g), g - PI)
+    assert abs(got - want) <= 1e-13 * abs(want)
