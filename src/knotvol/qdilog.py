@@ -260,9 +260,11 @@ _TAIL_TOL = 1e-12
 # the longest walk of shifts faddeev_log_s takes back into the strip
 _MAX_SHIFTS = 100_000
 _STEP_DOUBLING_TOL = 1e-8
-# the quadrature grid's least end, and its most steps from 0 to the end:
-# 2^20 + 1 points in all (about N = 5000 at lattice p)
+# the quadrature grid's least end at gamma <= pi and at gamma > pi (derived
+# in _quadrature_log_s), and its most steps from 0 to the end: 2^20 + 1
+# points in all (about N = 5000 at lattice p)
 _MIN_END = 120.0
+_MIN_END_ABOVE_PI = 12.0
 _MAX_HALF = 2**19
 
 
@@ -281,29 +283,41 @@ def _quadrature_log_s(params: QdParams, p: complex) -> complex:
     an error near exp(-2 pi |delta|/h) = exp(-62.8) for any gamma
     (Trefethen and Weideman, SIAM Review 2014).
 
-    The grid [-X, X] ends at the first multiple X >= 120 of h where
+    One of the two factors is real on the line.  Let r = 2 max(pi, gamma),
+    the larger of 2 pi and 2 gamma, so that r |delta| = pi.  Then
+    Im(r w) = r sign(x) delta = +-pi, exp(-r w) = -exp(-r |x|), and
+        expm1(-r w) = -(1 + exp(-r |x|)),
+    one real exponential in place of a complex expm1.
+
+    The grid [-X, X] ends at the first multiple X >= X0 of h where
     exp(-margin X + |Im p|) / (pi gamma margin X) < 1e-12, margin = pi +
     gamma - |Re p| >= min(pi, gamma).  On the line |sinh(a + ib)| >=
-    sinh|a| and |exp(p z)| <= exp(Re(p) x), so the two dropped tails of
-    log S are at most (1 + 1/(2 gamma X)) (exp(-margin X) / (margin X) +
-    e^-370): the estimate or less where pi gamma + pi/(2X) <= 1 (gamma <=
-    0.31), and below 1e-17 at larger gamma, where margin > 0.31.  Past
-    2^20 + 1 points, or when the sum at 2h differs by more than 1e-8
-    (absolute where |integral| < 1, else relative), QuadratureError is
-    raised: the step cannot resolve p, or the sum is not finite, as at a
-    subnormal gamma.
+    sinh|a| and |exp(p z)| <= exp(Re(p) x), so the tail toward the nearer
+    end of the strip is at most (1 + 1/(2 gamma X)) exp(-margin X) /
+    (margin X), and the other one, decaying at pi + gamma + |Re p|, is
+    below exp(-(pi + gamma) X0) <= e^-75.  That is the estimate or less
+    where pi gamma + pi/(2X) <= 1 (gamma <= 0.31).  At larger gamma the
+    least end X0 makes margin X0 >= 37, so the tails are below 1e-17:
+    X0 = 120 at gamma <= pi, where margin >= gamma > 0.31, and X0 = 12 at
+    gamma > pi, where margin >= pi.  Past 2^20 + 1 points, or when the sum
+    at 2h differs by more than 1e-8 (absolute where |integral| < 1, else
+    relative), QuadratureError is raised: the step cannot resolve p, or
+    the sum is not finite, as at a subnormal gamma.
     """
     gamma = params.gamma
     delta = 0.5 * min(1.0, _PI / gamma)
     h = 0.1 * delta  # 0.05 at gamma <= pi
     if p.imag < 0.0:
         delta = -delta
+    # the factor made real by the line, then the other one
+    real_rate, rate = (2.0 * _PI, 2.0 * gamma) if gamma <= _PI else (2.0 * gamma, 2.0 * _PI)
 
     margin = _PI + gamma - abs(p.real)
     # log(tail / _TAIL_TOL) is convex and decreasing in X: Newton steps from
-    # 120 stay below its root, so they stop at the first multiple past it
+    # the least end stay below its root, so they stop at the first multiple
+    # past it
     offset = abs(p.imag) - math.log(_PI * gamma) - math.log(margin) - math.log(_TAIL_TOL)
-    x_next, half = _MIN_END, 0
+    x_next, half = _MIN_END if gamma <= _PI else _MIN_END_ABOVE_PI, 0
     while True:
         if not x_next <= _MAX_HALF * h:
             raise QuadratureError(
@@ -320,16 +334,18 @@ def _quadrature_log_s(params: QdParams, p: complex) -> complex:
     z = np.arange(-half, half + 1) * h + 1j * delta
     w = z.copy()
     w[:half] *= -1.0  # w = sign(x) z; the first half of the grid is x < 0
-    # in place, at most four arrays of the grid at once; a subnormal gamma
-    # overflows g, and the check below refuses it
+    # in place, at most three complex arrays of the grid at once; a
+    # subnormal gamma overflows g, and the check below refuses it
     with np.errstate(all="ignore"):
-        g = 4.0 * np.exp(p * z - (_PI + gamma) * w)
-        e = np.multiply(w, -2.0 * _PI)
-        z *= np.expm1(e, out=e)
-        w *= -2.0 * gamma
+        g = -4.0 * np.exp(p * z - (_PI + gamma) * w)
+        real = np.multiply(w.real, -real_rate)  # Re w = |x|
+        np.exp(real, out=real)
+        real += 1.0
+        z *= real
+        w *= -rate
         z *= np.expm1(w, out=w)
         g /= z
-        del z, w, e
+        del z, w, real
         integral = np.trapezoid(g, dx=h)
         coarse = np.trapezoid(g[::2], dx=2.0 * h)
     if not abs(integral - coarse) <= _STEP_DOUBLING_TOL * max(1.0, abs(integral)):
@@ -422,7 +438,18 @@ def funeq_residual(params: QdParams, p: complex) -> float:
 
     Zero for the true function; for the quadrature it measures the
     combined discretization and truncation error of the two values.
+    That holds only at gamma < pi.  From gamma = pi on, faddeev_log_s
+    walks every argument into |Re p| < gamma, a window exactly one shift
+    of 2 gamma wide, so one of p - gamma and p + gamma walks onto the
+    other: both values are one quadrature, the residual is rounding only,
+    and ValueError is raised.
     """
+    if params.gamma >= _PI:
+        raise ValueError(
+            f"funeq_residual at gamma = {params.gamma!r} checks no quadrature: "
+            f"from gamma = pi on, one of p - gamma and p + gamma walks onto "
+            f"the other, so the residual is rounding only"
+        )
     lo = faddeev_log_s(params, complex(p) - params.gamma)
     hi = faddeev_log_s(params, complex(p) + params.gamma)
     factor = 1.0 + cmath.exp(1j * complex(p))

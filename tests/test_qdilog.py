@@ -452,29 +452,37 @@ def _mpmath_log_s(mp, gamma, p):
 @pytest.mark.parametrize(
     "gamma, p",
     [(PI / 10, 0.3 + 40j), (PI / 10, 0.3 - 40j)]
-    + [(g, p) for g in (4.0, 10.0) for p in (0.7, 0.7 + 0.5j, -1.3 - 0.4j)],
+    + [(g, p) for g in (4.0, 10.0, 1000.0) for p in (0.7, 0.7 + 0.5j, -1.3 - 0.4j)]
+    + [
+        (g, p)
+        for g in (PI, math.nextafter(PI, 0), math.nextafter(PI, 4))
+        for p in (0.7, -1.3 - 0.4j)
+    ],
 )
 def test_values_match_mpmath(gamma, p):
     # 1e-12, absolute where |log S| < 1 and relative elsewhere; at gamma
     # > pi the line's height and the step are pi/gamma times those at
-    # gamma <= pi
+    # gamma <= pi, the gamma factor is the real one, and the grid's least
+    # end is 12, not 120; the three gammas at pi straddle that switch
     mp = pytest.importorskip("mpmath")
     want = _mpmath_log_s(mp, gamma, p)
     got = faddeev_log_s(QdParams(gamma=gamma), p)
     assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
 
-@pytest.mark.parametrize("gamma", [4.0, 10.0])
+@pytest.mark.parametrize("gamma", [PI, 4.0, 10.0])
 def test_shift_relation_for_gamma_above_pi(gamma):
     # a step of 2 gamma is wider than |Re p| < pi, and from gamma = 2 pi on
     # a walk there could end outside the strip, as 15 did at gamma = 10.
-    # The walk now ends in |Re p| <= gamma, so of p - gamma and p + gamma
-    # one walks onto the other and the shift relation checks the walk; the
-    # inversion relation ties two quadratures together, up to whole turns
-    # of the shift factors' logarithms
+    # The walk ends in |Re p| <= gamma, so from gamma = pi on one of
+    # p - gamma and p + gamma walks onto the other and the shift relation
+    # would check rounding only: funeq_residual refuses.  The inversion
+    # relation ties two quadratures together, up to whole turns of the
+    # shift factors' logarithms
     params = QdParams(gamma=gamma)
     for p in (0.7, -2.0, 3.0, 0.3 + 0.4j, -1.1 - 0.2j, 5.0, 15.0, -9.0 + 0.3j):
-        assert funeq_residual(params, p) <= 1e-12, p
+        with pytest.raises(ValueError, match=r"funeq_residual at gamma = .* checks no quadrature"):
+            funeq_residual(params, p)
         want = _inversion_exponent(gamma, p)
         turns = (faddeev_log_s(params, p) + faddeev_log_s(params, -p) - want) / (2j * PI)
         assert abs(turns - round(turns.real)) * 2 * PI <= 1e-12 * max(1.0, abs(want)), p
@@ -482,9 +490,9 @@ def test_shift_relation_for_gamma_above_pi(gamma):
 
 def test_grid_cap_refusal_at_large_gamma():
     # past gamma = pi the step is 0.05 pi/gamma, and the grid's least end
-    # 120 alone asks for more than 2^20 + 1 points above gamma = 686
+    # 12 alone asks for more than 2^20 + 1 points from gamma = 6863 on
     cap = r"needs a quadrature grid of at least .* points; the cap is 1048577"
-    for gamma in (687.0, 1e300, 1.7e308):
+    for gamma in (6863.0, 1e300, 1.7e308):
         with pytest.raises(QuadratureError, match=cap):
             faddeev_log_s(QdParams(gamma=gamma), 0.3)
 
