@@ -334,8 +334,8 @@ def _quadrature_log_s(params: QdParams, p: complex) -> complex:
     z = np.arange(-half, half + 1) * h + 1j * delta
     w = z.copy()
     w[:half] *= -1.0  # w = sign(x) z; the first half of the grid is x < 0
-    # in place, at most three complex arrays of the grid at once; a
-    # subnormal gamma overflows g, and the check below refuses it
+    # in place: once g is formed, three complex arrays of the grid and one
+    # real one; a subnormal gamma overflows g, and the check below refuses it
     with np.errstate(all="ignore"):
         g = -4.0 * np.exp(p * z - (_PI + gamma) * w)
         real = np.multiply(w.real, -real_rate)  # Re w = |x|
