@@ -11,9 +11,12 @@ Four layers, each feeding the next:
 * ``faddeev_s``    the noncompact quantum dilogarithm S_gamma(p), defined by
   a contour integral and evaluated by the trapezoid rule on a line parallel
   to the real one, clear of the integrand's poles, on a grid sized for
-  each argument, at any gamma = pi/N up to about N = 5000; its ratios
+  each argument, at any gamma = pi/N up to about N = 5000 for p at the
+  lattice's ends (far past it for p inside the strip); its ratios
   ``f_gamma`` / ``f_bar_gamma`` analytically continue the root-of-unity
-  symbols (omega)_k and their conjugates.
+  symbols (omega)_k and their conjugates, with the strip-edge constant
+  S_gamma(gamma - pi) in closed form at every gamma, so each takes one
+  quadrature.
 """
 
 from __future__ import annotations
@@ -411,23 +414,54 @@ def faddeev_s(params: QdParams, p: complex) -> complex:
     return cmath.exp(faddeev_log_s(params, p))
 
 
+def _edge_log_s(gamma: float) -> complex:
+    """log S_gamma(gamma - pi) in closed form, at any gamma > 0.
+
+    With a = pi - gamma, sinh(a z) = sinh(pi z) cosh(gamma z) -
+    cosh(pi z) sinh(gamma z), so the defining integrals give
+        log S(a) - log S(-a) = (1/2) int (coth(gamma z) - coth(pi z)) / z dz
+    over the contour above 0.  The integrand is even, so its pole at 0 is
+    the double one (1/gamma - 1/pi) / z^2 with no residue, and that part
+    integrates to 0 along the contour.  What is left is regular and even,
+    and the integral over the real line is twice Frullani's
+        int_0^inf (f(gamma x) - f(pi x)) / x dx = -log(pi/gamma),
+    f(t) = coth(t) - 1/t, f(0) = 0, f(inf) = 1.  The inversion relation at
+    p = gamma - pi gives the sum,
+        log S(a) + log S(-a) = i ((pi^2 + gamma^2)/(12 gamma)
+                                  - (pi - gamma)^2/(4 gamma)),
+    which is i (pi/2 - (pi^2 + gamma^2)/(6 gamma)).  Half the sum minus
+    half the difference is
+        log S(gamma - pi)
+            = (1/2) log(pi/gamma) + i (pi/4 - (pi^2 + gamma^2)/(12 gamma)),
+    and half the sum plus half the difference, log S(pi - gamma), is minus
+    its conjugate.  At gamma = pi/N the real part is (1/2) log N, since
+    (omega)_{N-1} = N.
+    """
+    return complex(
+        0.5 * math.log(_PI / gamma),
+        0.25 * _PI - (_PI * _PI + gamma * gamma) / (12.0 * gamma),
+    )
+
+
 def f_gamma(params: QdParams, p: complex) -> complex:
     """S_gamma(gamma - pi) / S_gamma(p): continues (omega)_k off the lattice.
 
     At gamma = pi/N and p = -pi + gamma + 2*k*gamma it reproduces the
-    partial products prod_{j<=k} (1 - omega^j) exactly.
+    partial products prod_{j<=k} (1 - omega^j) exactly.  The numerator is
+    closed form (`_edge_log_s`), so each call runs one quadrature, that of
+    S_gamma(p), and is refused only where p's own grid passes the cap.
     """
-    return cmath.exp(
-        faddeev_log_s(params, complex(params.gamma - _PI))
-        - faddeev_log_s(params, p)
-    )
+    return cmath.exp(_edge_log_s(params.gamma) - faddeev_log_s(params, p))
 
 
 def f_bar_gamma(params: QdParams, p: complex) -> complex:
-    """S_gamma(-p) / S_gamma(pi - gamma): continues the conjugate symbols."""
+    """S_gamma(-p) / S_gamma(pi - gamma): continues the conjugate symbols.
+
+    log S_gamma(pi - gamma) is minus the conjugate of `_edge_log_s`, so
+    each call runs one quadrature, that of S_gamma(-p).
+    """
     return cmath.exp(
-        faddeev_log_s(params, -complex(p))
-        - faddeev_log_s(params, complex(_PI - params.gamma))
+        faddeev_log_s(params, -complex(p)) + _edge_log_s(params.gamma).conjugate()
     )
 
 

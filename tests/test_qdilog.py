@@ -31,7 +31,8 @@ from knotvol.qdilog import (
     lobachevsky,
     phi_angle,
 )
-from knotvol.qdilog import _bernoulli_numbers
+from knotvol import qdilog
+from knotvol.qdilog import _bernoulli_numbers, _edge_log_s
 
 PI = math.pi
 
@@ -341,7 +342,7 @@ def test_lattice_values_match_pochhammer_symbols():
         assert abs(f_bar_gamma(params, p) - symbol.conjugate()) <= 1e-6 * abs(symbol)
 
 
-@pytest.mark.parametrize("order", [30, 100, 200])
+@pytest.mark.parametrize("order", [30, 100, 200, 400, 1000])
 def test_lattice_values_at_large_order(order):
     # the grid end grows like 1/gamma as p nears the strip's edge; from
     # N = 30 on, a grid ending at 120 leaves a tail above 1e-12 at k = 0
@@ -508,3 +509,63 @@ def test_value_at_the_strip_edge(order):
     )
     got = faddeev_log_s(QdParams(gamma=g), g - PI)
     assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def _counting_quadratures(monkeypatch):
+    calls = []
+    quadrature = qdilog._quadrature_log_s
+
+    def counted(params, p):
+        calls.append(p)
+        return quadrature(params, p)
+
+    monkeypatch.setattr(qdilog, "_quadrature_log_s", counted)
+    return calls
+
+
+@pytest.mark.parametrize("order", [10, 400])
+def test_one_quadrature_per_symbol(monkeypatch, order):
+    # the constant S(gamma - pi), or S(pi - gamma), is closed form: each
+    # call takes the quadrature of its own argument only
+    calls = _counting_quadratures(monkeypatch)
+    params = QdParams.for_order(order)
+    lattice = [-PI + params.gamma * (1 + 2 * k) for k in (0, order // 2, order - 1)]
+    for p in lattice + [0.3, -1.1 + 0.2j, 2.0 - 0.4j]:
+        for f in (f_gamma, f_bar_gamma):
+            calls.clear()
+            f(params, p)
+            assert len(calls) == 1, (f.__name__, p)
+
+
+@pytest.mark.parametrize("order", [6000, 10_000])
+def test_symbols_past_the_edge_grid_cap(order):
+    # S(gamma - pi) alone needs more than 2^20 + 1 grid points from about
+    # N = 5000 on, while a mid-strip p needs a few thousand: against
+    # log|(omega)_k| = sum_{j<=k} log(2 sin(pi j/N)) and
+    # arg (omega)_k = pi k (k+1)/(2N) - pi k/2
+    params = QdParams.for_order(order)
+    k = order // 2
+    log_abs = math.fsum(math.log(2 * math.sin(PI * j / order)) for j in range(1, k + 1))
+    symbol = cmath.exp(complex(log_abs, PI * k * (k + 1) / (2 * order) - PI * k / 2))
+    p = -PI + params.gamma * (1 + 2 * k)
+    assert abs(f_gamma(params, p) - symbol) <= 1e-9 * abs(symbol)
+    assert abs(f_bar_gamma(params, p) - symbol.conjugate()) <= 1e-9 * abs(symbol)
+
+
+@pytest.mark.parametrize("gamma", [0.3, 0.7, 2.0, 4.0, 10.0])
+def test_edge_constant_off_the_lattice(gamma):
+    # log S(gamma - pi) - log S(pi - gamma) = log(pi/gamma) at every gamma,
+    # not only at gamma = pi/N, where it is log (omega)_{N-1} = log N
+    # f_gamma and f_bar_gamma both read S(gamma - pi) / S(pi - gamma) there
+    params = QdParams(gamma=gamma)
+    for f in (f_gamma, f_bar_gamma):
+        assert abs(f(params, PI - gamma) - PI / gamma) <= 1e-12 * PI / gamma, f.__name__
+
+
+@pytest.mark.parametrize("gamma", [0.3, 0.7, 2.0, 4.0, 10.0])
+def test_edge_constant_matches_mpmath(gamma):
+    mp = pytest.importorskip("mpmath")
+    edge = _edge_log_s(gamma)
+    for p, got in ((gamma - PI, edge), (PI - gamma, -edge.conjugate())):
+        want = _mpmath_log_s(mp, gamma, p)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), p
