@@ -511,7 +511,10 @@ def test_value_at_the_strip_edge(order):
     assert abs(got - want) <= 1e-13 * abs(want)
 
 
-def _counting_quadratures(monkeypatch):
+@pytest.mark.parametrize("order", [10, 400])
+def test_one_quadrature_per_symbol(monkeypatch, order):
+    # the constant S(gamma - pi), or S(pi - gamma), is closed form: each
+    # call takes the quadrature of its own argument only
     calls = []
     quadrature = qdilog._quadrature_log_s
 
@@ -520,14 +523,6 @@ def _counting_quadratures(monkeypatch):
         return quadrature(params, p)
 
     monkeypatch.setattr(qdilog, "_quadrature_log_s", counted)
-    return calls
-
-
-@pytest.mark.parametrize("order", [10, 400])
-def test_one_quadrature_per_symbol(monkeypatch, order):
-    # the constant S(gamma - pi), or S(pi - gamma), is closed form: each
-    # call takes the quadrature of its own argument only
-    calls = _counting_quadratures(monkeypatch)
     params = QdParams.for_order(order)
     lattice = [-PI + params.gamma * (1 + 2 * k) for k in (0, order // 2, order - 1)]
     for p in lattice + [0.3, -1.1 + 0.2j, 2.0 - 0.4j]:
@@ -555,8 +550,8 @@ def test_symbols_past_the_edge_grid_cap(order):
 @pytest.mark.parametrize("gamma", [0.3, 0.7, 2.0, 4.0, 10.0])
 def test_edge_constant_off_the_lattice(gamma):
     # log S(gamma - pi) - log S(pi - gamma) = log(pi/gamma) at every gamma,
-    # not only at gamma = pi/N, where it is log (omega)_{N-1} = log N
-    # f_gamma and f_bar_gamma both read S(gamma - pi) / S(pi - gamma) there
+    # not only at gamma = pi/N, where it is log (omega)_{N-1} = log N; at
+    # p = pi - gamma f_gamma and f_bar_gamma both read that ratio
     params = QdParams(gamma=gamma)
     for f in (f_gamma, f_bar_gamma):
         assert abs(f(params, PI - gamma) - PI / gamma) <= 1e-12 * PI / gamma, f.__name__
