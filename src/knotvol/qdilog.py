@@ -263,11 +263,11 @@ _TAIL_TOL = 1e-12
 # the longest walk of shifts faddeev_log_s takes back into the strip
 _MAX_SHIFTS = 100_000
 _STEP_DOUBLING_TOL = 1e-8
-# the quadrature grid's least end at gamma <= pi and at gamma > pi (derived
-# in _quadrature_log_s), and its most steps from 0 to the end: 2^20 + 1
-# points in all (about N = 5000 at lattice p)
+# the quadrature grid's least end at gamma <= pi, the least margin * end at
+# gamma > pi (both derived in _quadrature_log_s), and the grid's most steps
+# from 0 to the end: 2^20 + 1 points in all (about N = 5000 at lattice p)
 _MIN_END = 120.0
-_MIN_END_ABOVE_PI = 12.0
+_MIN_DECAY = 37.0
 _MAX_HALF = 2**19
 
 
@@ -286,33 +286,54 @@ def _quadrature_log_s(params: QdParams, p: complex) -> complex:
     an error near exp(-2 pi |delta|/h) = exp(-62.8) for any gamma
     (Trefethen and Weideman, SIAM Review 2014).
 
-    One of the two factors is real on the line.  Let r = 2 max(pi, gamma),
-    the larger of 2 pi and 2 gamma, so that r |delta| = pi.  Then
-    Im(r w) = r sign(x) delta = +-pi, exp(-r w) = -exp(-r |x|), and
-        expm1(-r w) = -(1 + exp(-r |x|)),
-    one real exponential in place of a complex expm1.
+    Neither factor takes a complex exponential on the line.  Let r =
+    2 max(pi, gamma), the larger of 2 pi and 2 gamma, so that r |delta| =
+    pi.  Then Im(r w) = r sign(x) delta = +-pi, exp(-r w) = -exp(-r |x|),
+    and
+        expm1(-r w) = -(1 + exp(-r |x|)).
+    The other rate, rho = 2 min(pi, gamma), leaves Im(-rho w) = b with
+    b = -rho sign(x) delta (x = 0 on the x >= 0 side), one constant on
+    each half of the grid, so
+        expm1(-rho w) = expm1(-rho |x|) e^(ib) + expm1(ib):
+    one real expm1 over the grid, then one complex multiply-add by a
+    constant on each half.  expm1(ib) is taken as -2 sin^2(b/2) + i sin b.
+    The form cos b - 1 carries an absolute error near 1e-16, and near
+    x = 0, where the factor is about rho |w|, that is a relative error
+    near 1e-16/gamma at gamma <= pi (|b| = gamma there).
 
     The grid [-X, X] ends at the first multiple X >= X0 of h where
     exp(-margin X + |Im p|) / (pi gamma margin X) < 1e-12, margin = pi +
     gamma - |Re p| >= min(pi, gamma).  On the line |sinh(a + ib)| >=
-    sinh|a| and |exp(p z)| <= exp(Re(p) x), so the tail toward the nearer
-    end of the strip is at most (1 + 1/(2 gamma X)) exp(-margin X) /
-    (margin X), and the other one, decaying at pi + gamma + |Re p|, is
-    below exp(-(pi + gamma) X0) <= e^-75.  That is the estimate or less
-    where pi gamma + pi/(2X) <= 1 (gamma <= 0.31).  At larger gamma the
-    least end X0 makes margin X0 >= 37, so the tails are below 1e-17:
-    X0 = 120 at gamma <= pi, where margin >= gamma > 0.31, and X0 = 12 at
-    gamma > pi, where margin >= pi.  Past 2^20 + 1 points, or when the sum
-    at 2h differs by more than 1e-8 (absolute where |integral| < 1, else
-    relative), QuadratureError is raised: the step cannot resolve p, or
-    the sum is not finite, as at a subnormal gamma.
+    sinh|a| and |exp(p z)| <= exp(Re(p) x), and for x > 0
+        4 sinh(pi x) sinh(gamma x)
+            = exp((pi + gamma) x) (1 - exp(-2 pi x)) (1 - exp(-2 gamma x))
+    with 1/(1 - exp(-t)) <= 1 + 1/t, which sinh(pi X) ~ exp(pi X)/2 would
+    drop at small X.  So the tail toward the nearer end of the strip adds
+    at most
+        T(X) = (1 + 1/(2 pi X)) (1 + 1/(2 gamma X)) exp(-margin X) / (margin X)
+    to log S at any X > 0, and the other one, decaying at pi + gamma +
+    |Re p|, less.  T(X) is the estimate or less where (pi + 1/(2X))
+    (gamma + 1/(2X)) <= 1, as at X >= 120 for gamma <= 0.31.  Elsewhere
+    the least end X0 holds T(X0) below 2.4e-18:
+      * at gamma <= pi, X0 = 120 and margin >= gamma > 0.31, so margin X0
+        > 37.2, 2 pi X0 > 750 and 2 gamma X0 > 74;
+      * at gamma > pi, margin X0 = 37 + log(1 + margin/(74 pi)).  Then
+        X0 >= 37/margin bounds 1/(2 pi X0) by margin/(74 pi), so
+        exp(-margin X0) (1 + 1/(2 pi X0)) <= e^-37, and margin <= pi +
+        gamma < 2 gamma makes 2 gamma X0 >= 37.  X0 is 11.8 where |Re p|
+        = gamma and 0.039 at gamma = 1000, p = 0.3: a mid-strip grid
+        takes 465 points at gamma = 100 and 639 at gamma = 1e8.
+    Past 2^20 + 1 points, or when the sum at 2h differs by more than 1e-8
+    (absolute where |integral| < 1, else relative), QuadratureError is
+    raised: the step cannot resolve p, or the sum is not finite, as at a
+    subnormal gamma or at gamma = 1e300, where the denominator underflows.
     """
     gamma = params.gamma
     delta = 0.5 * min(1.0, _PI / gamma)
     h = 0.1 * delta  # 0.05 at gamma <= pi
     if p.imag < 0.0:
         delta = -delta
-    # the factor made real by the line, then the other one
+    # the rate whose factor the line makes real, then the other one
     real_rate, rate = (2.0 * _PI, 2.0 * gamma) if gamma <= _PI else (2.0 * gamma, 2.0 * _PI)
 
     margin = _PI + gamma - abs(p.real)
@@ -320,7 +341,11 @@ def _quadrature_log_s(params: QdParams, p: complex) -> complex:
     # the least end stay below its root, so they stop at the first multiple
     # past it
     offset = abs(p.imag) - math.log(_PI * gamma) - math.log(margin) - math.log(_TAIL_TOL)
-    x_next, half = _MIN_END if gamma <= _PI else _MIN_END_ABOVE_PI, 0
+    if gamma <= _PI:
+        x_next = _MIN_END
+    else:
+        x_next = (_MIN_DECAY + math.log1p(margin / (2.0 * _PI * _MIN_DECAY))) / margin
+    half = 0
     while True:
         if not x_next <= _MAX_HALF * h:
             raise QuadratureError(
@@ -345,8 +370,15 @@ def _quadrature_log_s(params: QdParams, p: complex) -> complex:
         np.exp(real, out=real)
         real += 1.0
         z *= real
-        w *= -rate
-        z *= np.expm1(w, out=w)
+        np.multiply(w.real, -rate, out=real)
+        np.expm1(real, out=real)
+        # expm1(-rate w) = expm1(-rate |x|) e^(ib) + expm1(ib), b = -rate Im w
+        # constant on each half, into w's buffer
+        for cut, b in ((slice(None, half), rate * delta), (slice(half, None), -rate * delta)):
+            turn = cmath.exp(1j * b)
+            np.multiply(real[cut], turn, out=w[cut])
+            w[cut] += complex(-2.0 * math.sin(0.5 * b) ** 2, turn.imag)
+        z *= w
         g /= z
         del z, w, real
         integral = np.trapezoid(g, dx=h)

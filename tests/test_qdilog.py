@@ -453,7 +453,7 @@ def _mpmath_log_s(mp, gamma, p):
 @pytest.mark.parametrize(
     "gamma, p",
     [(PI / 10, 0.3 + 40j), (PI / 10, 0.3 - 40j)]
-    + [(g, p) for g in (4.0, 10.0, 1000.0) for p in (0.7, 0.7 + 0.5j, -1.3 - 0.4j)]
+    + [(g, p) for g in (4.0, 10.0, 1000.0, 1e4, 1e5) for p in (0.7, 0.7 + 0.5j, -1.3 - 0.4j)]
     + [
         (g, p)
         for g in (PI, math.nextafter(PI, 0), math.nextafter(PI, 4))
@@ -464,7 +464,8 @@ def test_values_match_mpmath(gamma, p):
     # 1e-12, absolute where |log S| < 1 and relative elsewhere; at gamma
     # > pi the line's height and the step are pi/gamma times those at
     # gamma <= pi, the gamma factor is the real one, and the grid's least
-    # end is 12, not 120; the three gammas at pi straddle that switch
+    # end is sized by the margin, not 120: about 37/gamma at mid-strip p;
+    # the three gammas at pi straddle that switch
     mp = pytest.importorskip("mpmath")
     want = _mpmath_log_s(mp, gamma, p)
     got = faddeev_log_s(QdParams(gamma=gamma), p)
@@ -489,13 +490,55 @@ def test_shift_relation_for_gamma_above_pi(gamma):
         assert abs(turns - round(turns.real)) * 2 * PI <= 1e-12 * max(1.0, abs(want)), p
 
 
-def test_grid_cap_refusal_at_large_gamma():
-    # past gamma = pi the step is 0.05 pi/gamma, and the grid's least end
-    # 12 alone asks for more than 2^20 + 1 points from gamma = 6863 on
-    cap = r"needs a quadrature grid of at least .* points; the cap is 1048577"
-    for gamma in (6863.0, 1e300, 1.7e308):
-        with pytest.raises(QuadratureError, match=cap):
+@pytest.mark.parametrize("gamma", [6863.0, 1e8])
+def test_values_at_large_gamma(gamma):
+    # past gamma = pi the step is 0.05 pi/gamma, and a least end fixed at
+    # 12 asked for more than 2^20 + 1 points from gamma = 6863 on; sized
+    # by the margin, about 37/gamma here, it keeps a few hundred points.
+    # The inversion relation ties the quadratures at p and -p together
+    params = QdParams(gamma=gamma)
+    for p in (0.3, -1.3 - 0.4j, 0.7 + 0.5j):
+        want = _inversion_exponent(gamma, p)
+        got = faddeev_log_s(params, p) + faddeev_log_s(params, -p)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), p
+
+
+def test_refusal_at_huge_gamma():
+    # at gamma = 1e300, z and expm1(-2 pi w) are both near 1e-300 about
+    # x = 0, so the denominator underflows to 0 and step doubling refuses
+    # the sum that is not finite
+    for gamma in (1e300, 1.7e308):
+        with pytest.raises(QuadratureError, match="step doubling moved the integral by nan"):
             faddeev_log_s(QdParams(gamma=gamma), 0.3)
+
+
+@pytest.mark.parametrize("p", [0.3, -1.0 + 0.2j, 0.7 - 0.4j])
+@pytest.mark.parametrize("gamma", [PI / 1000, PI / 1e5], ids=["pi/1000", "pi/1e5"])
+def test_values_at_small_gamma_match_mpmath(gamma, p):
+    # the non-real factor is expm1(-2 gamma |x|) e^(ib) + expm1(ib) with
+    # b = -+gamma on the two halves of the grid; expm1(ib) taken as
+    # cos b - 1 would be off by about 1e-16/gamma relative near x = 0
+    mp = pytest.importorskip("mpmath")
+    want = _mpmath_log_s(mp, gamma, p)
+    got = faddeev_log_s(QdParams(gamma=gamma), p)
+    assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
+
+
+def test_quadrature_takes_expm1_of_real_arrays_only(monkeypatch):
+    # both denominator factors come from real exponentials: the line makes
+    # one real, and the other is split into a real expm1 and a constant
+    # on each half of the grid
+    dtypes = []
+    expm1 = np.expm1
+
+    def recorded(x, *args, **kwargs):
+        dtypes.append(np.asarray(x).dtype)
+        return expm1(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "expm1", recorded)
+    for gamma, p in ((PI / 10, 0.3), (PI / 10, -1.0 + 0.2j), (PI / 100, 0.7 - 0.4j), (4.0, 0.3)):
+        faddeev_log_s(QdParams(gamma=gamma), p)
+    assert dtypes and all(dtype.kind == "f" for dtype in dtypes), dtypes
 
 
 @pytest.mark.parametrize("order", [2, 10, 100, 1000, 4000])
