@@ -10,9 +10,11 @@ Four layers, each feeding the next:
   acceptance criterion 8 (the volumes in `saddle` come from li2 itself),
 * ``faddeev_s``    the noncompact quantum dilogarithm S_gamma(p), defined by
   a contour integral and evaluated by the trapezoid rule on a line parallel
-  to the real one, clear of the integrand's poles, on a grid sized for
-  each argument, at any gamma = pi/N up to about N = 5000 for p at the
-  lattice's ends (far past it for p inside the strip); its ratios
+  to the real one, clear of the integrand's poles, where both factors of
+  the denominator come from real exponentials, on a grid sized for each
+  argument, at any gamma = pi/N up to about N = 5000 for p at the
+  lattice's ends (far past it for p inside the strip) and at gamma > pi
+  up to about 1e154 for p inside the strip; its ratios
   ``f_gamma`` / ``f_bar_gamma`` analytically continue the root-of-unity
   symbols (omega)_k and their conjugates, with the strip-edge constant
   S_gamma(gamma - pi) in closed form at every gamma, so each takes one
@@ -326,7 +328,9 @@ def _quadrature_log_s(params: QdParams, p: complex) -> complex:
     Past 2^20 + 1 points, or when the sum at 2h differs by more than 1e-8
     (absolute where |integral| < 1, else relative), QuadratureError is
     raised: the step cannot resolve p, or the sum is not finite, as at a
-    subnormal gamma or at gamma = 1e300, where the denominator underflows.
+    subnormal gamma, or from about gamma = 2.7e154 on (at p = 0.3), where
+    the denominator near x = 0, about pi^3/gamma^2, leaves the normal
+    doubles.
     """
     gamma = params.gamma
     delta = 0.5 * min(1.0, _PI / gamma)
