@@ -330,16 +330,23 @@ def _cmd_faddeev(args) -> int:
     return 0
 
 
+def _worst(values) -> float:
+    """The largest of values, NaN if any is NaN: max(0.0, nan) is 0.0, which
+    would pass a check whose every value is NaN."""
+    return float(np.max(values))
+
+
 def _mode_item(name: str, mode: str, n_max: int):
     """(name, passed, detail) for the worst relative deviation of one mode
     from logscale over every knot and N = 1..n_max, tolerance 1e-9."""
-    worst = 0.0
+    deviations = []
     for knot in KnotId:
         for order in range(1, n_max + 1):
             value = invariant.quantum_invariant(knot, order, mode).value_complex
             logscale = invariant.quantum_invariant(knot, order, "logscale")
             assert value is not None and logscale.value_complex is not None
-            worst = max(worst, abs(value - logscale.value_complex) / abs(value))
+            deviations.append(abs(value - logscale.value_complex) / abs(value))
+    worst = _worst(deviations)
     return (
         name,
         worst <= 1e-9,
@@ -356,13 +363,14 @@ def _verify_items():
         "exact " + ", ".join(f"{k}={v}" for k, v in report.exact.items()),
     )
 
-    worst = 0.0
+    residuals = []
     for order in (5, 10):
         params = qdilog.QdParams.for_order(order)
         gamma = params.gamma
         span = math.pi - gamma
         for p in np.linspace(-0.9 * span, 0.9 * span, 20):
-            worst = max(worst, qdilog.funeq_residual(params, float(p)))
+            residuals.append(qdilog.funeq_residual(params, float(p)))
+    worst = _worst(residuals)
     yield (
         "faddeev functional equation (gamma = pi/5, pi/10; 20 p each)",
         worst <= 1e-6,
@@ -372,15 +380,15 @@ def _verify_items():
     order = 10
     params = qdilog.QdParams.for_order(order)
     table = invariant.pochhammer_table(order)
-    worst = 0.0
+    deviations = []
     for k in range(order):
         p = -math.pi + params.gamma * (1 + 2 * k)
         symbol = complex(table.values[k])
-        worst = max(
-            worst,
+        deviations += [
             abs(qdilog.f_gamma(params, p) - symbol) / abs(symbol),
             abs(qdilog.f_bar_gamma(params, p) - symbol.conjugate()) / abs(symbol),
-        )
+        ]
+    worst = _worst(deviations)
     yield (
         "analytic continuation of (omega)_k at N=10 (all k)",
         worst <= 1e-6,

@@ -363,30 +363,51 @@ def _quadrature_log_s(params: QdParams, p: complex) -> complex:
             break
         x_next = x_end + excess / (margin + 1.0 / x_end)
 
-    z = np.arange(-half, half + 1) * h + 1j * delta
-    w = z.copy()
-    w[:half] *= -1.0  # w = sign(x) z; the first half of the grid is x < 0
-    # in place: once g is formed, three complex arrays of the grid and one
-    # real one; a subnormal gamma overflows g, and the check below refuses it
+    x = np.arange(-half, half + 1) * h
+    halves = ((slice(None, half), -1.0), (slice(half, None), 1.0))  # sign(x)
+    # in place: at most four real arrays of the grid and two complex ones,
+    # then one real and three complex; a subnormal gamma overflows g, and the
+    # check below refuses it
     with np.errstate(all="ignore"):
-        g = -4.0 * np.exp(p * z - (_PI + gamma) * w)
-        real = np.multiply(w.real, -real_rate)  # Re w = |x|
+        xa = np.abs(x)  # Re w
+        # the numerator's modulus, exp((Re p - (pi + gamma) sign(x)) x) <= 1,
+        # over 1 + exp(-real_rate |x|)
+        mod = np.empty_like(x)
+        for cut, s in halves:
+            np.multiply(x[cut], p.real - s * (_PI + gamma), out=mod[cut])
+        np.exp(mod, out=mod)
+        real = np.multiply(xa, -real_rate)
         np.exp(real, out=real)
         real += 1.0
-        z *= real
-        np.multiply(w.real, -rate, out=real)
+        mod /= real
+        np.multiply(xa, -rate, out=real)
         np.expm1(real, out=real)
-        # expm1(-rate w) = expm1(-rate |x|) e^(ib) + expm1(ib), b = -rate Im w
-        # constant on each half, into w's buffer
-        for cut, b in ((slice(None, half), rate * delta), (slice(half, None), -rate * delta)):
+        g = np.empty(x.shape, complex)
+        w = np.empty(x.shape, complex)
+        for cut, s in halves:
+            # the numerator's constant -4 exp(i delta (p - (pi + gamma) sign(x)))
+            phase = cmath.exp(1j * delta * (p - s * (_PI + gamma)))
+            np.multiply(mod[cut], -4.0 * phase, out=g[cut])
+            # expm1(-rate w) = expm1(-rate |x|) e^(ib) + expm1(ib), b = -rate Im w
+            b = -s * rate * delta
             turn = cmath.exp(1j * b)
             np.multiply(real[cut], turn, out=w[cut])
             w[cut] += complex(-2.0 * math.sin(0.5 * b) ** 2, turn.imag)
+        del xa, mod, real
+        if p.imag != 0.0:  # the numerator's last factor, exp(i Im(p) x)
+            turn_x = np.multiply(x, 1j * p.imag)
+            np.exp(turn_x, out=turn_x)
+            g *= turn_x
+            del turn_x
+        z = x + 1j * delta
         z *= w
         g /= z
-        del z, w, real
-        integral = np.trapezoid(g, dx=h)
-        coarse = np.trapezoid(g[::2], dx=2.0 * h)
+        del x, z, w
+        # the trapezoid rule at h and at 2h: an odd count of points keeps
+        # both ends in g[::2]
+        ends = 0.5 * (g[0] + g[-1])
+        integral = h * (g.sum() - ends)
+        coarse = 2.0 * h * (g[::2].sum() - ends)
     if not abs(integral - coarse) <= _STEP_DOUBLING_TOL * max(1.0, abs(integral)):
         raise QuadratureError(
             f"step doubling moved the integral by "

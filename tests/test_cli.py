@@ -3,10 +3,11 @@
 import csv
 import io
 import math
+import types
 
 import pytest
 
-from knotvol import cli
+from knotvol import cli, invariant, qdilog
 
 PI = math.pi
 
@@ -351,3 +352,33 @@ def test_verify_passes(capsys):
     lines = [l for l in out.splitlines() if l]
     assert len(lines) == 5
     assert all(l.startswith("PASS") for l in lines)
+
+
+def _nan_direct(real):
+    """quantum_invariant with a NaN direct value at N = 50, after finite ones."""
+
+    def wrapped(knot, order, mode="logscale", **kwargs):
+        if mode == "direct" and order == 50:
+            return types.SimpleNamespace(value_complex=complex("nan"))
+        return real(knot, order, mode, **kwargs)
+
+    return wrapped
+
+
+@pytest.mark.parametrize(
+    "item, module, name, fake",
+    [
+        ("faddeev functional equation", qdilog, "funeq_residual", lambda _: lambda *a: math.nan),
+        ("analytic continuation", qdilog, "f_gamma", lambda _: lambda *a: complex("nan")),
+        ("direct/logscale mode equivalence", invariant, "quantum_invariant", _nan_direct),
+    ],
+    ids=["funeq", "lattice", "mode"],
+)
+def test_verify_fails_on_nan(capsys, monkeypatch, item, module, name, fake):
+    # max(0.0, nan) is 0.0: a reduction through max would drop the NaN and pass
+    monkeypatch.setattr(module, name, fake(getattr(module, name)))
+    code, out, _ = run(capsys, "verify")
+    assert code == 1
+    (line,) = [l for l in out.splitlines() if item in l]
+    assert line.startswith("FAIL") and "nan" in line
+    assert sum(l.startswith("FAIL") for l in out.splitlines()) == 1

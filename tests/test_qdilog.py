@@ -541,6 +541,43 @@ def test_quadrature_takes_expm1_of_real_arrays_only(monkeypatch):
     assert dtypes and all(dtype.kind == "f" for dtype in dtypes), dtypes
 
 
+@pytest.mark.parametrize("gamma", [PI / 10, PI / 5, 4.0, PI], ids=["pi/10", "pi/5", "4", "pi"])
+def test_quadrature_takes_real_exponentials_only_at_real_p(monkeypatch, gamma):
+    # at real p the numerator is one real exp of its modulus times a
+    # constant on each half of the grid, and the denominator's factors are
+    # real exp and expm1 with a constant on each half: no complex array
+    # meets a transcendental function, also at the signed zero -0.0j
+    seen = []
+
+    def recording(name):
+        real = getattr(np, name)
+
+        def recorded(x, *args, **kwargs):
+            seen.append((name, np.asarray(x).dtype))
+            return real(x, *args, **kwargs)
+
+        return recorded
+
+    for name in ("exp", "expm1"):
+        monkeypatch.setattr(np, name, recording(name))
+    for p in (0.3, -2.0, complex(0.3, -0.0)):
+        faddeev_log_s(QdParams(gamma=gamma), p)
+    assert {name for name, _ in seen} == {"exp", "expm1"}
+    assert all(dtype.kind == "f" for _, dtype in seen), seen
+
+
+@pytest.mark.parametrize("gamma", [PI / 5, PI / 10], ids=["pi/5", "pi/10"])
+@pytest.mark.parametrize("end, shift", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+def test_values_at_the_funeq_extremes_match_mpmath(gamma, end, shift):
+    # knotvol verify's shift-equation check takes p up to 0.9 (pi - gamma)
+    # either way and evaluates S at p -+ gamma: the least margins it meets
+    mp = pytest.importorskip("mpmath")
+    p = end * 0.9 * (PI - gamma) + shift * gamma
+    want = _mpmath_log_s(mp, gamma, p)
+    got = faddeev_log_s(QdParams(gamma=gamma), p)
+    assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+
 @pytest.mark.parametrize("order", [2, 10, 100, 1000, 4000])
 def test_value_at_the_strip_edge(order):
     # f_gamma's constant: the inversion relation at p = pi - gamma and
