@@ -10,11 +10,12 @@ Four layers, each feeding the next:
   acceptance criterion 8 (the volumes in `saddle` come from li2 itself),
 * ``faddeev_s``    the noncompact quantum dilogarithm S_gamma(p), defined by
   a contour integral and evaluated by the trapezoid rule on a line parallel
-  to the real one, clear of the integrand's poles, where both factors of
-  the denominator come from real exponentials, on a grid sized for each
-  argument, at any gamma = pi/N up to about N = 5000 for p at the
-  lattice's ends (far past it for p inside the strip) and at gamma > pi
-  up to about 1e154 for p inside the strip; its ratios
+  to the real one, clear of the integrand's poles, where at real p the
+  whole integrand comes from real exponentials and one constant on each
+  half of the grid, summed at two steps by ndarray.sum, on a grid sized
+  for each argument, at any gamma = pi/N up to about N = 5000 for p at
+  the lattice's ends (far past it for p inside the strip) and at gamma >
+  pi up to about 1e154 for p inside the strip; its ratios
   ``f_gamma`` / ``f_bar_gamma`` analytically continue the root-of-unity
   symbols (omega)_k and their conjugates, with the strip-edge constant
   S_gamma(gamma - pi) in closed form at every gamma, so each takes one
@@ -288,10 +289,10 @@ def _quadrature_log_s(params: QdParams, p: complex) -> complex:
     an error near exp(-2 pi |delta|/h) = exp(-62.8) for any gamma
     (Trefethen and Weideman, SIAM Review 2014).
 
-    Neither factor takes a complex exponential on the line.  Let r =
-    2 max(pi, gamma), the larger of 2 pi and 2 gamma, so that r |delta| =
-    pi.  Then Im(r w) = r sign(x) delta = +-pi, exp(-r w) = -exp(-r |x|),
-    and
+    Neither factor of the denominator takes a complex exponential on the
+    line.  Let r = 2 max(pi, gamma), the larger of 2 pi and 2 gamma, so
+    that r |delta| = pi.  Then Im(r w) = r sign(x) delta = +-pi,
+    exp(-r w) = -exp(-r |x|), and
         expm1(-r w) = -(1 + exp(-r |x|)).
     The other rate, rho = 2 min(pi, gamma), leaves Im(-rho w) = b with
     b = -rho sign(x) delta (x = 0 on the x >= 0 side), one constant on
@@ -302,6 +303,23 @@ def _quadrature_log_s(params: QdParams, p: complex) -> complex:
     The form cos b - 1 carries an absolute error near 1e-16, and near
     x = 0, where the factor is about rho |w|, that is a relative error
     near 1e-16/gamma at gamma <= pi (|b| = gamma there).
+
+    Nor, at real p, does the numerator.  Its exponent p z - (pi + gamma) w
+    has the real part (Re p - (pi + gamma) sign(x)) x - Im(p) delta and
+    the imaginary part (Re p - (pi + gamma) sign(x)) delta + Im(p) x, so
+        -4 exp(p z - (pi + gamma) w)
+            = exp((Re p - (pi + gamma) sign(x)) x)
+              * (-4 exp(i delta (p - (pi + gamma) sign(x))))
+              * exp(i Im(p) x):
+    one real exp over the grid, at most 1 since |Re p| < pi + gamma,
+    divided by the real 1 + exp(-r |x|), then one constant on each half, of modulus 4 exp(-Im(p) delta) <= 4
+    (delta has the sign of Im p), and at non-real p only a last factor
+    of modulus 1.
+
+    The sums at h and at 2h share their end correction.  The grid has an
+    odd count 2 half + 1 of points, so every other point keeps both ends,
+    and with e = (g[0] + g[-1])/2 the trapezoid rule is h (sum(g) - e) at
+    h and 2h (sum(g[::2]) - e) at 2h: two pairwise sums of ndarray.sum.
 
     The grid [-X, X] ends at the first multiple X >= X0 of h where
     exp(-margin X + |Im p|) / (pi gamma margin X) < 1e-12, margin = pi +
