@@ -13,6 +13,7 @@ import argparse
 import cmath
 import csv
 import math
+import os
 import sys
 
 import numpy as np
@@ -411,27 +412,41 @@ def _cmd_verify() -> int:
     return 1 if failed else 0
 
 
+def _run(args) -> int:
+    if args.command == "invariant":
+        return _cmd_invariant(args)
+    if args.command == "volume":
+        return _cmd_volume(args)
+    if args.command == "fit":
+        return _cmd_fit(args, args.fit_parser)
+    if args.command == "dilog":
+        return _cmd_dilog(args)
+    if args.command == "lobachevsky":
+        return _cmd_lobachevsky(args)
+    if args.command == "faddeev":
+        return _cmd_faddeev(args)
+    return _cmd_verify()
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(
             _join_number_values(sys.argv[1:] if argv is None else list(argv))
         )
-        if args.command == "invariant":
-            return _cmd_invariant(args)
-        if args.command == "volume":
-            return _cmd_volume(args)
-        if args.command == "fit":
-            return _cmd_fit(args, args.fit_parser)
-        if args.command == "dilog":
-            return _cmd_dilog(args)
-        if args.command == "lobachevsky":
-            return _cmd_lobachevsky(args)
-        if args.command == "faddeev":
-            return _cmd_faddeev(args)
-        return _cmd_verify()
+        code = _run(args)
+        # a reader that closed the pipe early shows here, not at exit
+        sys.stdout.flush()
+        return code
     except SystemExit as exc:  # argparse usage errors, also from fit's checks
         return int(exc.code) if exc.code is not None else 0
+    except BrokenPipeError:
+        # the reader took what it wanted, as `| grep -q` does: no error.
+        # Python flushes stdout again at exit, so point it at devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -266,12 +266,21 @@ _TAIL_TOL = 1e-12
 # the longest walk of shifts faddeev_log_s takes back into the strip
 _MAX_SHIFTS = 100_000
 _STEP_DOUBLING_TOL = 1e-8
-# the quadrature grid's least end at gamma <= pi, the least margin * end at
-# gamma > pi (both derived in _quadrature_log_s), and the grid's most steps
+# the cap on the quadrature grid's least end and the least margin * end
+# below it (both derived in _quadrature_log_s), and the grid's most steps
 # from 0 to the end: 2^20 + 1 points in all (about N = 5000 at lattice p)
 _MIN_END = 120.0
 _MIN_DECAY = 37.0
 _MAX_HALF = 2**19
+
+
+def _least_end(gamma: float, margin: float) -> float:
+    """The quadrature grid's least end X0, derived in `_quadrature_log_s`.
+
+    A subnormal gamma makes the margin rule inf, and the end 120.
+    """
+    decay = _MIN_DECAY + math.log1p(margin / (2.0 * min(_PI, gamma) * _MIN_DECAY))
+    return min(_MIN_END, decay / margin)
 
 
 def _quadrature_log_s(params: QdParams, p: complex) -> complex:
@@ -333,16 +342,25 @@ def _quadrature_log_s(params: QdParams, p: complex) -> complex:
         T(X) = (1 + 1/(2 pi X)) (1 + 1/(2 gamma X)) exp(-margin X) / (margin X)
     to log S at any X > 0, and the other one, decaying at pi + gamma +
     |Re p|, less.  T(X) is the estimate or less where (pi + 1/(2X))
-    (gamma + 1/(2X)) <= 1, as at X >= 120 for gamma <= 0.31.  Elsewhere
-    the least end X0 holds T(X0) below 2.4e-18:
-      * at gamma <= pi, X0 = 120 and margin >= gamma > 0.31, so margin X0
-        > 37.2, 2 pi X0 > 750 and 2 gamma X0 > 74;
-      * at gamma > pi, margin X0 = 37 + log(1 + margin/(74 pi)).  Then
-        X0 >= 37/margin bounds 1/(2 pi X0) by margin/(74 pi), so
-        exp(-margin X0) (1 + 1/(2 pi X0)) <= e^-37, and margin <= pi +
-        gamma < 2 gamma makes 2 gamma X0 >= 37.  X0 is 11.8 where |Re p|
-        = gamma and 0.039 at gamma = 1000, p = 0.3: a mid-strip grid
-        takes 465 points at gamma = 100 and 639 at gamma = 1e8.
+    (gamma + 1/(2X)) <= 1, as at X >= 120 for gamma <= 0.3137.  The least
+    end X0 (`_least_end`) is one rule at every gamma:
+        X0 = min(120, (37 + log(1 + margin/(74 min(pi, gamma)))) / margin).
+    Where the min takes the margin rule, X0 >= 37/margin bounds
+    1/(2 min(pi, gamma) X0) by margin/(74 min(pi, gamma)), so
+    exp(-margin X0) (1 + 1/(2 min(pi, gamma) X0)) <= e^-37.  The other
+    factor, 1 + 1/(2 max(pi, gamma) X0), is at most 1 + 2/74, since margin
+    <= pi + gamma <= 2 max(pi, gamma), and margin X0 >= 37, so
+        T(X0) <= e^-37 (1 + 1/37) / 37 < 2.4e-18
+    at every gamma.  The min takes 120 only where the margin rule asks for
+    more, 120 margin < 37 + log(1 + margin/(74 min(pi, gamma))).  The right
+    side less the left falls as the margin grows from its least value
+    min(pi, gamma), so that needs 120 min(pi, gamma) < 37 + log(1 + 1/74),
+    gamma < 0.3085, where T is the estimate or less from X = 120 on.  At
+    gamma > pi X0 is 11.8 where |Re p| = gamma and 0.039 at gamma = 1000,
+    p = 0.3: a mid-strip grid takes 465 points at gamma = 100 and 639 at
+    gamma = 1e8.  At gamma = pi/10, p = 0.3 it takes 473 points (4801 with
+    a least end of 120 at every gamma <= pi), while the lattice edges at
+    gamma = pi/100 and pi/400 still start from 120.
     Past 2^20 + 1 points, or when the sum at 2h differs by more than 1e-8
     (absolute where |integral| < 1, else relative), QuadratureError is
     raised: the step cannot resolve p, or the sum is not finite, as at a
@@ -363,10 +381,7 @@ def _quadrature_log_s(params: QdParams, p: complex) -> complex:
     # the least end stay below its root, so they stop at the first multiple
     # past it
     offset = abs(p.imag) - math.log(_PI * gamma) - math.log(margin) - math.log(_TAIL_TOL)
-    if gamma <= _PI:
-        x_next = _MIN_END
-    else:
-        x_next = (_MIN_DECAY + math.log1p(margin / (2.0 * _PI * _MIN_DECAY))) / margin
+    x_next = _least_end(gamma, margin)
     half = 0
     while True:
         if not x_next <= _MAX_HALF * h:

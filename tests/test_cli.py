@@ -1,15 +1,21 @@
 """Command-line interface: grammar, formats, exit codes, round trips."""
 
 import csv
+import errno
 import io
 import math
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
 from knotvol import cli, invariant, qdilog
 
 PI = math.pi
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -340,6 +346,48 @@ def test_faddeev_pole_exits_one(capsys):
 def test_faddeev_unreachable_argument_exits_one(capsys, p):
     code, out, err = run(capsys, "faddeev", "--gamma", "0.3", "--p", p)
     assert code == 1 and out == "" and err.startswith("error:")
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone, with a file descriptor to redirect."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self._fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    def fileno(self):
+        return self._fd
+
+
+def test_closed_pipe_is_not_an_error(capsys, monkeypatch, tmp_path):
+    # `knotvol faddeev ... | grep -q ...`: grep stops reading after its
+    # match, which is no computational error
+    with open(tmp_path / "stdout", "w") as sink:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(sink.fileno()))
+        assert cli.main(["faddeev", "--gamma", "0.7", "--p", "0,0"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_closed_pipe_exits_quietly(unbuffered):
+    # a real pipe whose read end is closed before the command writes: the
+    # write fails inside main (unbuffered) or at its flush (buffered), and
+    # the interpreter's own flush at exit must not report it again
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "knotvol.cli", "faddeev", "--gamma", "0.7", "--p", "0,0"],
+            stdout=write, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_bad_complex_argument_exits_two(capsys):

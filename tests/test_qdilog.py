@@ -524,6 +524,68 @@ def test_values_at_small_gamma_match_mpmath(gamma, p):
     assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
 
 
+_SHORTENED = [0.30, 0.32, PI / 5, 0.7, 2.0, PI]
+
+
+@pytest.mark.parametrize(
+    "gamma, p",
+    [
+        (g, p)
+        for g in _SHORTENED
+        for p in sorted({0.0, 0.3, 0.9 * (PI - g), -0.9 * (PI - g), g - PI}) + [0.4 + 0.3j]
+    ],
+)
+def test_values_on_shortened_grids_match_mpmath(gamma, p):
+    # grids that end short of x = 120 at gamma <= pi: the least end is
+    # sized by the margin at every gamma, and only a margin near 0.3 at
+    # gamma < 0.3085 keeps 120; 0.30 and 0.32 straddle that gamma
+    mp = pytest.importorskip("mpmath")
+    want = _mpmath_log_s(mp, gamma, p)
+    got = faddeev_log_s(QdParams(gamma=gamma), p)
+    assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
+
+
+def test_least_end_bounds_the_tail():
+    # the tail past the least end X0, bounded in _quadrature_log_s by
+    #   T(X) = (1 + 1/(2 pi X)) (1 + 1/(2 gamma X)) exp(-margin X) / (margin X),
+    # is below 2.4e-18, or X0 is the cap 120 at a gamma where the loop's
+    # estimate bounds T from X = 120 on
+    def tail(gamma, margin, x):
+        return (
+            (1 + 1 / (2 * PI * x))
+            * (1 + 1 / (2 * gamma * x))
+            * math.exp(-margin * x)
+            / (margin * x)
+        )
+
+    capped = 0
+    for gamma in np.geomspace(PI / 4000, 1e4, 400):
+        least = min(PI, gamma)
+        for margin in np.linspace(least, PI + gamma, 60):
+            x0 = qdilog._least_end(gamma, margin)
+            if x0 == 120.0 and gamma <= 0.3137:
+                capped += 1
+            else:
+                assert tail(gamma, margin, x0) <= 2.4e-18, (gamma, margin, x0)
+    assert capped  # the sweep reaches the cap
+
+
+def test_mid_strip_grid_is_short(monkeypatch):
+    # at gamma = pi/5, p = 0.3 the margin is 3.47, and the least end 10.7,
+    # not 120 (4801 points)
+    sizes = []
+    arange = np.arange
+
+    def counted(*args, **kwargs):
+        grid = arange(*args, **kwargs)
+        sizes.append(grid.size)
+        return grid
+
+    monkeypatch.setattr(np, "arange", counted)
+    faddeev_log_s(QdParams(gamma=PI / 5), 0.3)
+    assert len(sizes) == 1 and sizes[0] < 600, sizes
+
+
 def test_quadrature_takes_expm1_of_real_arrays_only(monkeypatch):
     # both denominator factors come from real exponentials: the line makes
     # one real, and the other is split into a real expm1 and a constant
