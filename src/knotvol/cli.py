@@ -431,15 +431,16 @@ def _run(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(
-            _join_number_values(sys.argv[1:] if argv is None else list(argv))
-        )
-        code = _run(args)
+        try:
+            args = parser.parse_args(
+                _join_number_values(sys.argv[1:] if argv is None else list(argv))
+            )
+            code = _run(args)
+        except SystemExit as exc:  # argparse usage errors and help, also from fit's checks
+            code = int(exc.code) if exc.code is not None else 0
         # a reader that closed the pipe early shows here, not at exit
         sys.stdout.flush()
         return code
-    except SystemExit as exc:  # argparse usage errors, also from fit's checks
-        return int(exc.code) if exc.code is not None else 0
     except BrokenPipeError:
         # the reader took what it wanted, as `| grep -q` does: no error.
         # Python flushes stdout again at exit, so point it at devnull

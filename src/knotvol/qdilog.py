@@ -352,15 +352,15 @@ def _quadrature_log_s(params: QdParams, p: complex) -> complex:
     <= pi + gamma <= 2 max(pi, gamma), and margin X0 >= 37, so
         T(X0) <= e^-37 (1 + 1/37) / 37 < 2.4e-18
     at every gamma.  The min takes 120 only where the margin rule asks for
-    more, 120 margin < 37 + log(1 + margin/(74 min(pi, gamma))).  The right
-    side less the left falls as the margin grows from its least value
-    min(pi, gamma), so that needs 120 min(pi, gamma) < 37 + log(1 + 1/74),
-    gamma < 0.3085, where T is the estimate or less from X = 120 on.  At
-    gamma > pi X0 is 11.8 where |Re p| = gamma and 0.039 at gamma = 1000,
-    p = 0.3: a mid-strip grid takes 465 points at gamma = 100 and 639 at
-    gamma = 1e8.  At gamma = pi/10, p = 0.3 it takes 473 points (4801 with
-    a least end of 120 at every gamma <= pi), while the lattice edges at
-    gamma = pi/100 and pi/400 still start from 120.
+    more, 120 margin < 37 + log(1 + margin/(74 min(pi, gamma))).  From
+    gamma = 0.3085 on, the right side less the left is negative at the
+    least margin min(pi, gamma), 37 + log(1 + 1/74) - 120 min(pi, gamma),
+    and falls as the margin grows, so the min takes 120 only at gamma <
+    0.3085, where T is the estimate or less from X = 120 on.  At gamma >
+    pi X0 is 11.8 where |Re p| = gamma and 0.039 at gamma = 1000, p =
+    0.3: a mid-strip grid takes 465 points at gamma = 100 and 639 at
+    gamma = 1e8.  At gamma = pi/10, p = 0.3 it takes 473 points, while
+    the lattice edges at gamma = pi/100 and pi/400 start from 120.
     Past 2^20 + 1 points, or when the sum at 2h differs by more than 1e-8
     (absolute where |integral| < 1, else relative), QuadratureError is
     raised: the step cannot resolve p, or the sum is not finite, as at a

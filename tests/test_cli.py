@@ -372,7 +372,10 @@ def test_closed_pipe_is_not_an_error(capsys, monkeypatch, tmp_path):
 
 
 @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
-def test_closed_pipe_exits_quietly(unbuffered):
+@pytest.mark.parametrize(
+    "argv", [["faddeev", "--gamma", "0.7", "--p", "0,0"], ["--help"]], ids=["faddeev", "help"]
+)
+def test_closed_pipe_exits_quietly(argv, unbuffered):
     # a real pipe whose read end is closed before the command writes: the
     # write fails inside main (unbuffered) or at its flush (buffered), and
     # the interpreter's own flush at exit must not report it again
@@ -382,7 +385,7 @@ def test_closed_pipe_exits_quietly(unbuffered):
     os.close(read)
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "knotvol.cli", "faddeev", "--gamma", "0.7", "--p", "0,0"],
+            [sys.executable, "-m", "knotvol.cli", *argv],
             stdout=write, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
         )
     finally:

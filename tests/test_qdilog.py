@@ -524,14 +524,11 @@ def test_values_at_small_gamma_match_mpmath(gamma, p):
     assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
 
 
-_SHORTENED = [0.30, 0.32, PI / 5, 0.7, 2.0, PI]
-
-
 @pytest.mark.parametrize(
     "gamma, p",
     [
         (g, p)
-        for g in _SHORTENED
+        for g in (0.30, 0.32, PI / 5, 0.7, 2.0, PI)
         for p in sorted({0.0, 0.3, 0.9 * (PI - g), -0.9 * (PI - g), g - PI}) + [0.4 + 0.3j]
     ],
 )
@@ -677,7 +674,7 @@ def test_one_quadrature_per_symbol(monkeypatch, order):
 @pytest.mark.parametrize("order", [6000, 10_000])
 def test_symbols_past_the_edge_grid_cap(order):
     # S(gamma - pi) alone needs more than 2^20 + 1 grid points from about
-    # N = 5000 on, while a mid-strip p needs a few thousand: against
+    # N = 5000 on, while a mid-strip p needs a few hundred: against
     # log|(omega)_k| = sum_{j<=k} log(2 sin(pi j/N)) and
     # arg (omega)_k = pi k (k+1)/(2N) - pi k/2
     params = QdParams.for_order(order)
