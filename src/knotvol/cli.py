@@ -399,7 +399,7 @@ def _verify_items():
     yield _mode_item(
         "direct/logscale mode equivalence (all knots, N <= 100)", "direct", 100
     )
-    yield _mode_item("cyclotomic exact oracle (all knots, N <= 20)", "exact", 20)
+    yield _mode_item("cyclotomic exact oracle (all knots, N <= 60)", "exact", 60)
 
 
 def _cmd_verify() -> int:

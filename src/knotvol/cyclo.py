@@ -14,8 +14,9 @@ one subtraction of the one before it, for (omega)_k and for its
 conjugate alike, a power of omega is a shift, and a product one integer
 multiplication (Kronecker substitution).  5_2 and 6_1 are one pair loop
 over `knots.pair_exponent`, the exponent the float engine's phase split
-reads, taken for row 0 and shifted by r(c+1) for row r.  The digit width
-b comes from the same sum over the l1 norms of the partial products,
+reads, taken for row 0 and shifted by r(c+1) for row r; 6_1's row sums
+C(s) take one product each by Horner's rule (`_row_sums`).  The digit
+width b comes from the same sum over the l1 norms of the partial products,
 which bounds every coefficient of the result; rotations and conjugation
 keep norms, so that sum has a closed form and needs no second pair loop.
 Phi_N divides x^N - 1, so reducing mod Phi_N is a ring homomorphism onto
@@ -46,12 +47,18 @@ __all__ = [
     "exact_term_count",
 ]
 
-# largest state-sum size the exact engine will attempt
-EXACT_TERM_BUDGET = 10**6
+# most work, in `_exact_work`'s bit operations, the exact engine will
+# attempt: 4_1 to N = 856, 5_2 to N = 608 and 6_1 to N = 493, each about
+# 20 s on one core of a 2-vCPU Xeon
+EXACT_TERM_BUDGET = 6 * 10**11
+
+# the packed digit width grows as about 0.5N, 0.75N and N bits for 4_1,
+# 5_2 and 6_1: the growth of the l1 bound (`_coefficient_bound`)
+_WIDTH_PER_ORDER = {KnotId.FOUR_ONE: 0.5, KnotId.FIVE_TWO: 0.75, KnotId.SIX_ONE: 1.0}
 
 
 class ExactBudgetError(ValueError):
-    """Raised when an exact-mode state sum would exceed the term budget."""
+    """Raised when an exact-mode state sum would exceed the work budget."""
 
 
 def _trim(poly: list) -> list:
@@ -252,6 +259,21 @@ def exact_term_count(knot: KnotId, order: int) -> int:
     return math.comb(order + f - 2, f - 1)
 
 
+def _exact_work(knot: KnotId, order: int) -> float:
+    """The bit operations `_exact_residue` takes, estimated from knot and
+    N alone, so that the budget is checked before any O(N^2) step.
+
+    A packed element has about w = N (cN + 16) bits, c from
+    `_WIDTH_PER_ORDER`.  N^d <knot> takes (d + 1) N products of such
+    words, w^log2(3) bit operations each by Karatsuba, and d N^2 / 2
+    shifts and additions of w bits: 5_2's pair sum, and 6_1's Horner
+    steps (`_row_sums`) and pair sum.
+    """
+    d = SUMMAND_FACTORS[knot] - 2
+    w = order * (_WIDTH_PER_ORDER[knot] * order + 16)
+    return (d + 1) * order * w ** math.log2(3) + d * order * order / 2 * w
+
+
 def _pochhammer_rows(order: int) -> list[list[int]]:
     """(omega)_k for k < N as coefficient lists of length N in Z[x]/(x^N - 1),
     read for their l1 norms (`_coefficient_bound`).
@@ -336,15 +358,29 @@ def _partial_products(ring: _PackedRing, sign: int) -> list[int]:
     return out
 
 
-def _columns(knot: KnotId, poch: list[int], conj: list[int], reduce) -> list[int]:
-    """col[c] of the 5_2 or 6_1 pair sum (see `exact_invariant`), from the
-    images of (omega)_k and (omega)_k^*: each product goes through `reduce`,
-    the ring's, or `int` when the images are l1 norms."""
-    if knot is KnotId.FIVE_TWO:
-        return [reduce(p * p) for p in poch]
-    absq = [reduce(p * c) for p, c in zip(poch, conj)]
-    conj_rev = conj[::-1]  # C(s) pairs |(omega)_(k+s)|^2 with (omega)_(N-1-k)^*
-    return [reduce(sum(map(operator.mul, absq[s:], conj_rev))) for s in range(len(absq))]
+def _row_sums(ring: _PackedRing, absq: list[int], conj: list[int]) -> list[int]:
+    """The residues of 6_1's row sums
+    C(s) = sum_{k<=N-1-s} |(omega)_(k+s)|^2 (omega)_(N-1-k)^*, s < N, from
+    those of |(omega)_k|^2 and (omega)_k^*.
+
+    (omega)_(N-1-k)^* = (omega)_(N-2-k)^* (1 - x^(k+1)) in Z[x]/(x^N - 1),
+    so C(s) = (omega)_s^* H by Horner's rule: H starts at |(omega)_s|^2
+    and steps through H <- H - x^k H + |(omega)_(k+s)|^2 for k = 1 ..
+    N-1-s, one rotation and two additions mod M a step.  A row takes one
+    big product, N in all, where the correlation takes N(N+1)/2.
+    """
+    n, mod = ring.order, ring.mod
+    out = []
+    for s in range(n):
+        h = absq[s]
+        for k in range(1, n - s):
+            h += absq[k + s] - ring.rotate(h, k)
+            if h < 0:
+                h += mod
+            elif h >= mod:
+                h -= mod
+        out.append(ring.reduce(h * conj[s]))
+    return out
 
 
 def _coefficient_bound(knot: KnotId, rows: list[list[int]]) -> int:
@@ -359,7 +395,12 @@ def _coefficient_bound(knot: KnotId, rows: list[list[int]]) -> int:
     norms = [sum(map(abs, row)) for row in rows]
     if knot is KnotId.FOUR_ONE:
         return sum(a * a for a in norms)
-    col = _columns(knot, norms, norms, int)
+    if knot is KnotId.FIVE_TWO:
+        col = [a * a for a in norms]
+    else:
+        absq = [a * a for a in norms]
+        rev = norms[::-1]  # C(s) pairs |(omega)_(k+s)|^2 with (omega)_(N-1-k)^*
+        col = [sum(map(operator.mul, absq[s:], rev)) for s in range(len(norms))]
     total = suffix = 0
     for r in range(len(norms) - 1, -1, -1):
         suffix += col[r]
@@ -383,7 +424,9 @@ def exact_invariant(knot: KnotId, order: int) -> CycElement:
 
         N^d <knot> = sum_r (omega)_{N-1-r} sum_{c>=r} x^e(r, c) col[c],
         col[c]     = (omega)_c^2 (5_2) or C(c) (6_1),
-        C(s)       = sum_{k<=N-1-s} |(omega)_{k+s}|^2 (omega)_{N-1-k}^*.
+        C(s)       = sum_{k<=N-1-s} |(omega)_{k+s}|^2 (omega)_{N-1-k}^*,
+
+    and each C(s) is one product by Horner's rule (`_row_sums`).
 
     The digit width comes from the same sum over l1 norms, in closed
     form (`_coefficient_bound`).  The integer result is reduced mod Phi_N
@@ -400,14 +443,16 @@ def _exact_residue(knot: KnotId, order: int) -> tuple[list[int], int]:
     integer coefficients c_j, constant term first, with
     <knot> = sum_j c_j omega^j / N^d (see `exact_invariant`).
 
-    Raises ExactBudgetError past `EXACT_TERM_BUDGET` terms.  The float
-    image of exact mode is read from these integers, with no Fraction.
+    Raises ExactBudgetError past `EXACT_TERM_BUDGET` bit operations
+    (`_exact_work`).  The float image of exact mode is read from these
+    integers, with no Fraction.
     """
-    count = exact_term_count(knot, order)
-    if count > EXACT_TERM_BUDGET:
+    work = _exact_work(knot, order)
+    if work > EXACT_TERM_BUDGET:
         raise ExactBudgetError(
-            f"{knot} at N={order} needs {count} exact terms; "
-            f"budget is {EXACT_TERM_BUDGET}"
+            f"{knot} at N={order} needs about {work:.1e} bit operations in "
+            f"exact mode, past the budget of {EXACT_TERM_BUDGET:.0e}; "
+            "use mode logscale or a smaller N"
         )
     ring = _PackedRing(order, _coefficient_bound(knot, _pochhammer_rows(order)))
     lifted = ring.unpack(_ring_sum(knot, ring))
@@ -433,7 +478,10 @@ def _ring_sum(knot: KnotId, ring: _PackedRing) -> int:
     conj = None if knot is KnotId.FIVE_TWO else _partial_products(ring, -1)
     if knot is KnotId.FOUR_ONE:
         return ring.reduce(sum(p * c for p, c in zip(poch, conj)))
-    col = _columns(knot, poch, conj, ring.reduce)
+    if knot is KnotId.FIVE_TWO:
+        col = [ring.reduce(p * p) for p in poch]
+    else:
+        col = _row_sums(ring, [ring.reduce(p * c) for p, c in zip(poch, conj)], conj)
     bits = ring.bits
     head = [pair_exponent(knot, 0, c) for c in range(n)]
     total = 0

@@ -96,7 +96,7 @@ def test_fit_usage_errors_print_the_fit_usage(capsys, argv):
 
 def test_computational_errors_exit_one(capsys):
     code, _, err = run(
-        capsys, "invariant", "--knot", "6_1", "--n", "300", "--mode", "exact"
+        capsys, "invariant", "--knot", "6_1", "--n", "500", "--mode", "exact"
     )
     assert code == 1
     assert err.startswith("error:") and "budget" in err
@@ -405,15 +405,19 @@ def test_verify_passes(capsys):
     assert all(l.startswith("PASS") for l in lines)
 
 
-def _nan_direct(real):
-    """quantum_invariant with a NaN direct value at N = 50, after finite ones."""
+def _nan_at_fifty(nan_mode):
+    """quantum_invariant with a NaN value of `nan_mode` at N = 50, after
+    finite ones."""
 
-    def wrapped(knot, order, mode="logscale", **kwargs):
-        if mode == "direct" and order == 50:
-            return types.SimpleNamespace(value_complex=complex("nan"))
-        return real(knot, order, mode, **kwargs)
+    def fake(real):
+        def wrapped(knot, order, mode="logscale", **kwargs):
+            if mode == nan_mode and order == 50:
+                return types.SimpleNamespace(value_complex=complex("nan"))
+            return real(knot, order, mode, **kwargs)
 
-    return wrapped
+        return wrapped
+
+    return fake
 
 
 @pytest.mark.parametrize(
@@ -421,9 +425,10 @@ def _nan_direct(real):
     [
         ("faddeev functional equation", qdilog, "funeq_residual", lambda _: lambda *a: math.nan),
         ("analytic continuation", qdilog, "f_gamma", lambda _: lambda *a: complex("nan")),
-        ("direct/logscale mode equivalence", invariant, "quantum_invariant", _nan_direct),
+        ("direct/logscale mode equivalence", invariant, "quantum_invariant", _nan_at_fifty("direct")),
+        ("cyclotomic exact oracle", invariant, "quantum_invariant", _nan_at_fifty("exact")),
     ],
-    ids=["funeq", "lattice", "mode"],
+    ids=["funeq", "lattice", "mode", "exact"],
 )
 def test_verify_fails_on_nan(capsys, monkeypatch, item, module, name, fake):
     # max(0.0, nan) is 0.0: a reduction through max would drop the NaN and pass

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from knotvol import cyclo
 from knotvol.asymfit import GrowthSeries, fit_growth
 from knotvol.cyclo import (
     EXACT_TERM_BUDGET,
@@ -13,9 +14,11 @@ from knotvol.cyclo import (
     ExactBudgetError,
     _PackedRing,
     _coefficient_bound,
+    _exact_work,
     _partial_products,
     _pochhammer_rows,
     _ring_sum,
+    _row_sums,
     cyclotomic_polynomial,
     exact_invariant,
     exact_term_count,
@@ -245,6 +248,15 @@ class _L1Norms:
     rotate = staticmethod(lambda z, exponent: z)
 
 
+def _correlated_row_sums(ring, absq, conj):
+    # C(s) = sum_k |(w)_(k+s)|^2 (w)_(N-1-k)^* as written: N(N+1)/2 products
+    n = len(absq)
+    return [
+        ring.reduce(sum(absq[k + s] * conj[n - 1 - k] for k in range(n - s)))
+        for s in range(n)
+    ]
+
+
 def _stand_in_ring_sum(knot, rows, ring):
     # the state sum run pair by pair over a ring given as pack, reduce and
     # rotate, each row packed digit by digit: over _L1Norms it is the
@@ -257,11 +269,7 @@ def _stand_in_ring_sum(knot, rows, ring):
     if knot is KnotId.FIVE_TWO:
         col = [ring.reduce(p * p) for p in poch]
     else:
-        absq = [ring.reduce(p * c) for p, c in zip(poch, conj)]
-        col = [
-            ring.reduce(sum(absq[k + s] * conj[n - 1 - k] for k in range(n - s)))
-            for s in range(n)
-        ]
+        col = _correlated_row_sums(ring, [ring.reduce(p * c) for p, c in zip(poch, conj)], conj)
     total = 0
     for r in range(n):
         acc = sum(ring.rotate(col[c], pair_exponent(knot, r, c)) for c in range(r, n))
@@ -287,6 +295,15 @@ def test_ring_sum_matches_the_packed_pair_sum():
             ring = _PackedRing(order, _coefficient_bound(knot, rows))
             want = _stand_in_ring_sum(knot, rows, ring)
             assert _ring_sum(knot, ring) == want, (knot, order)
+
+
+def test_row_sums_match_the_correlation():
+    # Horner's rule gives the correlation's residues, one product a row
+    for order in range(1, 41):
+        ring = _PackedRing(order, _coefficient_bound(KnotId.SIX_ONE, _pochhammer_rows(order)))
+        poch, conj = _partial_products(ring, 1), _partial_products(ring, -1)
+        absq = [ring.reduce(p * c) for p, c in zip(poch, conj)]
+        assert _row_sums(ring, absq, conj) == _correlated_row_sums(ring, absq, conj), order
 
 
 def test_partial_products_match_packed_rows():
@@ -490,10 +507,21 @@ def test_growth_fit_finds_no_volume_for_the_trefoil():
     assert _habiro_volume(-1) > 1.8
 
 
-def test_budget_refusal():
-    assert exact_term_count(KnotId.SIX_ONE, 200) > EXACT_TERM_BUDGET
-    with pytest.raises(ExactBudgetError):
-        exact_invariant(KnotId.SIX_ONE, 200)
+def _no_rows(order):
+    raise AssertionError(f"O(N^2) work at N={order} before the budget check")
+
+
+def test_budget_refusal(monkeypatch):
+    # the budget counts work: it admits the orders where the float path
+    # goes wrong, 6_1 at N = 300 and 5_2 at N = 584, and refuses past
+    # them before any O(N^2) step
+    assert _exact_work(KnotId.SIX_ONE, 300) <= EXACT_TERM_BUDGET
+    assert _exact_work(KnotId.FIVE_TWO, 584) <= EXACT_TERM_BUDGET
+    monkeypatch.setattr(cyclo, "_pochhammer_rows", _no_rows)
+    for knot, order in ((KnotId.FOUR_ONE, 1000), (KnotId.FIVE_TWO, 700), (KnotId.SIX_ONE, 500)):
+        assert _exact_work(knot, order) > EXACT_TERM_BUDGET
+        with pytest.raises(ExactBudgetError, match=f"N={order} .*logscale or a smaller N"):
+            exact_invariant(knot, order)
 
 
 def test_bad_order_rejected():

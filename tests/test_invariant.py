@@ -924,6 +924,17 @@ def test_cliff_error_estimates_cover_the_error(knot, order):
             assert max(d_log, d_arg) <= 1e-6, (mode, d_log, d_arg)
 
 
+@pytest.mark.parametrize("order", [171, 225])
+def test_exact_mode_reaches_the_cliff(order):
+    # past deep's top order the exact engine still gives the 60-digit
+    # references to 1e-12, where logscale has lost digits
+    ref_log, ref_arg = (Fraction(x) for x in _CLIFF_REFS[KnotId.SIX_ONE, order])
+    v = quantum_invariant(KnotId.SIX_ONE, order, "exact")
+    d_log = abs(float(Fraction(v.value_log.log_mag) - ref_log))
+    d_arg = abs(math.remainder(float(Fraction(v.value_log.arg) - ref_arg), 2.0 * PI))
+    assert max(d_log, d_arg) <= 1e-12, (d_log, d_arg)
+
+
 def test_four_one_matches_its_refined_expansion():
     # with no fit: log |<4_1>_N| - (3/2) log N - N Vol/(2 pi) tends to
     # log(3^(-1/4) (1 + k1 h + k2 h^2 + O(h^3))), h = 2 pi/N, with
@@ -954,6 +965,16 @@ def test_logscale_matches_exact_past_twenty(knot, order):
     assert err <= logscale.accum_error_estimate + exact.accum_error_estimate
 
 
+def test_logscale_matches_exact_at_deep_top_order():
+    # 6_1 at N = 149, the top of the deep workload: logscale is off by
+    # about 3.8e-9 there, inside its own estimate (3.1e-5)
+    exact = quantum_invariant(KnotId.SIX_ONE, 149, "exact")
+    logscale = quantum_invariant(KnotId.SIX_ONE, 149, "logscale")
+    err = abs(logscale.value_complex - exact.value_complex) / abs(exact.value_complex)
+    assert err <= 1e-7
+    assert err <= logscale.accum_error_estimate
+
+
 def test_exact_mode_is_the_image_of_the_field_element():
     # exact mode reads its float image from the integer residue; it must
     # round as the Fraction element's evaluate_numeric does, to the bit,
@@ -970,9 +991,14 @@ def test_exact_mode_is_the_image_of_the_field_element():
             assert value.accum_error_estimate == bound, (knot, order)
 
 
-def test_exact_mode_budget_refusal():
-    with pytest.raises(ExactBudgetError):
-        quantum_invariant(KnotId.SIX_ONE, 200, "exact")
+def test_exact_mode_budget_refusal(monkeypatch):
+    # refused before the O(N^2) rows, with the way out named
+    def no_rows(order):
+        raise AssertionError(f"O(N^2) work at N={order} before the budget check")
+
+    monkeypatch.setattr(cyclo, "_pochhammer_rows", no_rows)
+    with pytest.raises(ExactBudgetError, match="N=500 .*logscale or a smaller N"):
+        quantum_invariant(KnotId.SIX_ONE, 500, "exact")
 
 
 @pytest.mark.parametrize(
