@@ -9,18 +9,16 @@ inverse.  One long division (`_poly_divmod`) and one product
 The state sums need no inverse: (omega)_{N-1} = N makes every reciprocal
 of a partial product another partial product over N.  So `exact_invariant`
 works in the ring Z[x]/(x^N - 1), packed into the integers mod
-M = 2^(bN) - 1 (`_PackedRing`): each partial product is one rotation and
-one subtraction of the one before it, for (omega)_k and for its
-conjugate alike, a power of omega is a shift, and a product one integer
-multiplication (Kronecker substitution).  5_2 and 6_1 are one pair loop
-over `knots.pair_exponent`, the exponent the float engine's phase split
-reads, taken for row 0 and shifted by r(c+1) for row r; 6_1's row sums
-C(s) take one product each by Horner's rule (`_row_sums`).  The digit
-width b comes from the same sum over the l1 norms of the partial products,
-which bounds every coefficient of the result; rotations and conjugation
-keep norms, so that sum has a closed form and needs no second pair loop.
-Phi_N divides x^N - 1, so reducing mod Phi_N is a ring homomorphism onto
-Z[omega], done once, at the end (`_exact_residue`); the exact mode of
+M = 2^(bN) - 1 (`_PackedRing`), on one step: multiplying by a binomial
+1 - x^e, one rotation and one subtraction.  It steps |(omega)_k|^2,
+(omega)_k^2 and (omega)_k^* (`_partial_products`), 6_1's row sums before
+their one product each (`_row_sums`) and the pair sum over the
+(omega)_{N-1-r} (`_ring_sum`); a power of omega is a shift, and 4_1 and
+5_2 take no big product.  The digit width b comes from the same sum over
+the l1 norms of the partial products, which bounds every coefficient of
+the result; rotations and conjugation keep norms, so that sum has a closed
+form.  Phi_N divides x^N - 1, so reducing mod Phi_N is a ring homomorphism
+onto Z[omega], done once, at the end (`_exact_residue`); the exact mode of
 `invariant.quantum_invariant` takes its float image from those integers
 and builds no Fraction.  This module is the exact oracle the float
 engine in `invariant` is checked against.
@@ -48,9 +46,9 @@ __all__ = [
 ]
 
 # most work, in `_exact_work`'s bit operations, the exact engine will
-# attempt: 4_1 to N = 856, 5_2 to N = 608 and 6_1 to N = 493, each about
+# attempt: 4_1 to N = 4615, 5_2 to N = 875 and 6_1 to N = 546, each about
 # 20 s on one core of a 2-vCPU Xeon
-EXACT_TERM_BUDGET = 6 * 10**11
+EXACT_TERM_BUDGET = 23 * 10**10
 
 # the packed digit width grows as about 0.5N, 0.75N and N bits for 4_1,
 # 5_2 and 6_1: the growth of the l1 bound (`_coefficient_bound`)
@@ -260,32 +258,33 @@ def exact_term_count(knot: KnotId, order: int) -> int:
 
 
 def _exact_work(knot: KnotId, order: int) -> float:
-    """The bit operations `_exact_residue` takes, estimated from knot and
-    N alone, so that the budget is checked before any O(N^2) step.
+    """The work `_exact_residue` takes, in one-bit shifts or additions,
+    estimated from knot and N alone, so that the budget is checked before
+    any O(N^2) step.
 
     A packed element has about w = N (cN + 16) bits, c from
-    `_WIDTH_PER_ORDER`.  N^d <knot> takes (d + 1) N products of such
-    words, w^log2(3) bit operations each by Karatsuba, and d N^2 / 2
-    shifts and additions of w bits: 5_2's pair sum, and 6_1's Horner
-    steps (`_row_sums`) and pair sum.
+    `_WIDTH_PER_ORDER`.  The (d + 2) N binomial steps take about 2w each;
+    the d N^2 / 2 steps of 5_2's pair sum and of 6_1's pair and row sums
+    about w; 6_1's N products w^log2(3) / 2 (Karatsuba); and the N^2 steps
+    of the norm rows about 1500.  Fitted to whole calls at N = 500 .. 4000
+    (4_1), 300 .. 800 (5_2) and 150 .. 500 (6_1), within 20%.
     """
-    d = SUMMAND_FACTORS[knot] - 2
-    w = order * (_WIDTH_PER_ORDER[knot] * order + 16)
-    return (d + 1) * order * w ** math.log2(3) + d * order * order / 2 * w
+    n, d = order, SUMMAND_FACTORS[knot] - 2
+    w = n * (_WIDTH_PER_ORDER[knot] * n + 16)
+    products = n * w ** math.log2(3) / 2 if knot is KnotId.SIX_ONE else 0.0
+    return 1500 * n * n + 2 * (d + 2) * n * w + d * n * n / 2 * w + products
 
 
-def _pochhammer_rows(order: int) -> list[list[int]]:
-    """(omega)_k for k < N as coefficient lists of length N in Z[x]/(x^N - 1),
-    read for their l1 norms (`_coefficient_bound`).
-
-    Multiplying by 1 - x^k subtracts the list rotated by k places.
-    """
-    row = [1] + [0] * (order - 1)
-    rows = [row]
+def _pochhammer_norms(order: int) -> list[int]:
+    """The l1 norms of (omega)_k, k < N, in Z[x]/(x^N - 1), read by
+    `_coefficient_bound`: one coefficient list stepped through its
+    recursion, where multiplying by 1 - x^k subtracts the list rotated
+    by k places."""
+    row, norms = [1] + [0] * (order - 1), [1]
     for k in range(1, order):
         row = list(map(operator.sub, row, row[-k:] + row[:-k]))
-        rows.append(row)
-    return rows
+        norms.append(sum(map(abs, row)))
+    return norms
 
 
 class _PackedRing:
@@ -345,17 +344,19 @@ class _PackedRing:
         ]
 
 
-def _partial_products(ring: _PackedRing, sign: int) -> list[int]:
-    """The residues of (omega)_k (sign 1) or (omega)_k^* (sign -1), k < N,
-    by z_k = z_(k-1) - x^(sign k) z_(k-1): one rotation and one
-    subtraction mod M a step."""
-    z, out = 1, [1]
+def _partial_products(ring: _PackedRing, signs: tuple[int, ...]):
+    """The residues z_k, k < N, of z_0 = 1, z_k = z_(k-1) prod_(s in signs)
+    (1 - x^(sk)), yielded as they are stepped: (omega)_k^* for (-1,),
+    |(omega)_k|^2 for (1, -1) and (omega)_k^2 for (1, 1).  A binomial is
+    one rotation and one subtraction mod M."""
+    z = 1
+    yield z
     for k in range(1, ring.order):
-        z -= ring.rotate(z, sign * k)
-        if z < 0:
-            z += ring.mod
-        out.append(z)
-    return out
+        for s in signs:
+            z -= ring.rotate(z, s * k)
+            if z < 0:
+                z += ring.mod
+        yield z
 
 
 def _row_sums(ring: _PackedRing, absq: list[int], conj: list[int]) -> list[int]:
@@ -383,16 +384,15 @@ def _row_sums(ring: _PackedRing, absq: list[int], conj: list[int]) -> list[int]:
     return out
 
 
-def _coefficient_bound(knot: KnotId, rows: list[list[int]]) -> int:
-    """A bound on every coefficient of `_ring_sum`: that sum formed over the
-    l1 norms of the rows, in closed form.
+def _coefficient_bound(knot: KnotId, norms: list[int]) -> int:
+    """A bound on every coefficient of `_ring_sum`: the state sum formed
+    over the l1 norms of the (omega)_k, in closed form.
 
     The norm is subadditive and submultiplicative in Z[x]/(x^N - 1), and
     rotations and conjugation keep it, so over norms row r's inner sum
     over c >= r is the suffix sum of the column norms.  That is O(N) for
     4_1 and 5_2 and O(N^2) products of small integers for 6_1's C(s).
     """
-    norms = [sum(map(abs, row)) for row in rows]
     if knot is KnotId.FOUR_ONE:
         return sum(a * a for a in norms)
     if knot is KnotId.FIVE_TWO:
@@ -414,23 +414,21 @@ def exact_invariant(knot: KnotId, order: int) -> CycElement:
     (omega)_{N-1} = N turns every reciprocal into a partial product:
     1/(omega)_k^* = (omega)_{N-1-k}/N and 1/(omega)_k = (omega)_{N-1-k}^*/N,
     so N^d <knot> (d = 0, 1, 2) is a sum of products of partial products
-    and omega powers.  It is computed in Z[x]/(x^N - 1), which maps into
-    Q(omega) by reduction mod Phi_N, packed as the integers mod M (see
-    `_PackedRing`): the partial products come from their recursion in
-    the packed ring, omega powers are shifts, and each product is one
-    integer product.  5_2 and 6_1 are one pair sum, with
-    e(r, c) = e(0, c) - r(c+1) (`knots.pair_exponent`); each row's
-    shifted columns are summed before its one product:
+    and omega powers, computed in Z[x]/(x^N - 1) packed as the integers
+    mod M (`_PackedRing`), which maps into Q(omega) by reduction mod Phi_N.
+    With e(r, c) = e(0, c) - r(c+1) (`knots.pair_exponent`):
 
+        <4_1>      = sum_k |(omega)_k|^2,
         N^d <knot> = sum_r (omega)_{N-1-r} sum_{c>=r} x^e(r, c) col[c],
         col[c]     = (omega)_c^2 (5_2) or C(c) (6_1),
-        C(s)       = sum_{k<=N-1-s} |(omega)_{k+s}|^2 (omega)_{N-1-k}^*,
+        C(s)       = sum_{k<=N-1-s} |(omega)_{k+s}|^2 (omega)_{N-1-k}^*.
 
-    and each C(s) is one product by Horner's rule (`_row_sums`).
-
-    The digit width comes from the same sum over l1 norms, in closed
-    form (`_coefficient_bound`).  The integer result is reduced mod Phi_N
-    once (`_exact_residue`), and each coefficient divided by N^d.
+    Each factor is stepped by binomials 1 - x^e (`_partial_products`)
+    and the sums over r and k by Horner's rule (`_ring_sum`,
+    `_row_sums`), so only 6_1's N row sums take a big product.  The
+    digit width comes from the same sum over l1 norms, in closed form
+    (`_coefficient_bound`).  The integer result is reduced mod Phi_N once
+    (`_exact_residue`), and each coefficient divided by N^d.
     """
     knot = check_knot(knot)
     order = check_order(order)
@@ -451,10 +449,10 @@ def _exact_residue(knot: KnotId, order: int) -> tuple[list[int], int]:
     if work > EXACT_TERM_BUDGET:
         raise ExactBudgetError(
             f"{knot} at N={order} needs about {work:.1e} bit operations in "
-            f"exact mode, past the budget of {EXACT_TERM_BUDGET:.0e}; "
+            f"exact mode, past the budget of {EXACT_TERM_BUDGET:.1e}; "
             "use mode logscale or a smaller N"
         )
-    ring = _PackedRing(order, _coefficient_bound(knot, _pochhammer_rows(order)))
+    ring = _PackedRing(order, _coefficient_bound(knot, _pochhammer_norms(order)))
     lifted = ring.unpack(_ring_sum(knot, ring))
     phi = cyclotomic_polynomial(order)
     rem = _poly_divmod(lifted, phi)[1]
@@ -465,28 +463,30 @@ def _exact_residue(knot: KnotId, order: int) -> tuple[list[int], int]:
 
 def _ring_sum(knot: KnotId, ring: _PackedRing) -> int:
     """N^d <knot> (see `exact_invariant`) as its residue in `ring`, N =
-    `ring.order`.
+    `ring.order`, built from one step: multiplying by a binomial 1 - x^e.
 
-    The partial products come from `_partial_products`.  x^e z is
+    4_1 sums |(omega)_k|^2 as `_partial_products` steps it.  Row r's
+    columns are summed into R(r) = sum_(c>=r) x^e(r, c) col[c]; x^e z is
     z << be, congruent mod M to the rotation, so a pair costs one shift
-    and each row's sum is folded once by `ring.reduce`.  Row r's shifts
-    are b (e(0, c) - r(c+1) mod N): `knots.pair_exponent` is read N
-    times, for row 0, not once a pair.
+    and each row is folded once by `ring.reduce`.  Row r's shifts are
+    b (e(0, c) - r(c+1) mod N): `knots.pair_exponent` is read N times,
+    for row 0, not once a pair.  (omega)_(N-1-r) is never formed: it is
+    (omega)_(N-2-r) (1 - x^(N-1-r)), so sum_r (omega)_(N-1-r) R(r) is
+    Horner's rule, g <- R(r) + g - x^(-r) g for r = 0 .. N-1 from g = 0.
     """
-    n = ring.order
-    poch = _partial_products(ring, 1)
-    conj = None if knot is KnotId.FIVE_TWO else _partial_products(ring, -1)
+    n, mod, bits = ring.order, ring.mod, ring.bits
     if knot is KnotId.FOUR_ONE:
-        return ring.reduce(sum(p * c for p, c in zip(poch, conj)))
+        return ring.reduce(sum(_partial_products(ring, (1, -1))))
     if knot is KnotId.FIVE_TWO:
-        col = [ring.reduce(p * p) for p in poch]
+        col = list(_partial_products(ring, (1, 1)))
     else:
-        col = _row_sums(ring, [ring.reduce(p * c) for p, c in zip(poch, conj)], conj)
-    bits = ring.bits
+        absq = _partial_products(ring, (1, -1))
+        col = _row_sums(ring, list(absq), list(_partial_products(ring, (-1,))))
     head = [pair_exponent(knot, 0, c) for c in range(n)]
-    total = 0
+    g = 0
     for r in range(n):
         shifts = [bits * ((e - r * (c + 1)) % n) for c, e in enumerate(head[r:], r)]
         acc = sum(map(operator.lshift, col[r:], shifts))
-        total += ring.reduce(acc) * poch[n - 1 - r]
-    return ring.reduce(total)
+        # mod - x^(-r) g is -x^(-r) g, kept nonnegative for the fold
+        g = ring.reduce(acc + g + mod - ring.rotate(g, -r))
+    return g

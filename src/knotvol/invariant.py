@@ -878,10 +878,14 @@ def _exact_value(knot: KnotId, order: int) -> InvariantValue:
 
     c / N^d is int true division, correctly rounded, so each coefficient
     is the float of Fraction(c, N^d) with no gcd, and the image and the
-    bound are those of the field element, bit for bit.
+    bound are those of the field element, bit for bit.  Coefficients
+    past the double range are divided by 2^e as well, e added back to the
+    log, and the image is None past `_EXP_OVERFLOW_LOG`, as in logscale.
     """
     coeffs, scale = cyclo._exact_residue(knot, order)
-    image = [c / scale for c in coeffs]
+    top = max(map(abs, coeffs)).bit_length() - scale.bit_length()
+    e = max(top - 1000, 0)
+    image = [c / (scale << e) for c in coeffs]
     z = cyclo._horner(image, order)
     log = LogComplex.from_complex(z)
     # the residue is exact; only its float image rounds: Horner's rule
@@ -890,6 +894,10 @@ def _exact_value(knot: KnotId, order: int) -> InvariantValue:
     spread = sum(map(abs, image))
     steps = 6.0 * len(image) + 1.0
     err = steps * _EPS * spread / abs(z) if z != 0 else 0.0
+    if e and z != 0:
+        log = LogComplex(log.log_mag + e * math.log(2.0), log.arg)
+        fits = log.log_mag <= _EXP_OVERFLOW_LOG
+        z = complex(math.ldexp(z.real, e), math.ldexp(z.imag, e)) if fits else None
     return InvariantValue(
         knot,
         order,

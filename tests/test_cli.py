@@ -96,7 +96,7 @@ def test_fit_usage_errors_print_the_fit_usage(capsys, argv):
 
 def test_computational_errors_exit_one(capsys):
     code, _, err = run(
-        capsys, "invariant", "--knot", "6_1", "--n", "500", "--mode", "exact"
+        capsys, "invariant", "--knot", "6_1", "--n", "560", "--mode", "exact"
     )
     assert code == 1
     assert err.startswith("error:") and "budget" in err

@@ -16,7 +16,7 @@ from knotvol.cyclo import (
     _coefficient_bound,
     _exact_work,
     _partial_products,
-    _pochhammer_rows,
+    _pochhammer_norms,
     _ring_sum,
     _row_sums,
     cyclotomic_polynomial,
@@ -208,19 +208,30 @@ def test_packed_ring_matches_list_arithmetic():
 
 # --- exact state sums ---
 
+def _rows(order):
+    # (w)_k, k < N, as coefficient lists in Z[x]/(x^N - 1): each factor
+    # 1 - x^k multiplied out and folded at x^N = 1
+    row, rows = [1] + [0] * (order - 1), []
+    for k in range(order):
+        if k:
+            prod = _mul(row, [1] + [0] * (k - 1) + [-1])
+            row = [sum(prod[i::order]) for i in range(order)]
+        rows.append(row)
+    return rows
+
+
 def test_coefficient_bound_covers_the_sum():
     # the digit width comes from this bound: read back with room to spare,
     # no coefficient of the sum may exceed it, and it is no looser than
     # count * max ||(w)_k||_1^(factors)
     for knot in KnotId:
         for order in range(1, 31):
-            rows = _pochhammer_rows(order)
-            bound = _coefficient_bound(knot, rows)
+            norms = _pochhammer_norms(order)
+            bound = _coefficient_bound(knot, norms)
             ring = _PackedRing(order, bound << 64)
             coeffs = ring.unpack(_ring_sum(knot, ring))
             assert max(map(abs, coeffs)) <= bound, (knot, order)
-            l1 = max(sum(map(abs, row)) for row in rows)
-            old = exact_term_count(knot, order) * l1 ** SUMMAND_FACTORS[knot]
+            old = exact_term_count(knot, order) * max(norms) ** SUMMAND_FACTORS[knot]
             assert bound <= old, (knot, order)
 
 
@@ -236,7 +247,7 @@ def test_coefficient_bound_is_no_looser(knot, bits):
     # the digit widths of the l1 bound at three orders: a looser bound
     # would pack longer words into every product
     for order, expected in zip((20, 60, 100), bits):
-        bound = _coefficient_bound(knot, _pochhammer_rows(order))
+        bound = _coefficient_bound(knot, _pochhammer_norms(order))
         assert _PackedRing(order, bound).bits == expected, order
 
 
@@ -281,42 +292,51 @@ def test_coefficient_bound_is_the_pair_sum_over_norms():
     # the closed form is the l1 sum run pair by pair, to the last unit
     for knot in KnotId:
         for order in range(1, 41):
-            rows = _pochhammer_rows(order)
-            want = _stand_in_ring_sum(knot, rows, _L1Norms)
-            assert _coefficient_bound(knot, rows) == want, (knot, order)
+            want = _stand_in_ring_sum(knot, _rows(order), _L1Norms)
+            assert _coefficient_bound(knot, _pochhammer_norms(order)) == want, (knot, order)
 
 
 def test_ring_sum_matches_the_packed_pair_sum():
-    # partial products from the recursion and shifts for rotations give
-    # the residue that packed rows and rotations give
+    # binomial steps, shifts for rotations and Horner's rule in the
+    # partial products give the residue that packed rows, rotations and
+    # one product a pair give
     for knot in KnotId:
         for order in range(1, 31):
-            rows = _pochhammer_rows(order)
-            ring = _PackedRing(order, _coefficient_bound(knot, rows))
-            want = _stand_in_ring_sum(knot, rows, ring)
+            ring = _PackedRing(order, _coefficient_bound(knot, _pochhammer_norms(order)))
+            want = _stand_in_ring_sum(knot, _rows(order), ring)
             assert _ring_sum(knot, ring) == want, (knot, order)
 
 
 def test_row_sums_match_the_correlation():
     # Horner's rule gives the correlation's residues, one product a row
     for order in range(1, 41):
-        ring = _PackedRing(order, _coefficient_bound(KnotId.SIX_ONE, _pochhammer_rows(order)))
-        poch, conj = _partial_products(ring, 1), _partial_products(ring, -1)
-        absq = [ring.reduce(p * c) for p, c in zip(poch, conj)]
+        ring = _PackedRing(order, _coefficient_bound(KnotId.SIX_ONE, _pochhammer_norms(order)))
+        absq = list(_partial_products(ring, (1, -1)))
+        conj = list(_partial_products(ring, (-1,)))
         assert _row_sums(ring, absq, conj) == _correlated_row_sums(ring, absq, conj), order
 
 
 def test_partial_products_match_packed_rows():
-    # the recursion in the packed ring gives the residues that packing
-    # the rows and their conjugates gives, in a tight ring and a wide one
+    # the binomial steps in the packed ring give the residues that
+    # packing the rows and their conjugates gives, and their reduced
+    # products and squares, in a tight ring and a wide one; the norms
+    # that size the wide ring are the rows' l1 norms
     for order in range(1, 31):
-        rows = _pochhammer_rows(order)
-        conj = [row[:1] + row[:0:-1] for row in rows]
+        rows, norms = _rows(order), _pochhammer_norms(order)
+        assert norms == [sum(map(abs, r)) for r in rows], order
         tight = max(abs(c) for row in rows for c in row)
-        for bound in (tight, _coefficient_bound(KnotId.SIX_ONE, rows)):
+        for bound in (tight, _coefficient_bound(KnotId.SIX_ONE, norms)):
             ring = _PackedRing(order, bound)
-            assert _partial_products(ring, 1) == [ring.pack(r) for r in rows], order
-            assert _partial_products(ring, -1) == [ring.pack(r) for r in conj], order
+            poch = [ring.pack(r) for r in rows]
+            conj = [ring.pack(r[:1] + r[:0:-1]) for r in rows]
+            want = {
+                (1,): poch,
+                (-1,): conj,
+                (1, -1): [ring.reduce(p * c) for p, c in zip(poch, conj)],
+                (1, 1): [ring.reduce(p * p) for p in poch],
+            }
+            for signs, residues in want.items():
+                assert list(_partial_products(ring, signs)) == residues, (order, signs)
 
 
 def _oracle_term_count(knot, order):
@@ -507,18 +527,19 @@ def test_growth_fit_finds_no_volume_for_the_trefoil():
     assert _habiro_volume(-1) > 1.8
 
 
-def _no_rows(order):
+def _no_norms(order):
     raise AssertionError(f"O(N^2) work at N={order} before the budget check")
 
 
 def test_budget_refusal(monkeypatch):
     # the budget counts work: it admits the orders where the float path
-    # goes wrong, 6_1 at N = 300 and 5_2 at N = 584, and refuses past
-    # them before any O(N^2) step
-    assert _exact_work(KnotId.SIX_ONE, 300) <= EXACT_TERM_BUDGET
-    assert _exact_work(KnotId.FIVE_TWO, 584) <= EXACT_TERM_BUDGET
-    monkeypatch.setattr(cyclo, "_pochhammer_rows", _no_rows)
-    for knot, order in ((KnotId.FOUR_ONE, 1000), (KnotId.FIVE_TWO, 700), (KnotId.SIX_ONE, 500)):
+    # goes wrong, up to 6_1 at N = 300 and 5_2 at N = 800, and 4_1 past
+    # its Euler-Maclaurin window start, and refuses past each knot's
+    # reach before any O(N^2) step
+    for knot, order in ((KnotId.FOUR_ONE, 1000), (KnotId.FIVE_TWO, 800), (KnotId.SIX_ONE, 300)):
+        assert _exact_work(knot, order) <= EXACT_TERM_BUDGET
+    monkeypatch.setattr(cyclo, "_pochhammer_norms", _no_norms)
+    for knot, order in ((KnotId.FOUR_ONE, 5000), (KnotId.FIVE_TWO, 900), (KnotId.SIX_ONE, 560)):
         assert _exact_work(knot, order) > EXACT_TERM_BUDGET
         with pytest.raises(ExactBudgetError, match=f"N={order} .*logscale or a smaller N"):
             exact_invariant(knot, order)

@@ -935,6 +935,36 @@ def test_exact_mode_reaches_the_cliff(order):
     assert max(d_log, d_arg) <= 1e-12, (d_log, d_arg)
 
 
+def test_exact_four_one_checks_the_window_start():
+    # 4_1 at N = 1000, where logscale starts its window from the sum's
+    # Euler-Maclaurin form: exact mode gives refs.json's 60-digit log to
+    # 1e-12, and logscale agrees with it within its own estimate
+    exact = quantum_invariant(KnotId.FOUR_ONE, 1000, "exact")
+    d_log = float(Fraction(exact.value_log.log_mag) - Fraction("333.1534820159786117943719"))
+    assert abs(d_log) <= 1e-12
+    logscale = quantum_invariant(KnotId.FOUR_ONE, 1000, "logscale")
+    err = abs(logscale.value_complex - exact.value_complex) / abs(exact.value_complex)
+    assert err <= logscale.accum_error_estimate
+
+
+def test_exact_mode_scales_coefficients_past_the_double_range(monkeypatch):
+    # coefficients near 2^1100 are past the double range: their image is
+    # taken at 2^-e, e restored in the log, and no complex value is given
+    # past log 709; below it the value is the scaled image's
+    x = cmath.exp(2j * math.pi / 5)
+    for top, scale in ((1100, 1), (1030, 25)):
+        coeffs = [3 << top, 1 << top, 0, 0]
+        monkeypatch.setattr(cyclo, "_exact_residue", lambda knot, order, c=coeffs, s=scale: (c, s))
+        v = quantum_invariant(KnotId.FOUR_ONE, 5, "exact")
+        want = math.log(abs(3 + x)) + top * math.log(2) - math.log(scale)
+        assert abs(v.value_log.log_mag - want) <= 1e-12 * want
+        assert abs(v.value_log.arg - cmath.phase(3 + x)) <= 1e-15
+        if want > 709:
+            assert v.value_complex is None
+        else:
+            assert cmath.isclose(v.value_complex, (3 + x) * 2.0**top / scale, rel_tol=1e-15)
+
+
 def test_four_one_matches_its_refined_expansion():
     # with no fit: log |<4_1>_N| - (3/2) log N - N Vol/(2 pi) tends to
     # log(3^(-1/4) (1 + k1 h + k2 h^2 + O(h^3))), h = 2 pi/N, with
@@ -992,13 +1022,13 @@ def test_exact_mode_is_the_image_of_the_field_element():
 
 
 def test_exact_mode_budget_refusal(monkeypatch):
-    # refused before the O(N^2) rows, with the way out named
-    def no_rows(order):
+    # refused before the O(N^2) norms, with the way out named
+    def no_norms(order):
         raise AssertionError(f"O(N^2) work at N={order} before the budget check")
 
-    monkeypatch.setattr(cyclo, "_pochhammer_rows", no_rows)
-    with pytest.raises(ExactBudgetError, match="N=500 .*logscale or a smaller N"):
-        quantum_invariant(KnotId.SIX_ONE, 500, "exact")
+    monkeypatch.setattr(cyclo, "_pochhammer_norms", no_norms)
+    with pytest.raises(ExactBudgetError, match="N=560 .*logscale or a smaller N"):
+        quantum_invariant(KnotId.SIX_ONE, 560, "exact")
 
 
 @pytest.mark.parametrize(
